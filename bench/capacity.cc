@@ -53,18 +53,6 @@ CapacityCell BaseCell(uint64_t seed, bool quick) {
   return cell;
 }
 
-// The big cells (>= 64 flows) run on the sharded engine: 3 host shards plus
-// the switch shard, threaded per TCPLAT_JOBS. Small cells stay serial — the
-// windows are too short to pay for barriers. Rows remain byte-identical
-// across TCPLAT_JOBS either way (the determinism matrix pins this).
-void ShardBigCells(std::vector<CapacityCell>& cells) {
-  for (CapacityCell& cell : cells) {
-    if (cell.flows >= 64) {
-      cell.shards = 3;
-    }
-  }
-}
-
 void ClosedLoopCurve(uint64_t seed, bool quick) {
   const std::vector<int> flow_counts =
       quick ? std::vector<int>{1, 4, 16, 64} : std::vector<int>{1, 2, 4, 8, 16, 32, 64, 128, 256};
@@ -74,7 +62,6 @@ void ClosedLoopCurve(uint64_t seed, bool quick) {
     cell.flows = flows;
     cells.push_back(cell);
   }
-  ShardBigCells(cells);
   PrintGrid("Closed-loop capacity curve (ATM star, 4 clients x 2 servers, 200-byte echo)",
             cells);
 }
@@ -91,7 +78,6 @@ void HeaderPredictionByFlows(uint64_t seed, bool quick) {
       cells.push_back(cell);
     }
   }
-  ShardBigCells(cells);
   PrintGrid("Table 4 revisited: header prediction x flow count", cells);
 }
 
@@ -108,7 +94,6 @@ void ChecksumByFlows(uint64_t seed, bool quick) {
       cells.push_back(cell);
     }
   }
-  ShardBigCells(cells);
   PrintGrid("Table 7 revisited: checksum elimination x flow count (1400-byte echo)", cells);
 }
 
@@ -141,18 +126,17 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
   PrintGrid("Open-loop Poisson arrivals (rate rises top to bottom)", cells);
 }
 
-// --bin-out: runs one sharded 64-flow cell with the binary tracer attached
+// --bin-out: runs one 64-flow cell with the binary tracer attached
 // (optionally flow-sampled via --trace-sample-flows, or reservoir-sampled
-// via --trace-sample-reservoir) and writes the sealed merged TLBT stream.
+// via --trace-sample-reservoir) and writes the sealed TLBT stream.
 // The blob is a pure function of the seed, so CI runs this under
 // TCPLAT_JOBS=1 and =4 and `cmp`s the files. With --trace-spill PATH the
-// user tracer's resident buffer spills sealed segments to PATH mid-run
+// tracer's resident buffer spills sealed segments to PATH mid-run
 // (--trace-spill-segment sets the segment size); the sealed output is
 // byte-identical to an unspilled capture.
 int CaptureBinaryTrace(const BenchFlags& flags) {
   CapacityCell cell = BaseCell(flags.seed, flags.quick);
   cell.flows = flags.flows > 0 ? flags.flows : 64;
-  cell.shards = 3;
   Tracer tracer;
   if (flags.trace_sample_reservoir > 0) {
     // Reservoir sampling works on in-memory events (the bottom-K kept set is
@@ -210,9 +194,7 @@ int CaptureBinaryTrace(const BenchFlags& flags) {
 void Run(uint64_t seed, bool quick) {
   std::printf("Multi-flow capacity grids (seed %llu, %s mode)\n"
               "All quantities are simulated; output is byte-identical across\n"
-              "TCPLAT_JOBS settings and repeated runs at a fixed --seed.\n"
-              "Cells with >= 64 flows run on the sharded event engine\n"
-              "(conservative lookahead, TCPLAT_JOBS threads per cell).\n\n",
+              "TCPLAT_JOBS settings and repeated runs at a fixed --seed.\n\n",
               static_cast<unsigned long long>(seed), quick ? "quick" : "full");
   ClosedLoopCurve(seed, quick);
   HeaderPredictionByFlows(seed, quick);

@@ -21,7 +21,7 @@
 // telemetry plane attached (src/trace/timeseries.h) and emits the long-
 // format timeline CSV (ts_ns,host,metric,key,value,edge) — cwnd sawteeth,
 // per-VC queue occupancy, per-flow goodput — byte-identical across
-// TCPLAT_JOBS and shard counts at a fixed seed.
+// TCPLAT_JOBS at a fixed seed.
 //
 //   $ ./export_csv --timeline --seed 1 > timeline.csv
 

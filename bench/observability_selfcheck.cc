@@ -16,8 +16,8 @@
 //
 //   5. recording the same echo into the TLBT stream and decoding it back
 //      reproduces the Perfetto JSON byte-for-byte (lossless round trip);
-//   6. on a sharded 8-flow capacity cell, the merged binary stream is
-//      byte-identical with 1 and 4 shard worker threads;
+//   6. on an 8-flow capacity cell, the binary stream is byte-identical
+//      run serially and run four times at once on a 4-job executor;
 //   7. streaming attribution fed straight from the binary reader closes
 //      exactly the windows the batch CausalGraph/AttributeRtts path finds,
 //      every window's stages telescope to its RTT with 0 ns error, and
@@ -31,7 +31,7 @@
 //    9. mid-run TLBT disk spill (BinaryTraceWriter::EnableSpill) seals the
 //       same byte stream an unspilled capture produces;
 //   10. deterministic bottom-K reservoir flow sampling keeps the same flow
-//       set and event stream run to run and across shard thread counts;
+//       set and event stream, serially and on a 4-job executor;
 //   11. the timeseries hooks cost nothing when no sampler is attached
 //       (timeseries_overhead_pct, gated on an absolute ceiling);
 //   12. the default-period timeseries plane stays frugal
@@ -40,7 +40,7 @@
 // Writes a flat metrics JSON (the regression-gate input) to
 // BENCH_trace.json — override with --out — and the reference Perfetto
 // trace next to it (<out>_perfetto.json) for ui.perfetto.dev. --bin-out
-// additionally writes the sharded cell's sealed binary stream. Exits
+// additionally writes the 8-flow cell's sealed binary stream. Exits
 // nonzero on any failure.
 
 #include <algorithm>
@@ -206,12 +206,11 @@ CapacityCell EchoCell(int flows, size_t size, int iterations, int warmup, uint64
   cell.iterations = iterations;
   cell.warmup = warmup;
   cell.seed = seed;
-  cell.shards = 3;  // every binary-pipeline cell runs on the sharded engine
   return cell;
 }
 
 struct BinaryCellRun {
-  std::string blob;        // sealed merged stream
+  std::string blob;        // sealed stream
   size_t peak_bytes = 0;   // tracer recording-buffer high-water mark
   size_t flows_seen = 0;   // sampler only
   size_t flows_kept = 0;   // sampler only
@@ -219,11 +218,8 @@ struct BinaryCellRun {
 };
 
 // Runs `cell` with a binary-recording tracer (optionally flow-sampled at
-// 1-in-`sample_one_in`) on `shard_threads` worker threads.
-BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in,
-                            unsigned shard_threads) {
-  CapacityCell c = cell;
-  c.shard_threads = shard_threads;
+// 1-in-`sample_one_in`).
+BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   Tracer tracer;
   tracer.EnableBinaryRecording();
   if (sample_one_in > 1) {
@@ -233,7 +229,7 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in,
     tracer.EnableFlowSampling(sample);
   }
   BinaryCellRun out;
-  out.samples = RunCapacityCell(c, &tracer).samples;
+  out.samples = RunCapacityCell(cell, &tracer).samples;
   out.blob = SealBinaryTrace(tracer.host_names(), tracer.binary_records());
   out.peak_bytes = tracer.peak_memory_bytes();
   out.flows_seen = tracer.flows_seen().size();
@@ -241,23 +237,37 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in,
   return out;
 }
 
-// Runs `cell` with deterministic bottom-K reservoir flow sampling on
-// `shard_threads` workers; returns the final kept set and the kept event
-// stream as CSV — both must be pure functions of (cell, k).
+// Runs `cell` with deterministic bottom-K reservoir flow sampling; returns
+// the final kept set and the kept event stream as CSV — both must be pure
+// functions of (cell, k).
 struct ReservoirRun {
   std::vector<uint64_t> kept;
   std::string csv;
 };
 
-ReservoirRun RunReservoirCell(const CapacityCell& cell, uint32_t k, unsigned shard_threads) {
-  CapacityCell c = cell;
-  c.shard_threads = shard_threads;
+ReservoirRun RunReservoirCell(const CapacityCell& cell, uint32_t k) {
   Tracer tracer;
   tracer.EnableFlowReservoir(k, cell.seed);
-  RunCapacityCell(c, &tracer);
+  RunCapacityCell(cell, &tracer);
   ReservoirRun out;
   out.kept.assign(tracer.flows_kept().begin(), tracer.flows_kept().end());
   out.csv = tracer.ToCsv();
+  return out;
+}
+
+// Runs `run` once on a 1-job executor, then four copies at once on a 4-job
+// executor, and returns the five results, serial first. A cell shares
+// nothing global, so every result must equal the serial one.
+template <typename T>
+std::vector<T> RunSerialAndParallel(const std::function<T()>& run) {
+  std::vector<T> out;
+  for (unsigned jobs : {1u, 4u}) {
+    Executor ex(jobs);
+    for (auto& outcome : ex.Run<T>(std::vector<std::function<T()>>(jobs, run))) {
+      TCPLAT_CHECK(outcome.ok()) << outcome.error;
+      out.push_back(std::move(*outcome.value));
+    }
+  }
   return out;
 }
 
@@ -410,14 +420,18 @@ int Run(const BenchFlags& flags) {
   std::printf("binary echo stream: %zu bytes, %.2f bytes/event (in-memory struct: 64)\n\n",
               echo_blob.size(), bytes_per_event);
 
-  // (6) sharded 8-flow cell: the merged binary stream must not depend on
-  // the shard worker thread count.
+  // (6) 8-flow cell: the binary stream must not depend on executor width or
+  // on the cells running beside it.
   const CapacityCell small_cell =
       EchoCell(/*flows=*/8, /*size=*/200, flags.quick ? 40 : 200, /*warmup=*/8, flags.seed);
-  const BinaryCellRun jobs1 = RunBinaryCell(small_cell, /*sample_one_in=*/1, /*threads=*/1);
-  const BinaryCellRun jobs4 = RunBinaryCell(small_cell, /*sample_one_in=*/1, /*threads=*/4);
-  const bool jobs_identical = jobs1.blob == jobs4.blob;
-  Check(jobs_identical, "merged binary stream byte-identical with 1 vs 4 shard threads");
+  const std::vector<BinaryCellRun> small_runs = RunSerialAndParallel<BinaryCellRun>(
+      [&] { return RunBinaryCell(small_cell, /*sample_one_in=*/1); });
+  const BinaryCellRun& jobs1 = small_runs.front();
+  const bool executor_identical =
+      std::all_of(small_runs.begin(), small_runs.end(),
+                  [&](const BinaryCellRun& run) { return run.blob == jobs1.blob; });
+  Check(executor_identical,
+        "binary stream byte-identical serially and on a 4-job executor");
   if (!flags.bin_out_path.empty()) {
     Check(WriteTextFile(flags.bin_out_path, jobs1.blob),
           "sealed binary stream written to " + flags.bin_out_path);
@@ -429,7 +443,7 @@ int Run(const BenchFlags& flags) {
   small_opt.warmup_windows = small_cell.warmup;
   bool small_decode_ok = false;
   const std::vector<RttWindow> small_batch = BatchWindows(jobs1.blob, small_opt, &small_decode_ok);
-  Check(small_decode_ok, "sharded cell binary stream decodes cleanly");
+  Check(small_decode_ok, "8-flow cell binary stream decodes cleanly");
   StreamingAttribution streaming(small_opt);
   BinaryTraceReader small_reader(jobs1.blob);
   TraceEvent ev;
@@ -456,8 +470,8 @@ int Run(const BenchFlags& flags) {
   // not. Same cell, same seed; only the sampler differs.
   const CapacityCell big_cell = EchoCell(flags.quick ? 64 : 256, /*size=*/200,
                                          flags.quick ? 24 : 32, /*warmup=*/4, flags.seed);
-  const BinaryCellRun full = RunBinaryCell(big_cell, /*sample_one_in=*/1, /*threads=*/0);
-  const BinaryCellRun sampled = RunBinaryCell(big_cell, /*sample_one_in=*/8, /*threads=*/0);
+  const BinaryCellRun full = RunBinaryCell(big_cell, /*sample_one_in=*/1);
+  const BinaryCellRun sampled = RunBinaryCell(big_cell, /*sample_one_in=*/8);
   Check(sampled.flows_kept > 0 && sampled.flows_kept < sampled.flows_seen,
         "sampler kept a strict non-empty subset of flows");
   const double memory_ratio =
@@ -529,19 +543,18 @@ int Run(const BenchFlags& flags) {
   std::remove(spill_path.c_str());
 
   // (10) reservoir flow sampling: the bottom-K kept set and the kept event
-  // stream are pure functions of (cell, K) — run to run and across shard
-  // thread counts.
+  // stream are pure functions of (cell, K), serially and on the executor.
   const uint32_t reservoir_k = 3;
-  const ReservoirRun res_a = RunReservoirCell(small_cell, reservoir_k, /*threads=*/1);
-  const ReservoirRun res_b = RunReservoirCell(small_cell, reservoir_k, /*threads=*/1);
-  const ReservoirRun res_c = RunReservoirCell(small_cell, reservoir_k, /*threads=*/4);
+  const std::vector<ReservoirRun> res = RunSerialAndParallel<ReservoirRun>(
+      [&] { return RunReservoirCell(small_cell, reservoir_k); });
   const bool reservoir_deterministic =
-      res_a.kept.size() == reservoir_k && res_a.kept == res_b.kept &&
-      res_a.kept == res_c.kept && res_a.csv == res_b.csv && res_a.csv == res_c.csv &&
-      !res_a.csv.empty();
+      res.front().kept.size() == reservoir_k && !res.front().csv.empty() &&
+      std::all_of(res.begin(), res.end(), [&](const ReservoirRun& run) {
+        return run.kept == res.front().kept && run.csv == res.front().csv;
+      });
   std::snprintf(line, sizeof(line),
                 "bottom-%u reservoir keeps an identical flow set and event stream "
-                "run to run and with 1 vs 4 shard threads",
+                "serially and on a 4-job executor",
                 reservoir_k);
   Check(reservoir_deterministic, line);
 
@@ -552,7 +565,7 @@ int Run(const BenchFlags& flags) {
                 ts_overhead_pct);
   Check(ts_overhead_pct <= 10.0, line);
 
-  // (12) default-period plane on the sharded 8-flow cell: points per flow
+  // (12) default-period plane on the 8-flow cell: points per flow
   // is a deterministic simulated quantity the gate holds to a ceiling.
   Tracer ts_tracer;
   ts_tracer.EnableTimeseries(TimeseriesConfig{});
@@ -592,8 +605,8 @@ int Run(const BenchFlags& flags) {
   metrics += buf;
   metrics += std::string("  \"binary_roundtrip_identical\": ") +
              (roundtrip_identical ? "true" : "false") + ",\n";
-  metrics += std::string("  \"binary_jobs_identical\": ") +
-             (jobs_identical ? "true" : "false") + ",\n";
+  metrics += std::string("  \"binary_executor_identical\": ") +
+             (executor_identical ? "true" : "false") + ",\n";
   metrics += std::string("  \"streaming_matches_batch\": ") +
              (SameWindows(small_batch, streaming.windows()) ? "true" : "false") + ",\n";
   metrics += "  \"streaming_graph_peak_nodes\": " + std::to_string(peak_nodes) + ",\n";

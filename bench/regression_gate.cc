@@ -11,8 +11,8 @@
 //    kMinRateRatio of the baseline. A 10x regression trips; scheduler
 //    noise does not.
 //  * Wall-clock raw seconds and machine facts (hardware_concurrency,
-//    grid_jobs, grid_serial_sec, grid_parallel_sec, grid_speedup,
-//    shard_threads, shard_speedup) are reported but never gate.
+//    grid_jobs, grid_serial_sec, grid_parallel_sec, grid_speedup) are
+//    reported but never gate.
 //  * trace_disabled_overhead_pct gates on an absolute ceiling: detached-
 //    tracer hooks must stay under kMaxTraceOverheadPct.
 //  * Interactive latency metrics (interactive_*_us) are pure simulated
@@ -151,12 +151,8 @@ bool IsInteractiveLatency(const std::string& key) {
 }
 
 bool IsIgnored(const std::string& key) {
-  // shard_threads and shard_speedup join the machine facts: both follow the
-  // runner's core count (the sharded *rate* is still gated by the generic
-  // _per_sec floor, and shard_results_identical by exact match).
   static const char* kIgnored[] = {"hardware_concurrency", "grid_jobs", "grid_serial_sec",
-                                   "grid_parallel_sec", "grid_speedup", "shard_threads",
-                                   "shard_speedup"};
+                                   "grid_parallel_sec", "grid_speedup"};
   for (const char* k : kIgnored) {
     if (key == k) {
       return true;
@@ -305,11 +301,6 @@ int SelfTest() {
       {"quick", "true"},
       {"hardware_concurrency", "8"},
       {"rpc_round_trips_per_sec", "100000"},
-      {"capacity_sharded_sim_events_per_sec", "2000000"},
-      {"shard_count", "4"},
-      {"shard_threads", "8"},
-      {"shard_speedup", "2.400"},
-      {"shard_results_identical", "true"},
       {"trace_disabled_overhead_pct", "1.50"},
       {"grid_results_identical", "true"},
       {"interactive_delack_p50_us", "202160.9"},
@@ -321,7 +312,7 @@ int SelfTest() {
       {"trace_fnv64", "00deadbeef00cafe"},
       {"binary_trace_bytes_per_event", "12.790"},
       {"binary_roundtrip_identical", "true"},
-      {"binary_jobs_identical", "true"},
+      {"binary_executor_identical", "true"},
       {"streaming_matches_batch", "true"},
       {"streaming_graph_peak_nodes", "20"},
       {"trace_sampled_flows", "20"},
@@ -368,28 +359,6 @@ int SelfTest() {
   g_failures = 0;
   GatePerf(diverged, perf);
   expected += g_failures == 1 ? 0 : 1;
-
-  // A sharded-rate collapse past the floor must fail...
-  std::map<std::string, std::string> shard_slow = perf;
-  shard_slow["capacity_sharded_sim_events_per_sec"] = "1000";
-  g_failures = 0;
-  GatePerf(shard_slow, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // ...thread-count divergence in sharded results must fail...
-  std::map<std::string, std::string> shard_diverged = perf;
-  shard_diverged["shard_results_identical"] = "false";
-  g_failures = 0;
-  GatePerf(shard_diverged, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // ...but a different speedup on different hardware must not.
-  std::map<std::string, std::string> shard_other = perf;
-  shard_other["shard_threads"] = "1";
-  shard_other["shard_speedup"] = "0.900";
-  g_failures = 0;
-  GatePerf(shard_other, perf);
-  expected += g_failures == 0 ? 0 : 1;
 
   std::map<std::string, std::string> heavy = perf;
   heavy["trace_disabled_overhead_pct"] = "25.00";
@@ -439,7 +408,7 @@ int SelfTest() {
 
   // ...and a lost pipeline property fails exactly.
   std::map<std::string, std::string> broken = trace;
-  broken["binary_jobs_identical"] = "false";
+  broken["binary_executor_identical"] = "false";
   broken["trace_sampled_flows"] = "3";
   g_failures = 0;
   GateTrace(broken, trace);

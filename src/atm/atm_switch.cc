@@ -89,9 +89,7 @@ void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t
   // Hardware pipeline: no host CPU involved. The cell re-serializes on the
   // output fiber after the fabric latency (the wire handles head-of-line
   // queueing when cells from several inputs converge on one output). A
-  // buffered cell holds its VC's occupancy slot until its last bit leaves;
-  // the drain is scheduled on the switch's own simulator, which is also
-  // where serialization is accounted, so sharded runs stay deterministic.
+  // buffered cell holds its VC's occupancy slot until its last bit leaves.
   CellSink* sink = out.sink;
   Wire* wire = out.wire.get();
   const SimTime ready = arrival + per_cell_latency_;

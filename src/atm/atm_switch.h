@@ -94,13 +94,6 @@ class AtmSwitch {
   // duplication / delay. Pass nullptr to detach.
   void set_output_impairment(LinkImpairment* impairment);
 
-  // Marks output `port` as crossing a shard boundary: its fiber's deliveries
-  // are posted to `channel` instead of scheduled locally. The port must
-  // already be attached.
-  void SetOutputChannel(int port, DeliveryChannel* channel) {
-    outputs_.at(port).wire->set_shard_channel(channel);
-  }
-
   // Enables finite per-VC output buffering with the given drop policy.
   // Applies to cells switched after the call; typically configured before
   // traffic starts.

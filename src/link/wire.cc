@@ -46,9 +46,7 @@ SimTime Wire::Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn de
   const SimTime arrival = last_bit_out + propagation_ + verdict.extra_delay;
   if (verdict.duplicate) {
     // The original is scheduled first so it is also delivered first when the
-    // duplicate lag is zero (event order at equal times is insertion order;
-    // on a sharded wire the channel's per-post sequence preserves the same
-    // rule across the barrier).
+    // duplicate lag is zero (event order at equal times is insertion order).
     const SimTime dup_arrival = arrival + verdict.duplicate_lag;
     ScheduleDelivery(arrival, data, deliver);
     ScheduleDelivery(dup_arrival, std::move(data), std::move(deliver));
@@ -59,14 +57,10 @@ SimTime Wire::Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn de
 }
 
 void Wire::ScheduleDelivery(SimTime arrival, std::vector<uint8_t> data, DeliverFn deliver) {
-  auto fn = [arrival, data = std::move(data), deliver = std::move(deliver)]() mutable {
-    deliver(arrival, std::move(data));
-  };
-  if (shard_channel_ != nullptr) {
-    shard_channel_->Post(arrival, std::move(fn));
-    return;
-  }
-  sim_->ScheduleAt(arrival, std::move(fn));
+  sim_->ScheduleAt(arrival,
+                   [arrival, data = std::move(data), deliver = std::move(deliver)]() mutable {
+                     deliver(arrival, std::move(data));
+                   });
 }
 
 SharedBus::SharedBus(Simulator* sim, double bits_per_second, SimDuration propagation,

@@ -18,7 +18,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/sim/channel.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -78,22 +77,13 @@ class Wire {
   void set_impairment(LinkImpairment* impairment) { impairment_ = impairment; }
   LinkImpairment* impairment() const { return impairment_; }
 
-  // When set, this wire crosses a shard boundary: deliveries are posted to
-  // `channel` (buffered until the engine's next window barrier) instead of
-  // being scheduled on the local simulator. Serialization, hooks, and
-  // impairment all still run on the sending side — only the final delivery
-  // callback crosses. The channel must outlive the wire.
-  void set_shard_channel(DeliveryChannel* channel) { shard_channel_ = channel; }
-  DeliveryChannel* shard_channel() const { return shard_channel_; }
-
   uint64_t units_sent() const { return units_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   // Units consumed in flight by the drop hook or the impairment policy.
   uint64_t units_dropped() const { return units_dropped_; }
 
  private:
-  // Schedules the delivery callback locally or posts it across the shard
-  // boundary, depending on whether a shard channel is attached.
+  // Schedules the receiver callback at `arrival`.
   void ScheduleDelivery(SimTime arrival, std::vector<uint8_t> data, DeliverFn deliver);
 
   Simulator* sim_;
@@ -104,7 +94,6 @@ class Wire {
   CorruptFn corrupt_;
   DropFn drop_;
   LinkImpairment* impairment_ = nullptr;
-  DeliveryChannel* shard_channel_ = nullptr;
   uint64_t units_sent_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t units_dropped_ = 0;

@@ -34,23 +34,6 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
   return n;
 }
 
-SimTime Simulator::NextEventTime() {
-  return events_.empty() ? SimTime::Max() : events_.NextTime();
-}
-
-uint64_t Simulator::RunWhileBefore(SimTime limit) {
-  uint64_t n = 0;
-  while (!events_.empty() && events_.NextTime() < limit) {
-    auto ev = events_.PopNext();
-    TCPLAT_CHECK_GE(ev.time.nanos(), now_.nanos());
-    now_ = ev.time;
-    ev.fn();
-    ++n;
-    ++dispatched_;
-  }
-  return n;
-}
-
 uint64_t Simulator::RunToCompletion() {
   uint64_t n = 0;
   while (Step()) {

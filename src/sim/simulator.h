@@ -37,16 +37,6 @@ class Simulator {
   // events dispatched.
   uint64_t RunUntil(SimTime deadline);
 
-  // Timestamp of the earliest pending event, or SimTime::Max() if the queue
-  // is empty. Used by the shard engine to compute the next window base.
-  SimTime NextEventTime();
-
-  // Dispatches every event strictly before `limit` and stops, leaving Now()
-  // at the last dispatched event (it does NOT advance to `limit`, so a
-  // later cross-shard message at Now()+lookahead can still land inside
-  // [Now(), limit)). Returns the number of events dispatched.
-  uint64_t RunWhileBefore(SimTime limit);
-
   // Runs until the queue drains completely.
   uint64_t RunToCompletion();
 

@@ -275,56 +275,6 @@ bool BinaryTraceReader::Next(TraceEvent* ev) {
   return true;
 }
 
-bool MergeBinaryShards(const std::vector<BinaryShardStream>& shards, BinaryTraceWriter* out) {
-  struct Head {
-    BinaryRecordCursor cursor;
-    TraceEvent ev;
-    bool live = false;
-  };
-  std::vector<Head> heads;
-  heads.reserve(shards.size());
-  // Spilled shards are consolidated (spill file + resident bytes) into
-  // backing storage that must outlive the cursors; unspilled shards are
-  // cursored in place.
-  std::vector<std::string> consolidated(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const BinaryShardStream& s = shards[i];
-    TCPLAT_CHECK(s.records != nullptr);
-    std::string_view records = s.records->data();
-    if (s.records->spilling()) {
-      consolidated[i] = s.records->ConsolidatedRecords();
-      records = consolidated[i];
-    }
-    Head h{BinaryRecordCursor(records, s.records->count()), TraceEvent{}, false};
-    h.live = h.cursor.Next(&h.ev);
-    if (!h.live && h.cursor.error()) return false;
-    heads.push_back(std::move(h));
-  }
-  for (;;) {
-    // Linear scan beats a heap here: shard counts are single digits, and the
-    // "earliest timestamp, lowest shard index" scan is trivially the same
-    // tie-break the serial stable-sort produced.
-    size_t best = heads.size();
-    for (size_t i = 0; i < heads.size(); ++i) {
-      if (!heads[i].live) continue;
-      if (best == heads.size() || heads[i].ev.ts_ns < heads[best].ev.ts_ns) {
-        best = i;
-      }
-    }
-    if (best == heads.size()) break;
-    TraceEvent ev = heads[best].ev;
-    const std::vector<uint8_t>* remap = shards[best].host_remap;
-    if (remap != nullptr) {
-      if (ev.host >= remap->size()) return false;
-      ev.host = (*remap)[ev.host];
-    }
-    out->Append(ev);
-    heads[best].live = heads[best].cursor.Next(&heads[best].ev);
-    if (!heads[best].live && heads[best].cursor.error()) return false;
-  }
-  return true;
-}
-
 bool DecodeBinaryTrace(std::string_view blob, Tracer* out) {
   BinaryTraceReader reader(blob);
   if (!reader.ok()) return false;

@@ -3,11 +3,9 @@
 // The Perfetto-JSON text tracer costs ~90 bytes per event and a 64-byte
 // in-memory struct; neither survives the roadmap's 10^5-flow fabrics at
 // millions of events per second. This module defines a compact append-only
-// record stream that a Tracer (one per shard — shard confinement means no
-// cross-shard synchronization on the hot path) encodes into directly, plus
-// a deterministic post-hoc merge and a streaming reader, so the existing
-// Perfetto/CSV exporters and the causal-graph/attribution consumers are a
-// lossless round trip away.
+// record stream that a Tracer encodes into directly, plus a streaming
+// reader, so the existing Perfetto/CSV exporters and the
+// causal-graph/attribution consumers are a lossless round trip away.
 //
 // Stream layout (all integers little-endian):
 //
@@ -31,11 +29,8 @@
 // four enum/host bytes stay fixed-width so corrupt streams fail fast on
 // range checks rather than desynchronizing.
 //
-// Determinism: encoding is a pure function of the event sequence, and
-// MergeBinaryShards consumes per-shard streams head-to-head in
-// (timestamp, shard index, per-shard sequence) order — the same order the
-// sharded engine's stable timestamp sort produced — so the merged bytes are
-// identical for any TCPLAT_JOBS value.
+// Determinism: encoding is a pure function of the event sequence, so the
+// bytes are identical for any TCPLAT_JOBS value.
 
 #ifndef SRC_TRACE_BINARY_TRACE_H_
 #define SRC_TRACE_BINARY_TRACE_H_
@@ -61,8 +56,7 @@ inline constexpr uint16_t kBinaryTraceVersion = 1;
 // spill file and the buffer is freed. The timestamp-delta chain runs across
 // the segment boundary untouched (prev_ts_ survives the spill), so
 // spilled-segments + resident-bytes re-concatenate to the exact byte stream
-// an unspilled writer would have produced — readers and the shard merge see
-// no difference, and memory stays O(segment) for arbitrarily long captures.
+// an unspilled writer would have produced — readers see no difference, and memory stays O(segment) for arbitrarily long captures.
 class BinaryTraceWriter {
  public:
   BinaryTraceWriter() = default;
@@ -114,8 +108,8 @@ class BinaryTraceWriter {
 std::string SealBinaryTrace(const std::vector<std::string>& host_names,
                             const BinaryTraceWriter& records);
 
-// Streaming decoder for a record section (no header); used by the reader,
-// the shard merge, and tests. `count` bounds how many records to decode.
+// Streaming decoder for a record section (no header); used by the reader
+// and tests. `count` bounds how many records to decode.
 class BinaryRecordCursor {
  public:
   BinaryRecordCursor(std::string_view records, uint64_t count)
@@ -160,22 +154,6 @@ class BinaryTraceReader {
   uint64_t record_count_ = 0;
   BinaryRecordCursor cursor_{std::string_view(), 0};
 };
-
-// One shard's contribution to a merge: its record stream plus the
-// local-host-id -> canonical-host-id table (tracer host registration is
-// per shard, the merged stream uses the canonical serial-order ids).
-struct BinaryShardStream {
-  const BinaryTraceWriter* records = nullptr;
-  const std::vector<uint8_t>* host_remap = nullptr;  // nullptr = identity
-};
-
-// Deterministically merges per-shard record streams into `out` (appending)
-// in (timestamp, shard index, per-shard sequence) order, remapping host
-// ids. With timestamp-monotonic inputs this is an exact global timestamp
-// sort with the same tie-break the serial stable-sort merge used; the
-// output is a pure function of the inputs, never of thread scheduling.
-// Returns false (leaving a partial append) if any input stream is corrupt.
-bool MergeBinaryShards(const std::vector<BinaryShardStream>& shards, BinaryTraceWriter* out);
 
 // Decodes a full sealed stream back into `out` (which must be an empty,
 // full-recording Tracer): registers the host table and appends every

@@ -52,8 +52,8 @@ class StreamingAttribution {
  public:
   explicit StreamingAttribution(const AttributionOptions& options);
 
-  // Consumes the next event of the merged stream (global timestamp order,
-  // per-host chains contiguous — what Tracer/MergeBinaryShards produce).
+  // Consumes the next event of the stream (global timestamp order, per-host
+  // chains contiguous — what a Tracer produces).
   void OnEvent(const TraceEvent& ev);
 
   // Closed windows, in close order (sort by (flow, start_ns) to compare

@@ -10,14 +10,10 @@
 // sawtooth are exact rather than aliased by the sampling clock.
 //
 // Everything is driven by simulated time: there are no self-rescheduling
-// sampling events (which would keep the event queue alive forever), and a
-// sharded run keeps one sampler per shard with no cross-shard
-// synchronization. Timelines are finalized by a stable sort on
-// (ts_ns, host): each host lives on exactly one shard and its push stream
-// is simulated-deterministic, so the sorted timeline is byte-identical
-// across TCPLAT_JOBS, shard counts, and serial-vs-sharded execution — the
-// same guarantee the TLBT event pipeline gives, delivered by value order
-// instead of shard order.
+// sampling events (which would keep the event queue alive forever).
+// Timelines are finalized by a stable sort on (ts_ns, host): each host's
+// push stream is simulated-deterministic, so the sorted timeline is
+// byte-identical across TCPLAT_JOBS.
 
 #ifndef SRC_TRACE_TIMESERIES_H_
 #define SRC_TRACE_TIMESERIES_H_
@@ -88,14 +84,6 @@ class TimeseriesSampler {
   // Discontinuity: always recorded (subject only to active()).
   void PushEdge(uint8_t host, TsMetric metric, uint64_t key, SimTime ts, int64_t value);
 
-  // Merge input from another sampler (a shard's): no thinning, the source
-  // already thinned.
-  void Append(const TimeseriesPoint& p) {
-    if (active()) {
-      points_.push_back(p);
-    }
-  }
-
   const std::vector<TimeseriesPoint>& points() const { return points_; }
   void Clear();
   size_t ApproxMemoryBytes() const;
@@ -113,8 +101,7 @@ class TimeseriesSampler {
 };
 
 // Finalizes a timeline: stable sort on (ts_ns, host). Per-host sub-order
-// (the push order) is preserved, which is what makes the result invariant
-// across shard layouts.
+// (the push order) is preserved.
 void SortTimeseriesPoints(std::vector<TimeseriesPoint>* points);
 
 // Long-format timeline CSV. `host_names` indexes by TimeseriesPoint::host.

@@ -234,7 +234,6 @@ void Tracer::EnableFlowReservoir(uint32_t k, uint64_t seed) {
 }
 
 void Tracer::EnableTimeseries(const TimeseriesConfig& config) {
-  timeseries_config_ = config;
   timeseries_ = std::make_unique<TimeseriesSampler>(config);
 }
 
@@ -260,29 +259,6 @@ void Tracer::EnableFlightRecorder(const FlightRecorderConfig& config) {
   flight_ = config;
 }
 
-void Tracer::MergeSampleSets(const Tracer& other) {
-  flows_seen_.insert(other.flows_seen_.begin(), other.flows_seen_.end());
-  flows_kept_.insert(other.flows_kept_.begin(), other.flows_kept_.end());
-  if (reservoir_k_ > 0) {
-    // Re-select the bottom-K over the merged population. A shard's local
-    // bottom-K is a superset of the global bottom-K restricted to the flows
-    // that shard saw (anything globally kept has fewer than K better-ranked
-    // flows anywhere, so also locally), so re-selection never needs events
-    // a shard already dropped.
-    reservoir_.clear();
-    for (uint64_t canonical : flows_seen_) {
-      reservoir_.insert({Mix64(canonical ^ Mix64(sample_.seed)), canonical});
-    }
-    while (reservoir_.size() > reservoir_k_) {
-      reservoir_.erase(std::prev(reservoir_.end()));
-    }
-    flows_kept_.clear();
-    for (const auto& [rank, canonical] : reservoir_) {
-      flows_kept_.insert(canonical);
-    }
-  }
-}
-
 size_t Tracer::ApproxMemoryBytes() const {
   size_t bytes = events_.size() * sizeof(TraceEvent) + deferred_events_ * sizeof(TraceEvent);
   if (binary_ != nullptr) {
@@ -295,7 +271,7 @@ size_t Tracer::ApproxMemoryBytes() const {
 }
 
 size_t Tracer::peak_memory_bytes() const {
-  return std::max(peak_bytes_, ApproxMemoryBytes()) + child_peak_bytes_;
+  return std::max(peak_bytes_, ApproxMemoryBytes());
 }
 
 void Tracer::NotePeak() { peak_bytes_ = std::max(peak_bytes_, ApproxMemoryBytes()); }
@@ -314,7 +290,6 @@ void Tracer::Clear() {
     timeseries_->Clear();
   }
   peak_bytes_ = 0;
-  child_peak_bytes_ = 0;
   ring_.clear();
   anomalies_.clear();
   anomalies_seen_ = 0;

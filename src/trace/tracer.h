@@ -137,9 +137,7 @@ struct TraceEvent {
 
 // Deterministic per-flow sampling: a flow is kept iff a seeded hash of its
 // canonical (port-order-independent) id lands in the 1-in-`one_in` bucket.
-// Both connection endpoints — and every shard — reach the same verdict with
-// no coordination, so sampled sharded traces stay byte-identical across
-// TCPLAT_JOBS.
+// Both connection endpoints reach the same verdict with no coordination.
 struct FlowSampleConfig {
   uint32_t one_in = 8;  // expected fraction of flows kept = 1/one_in
   uint64_t seed = 0;    // varies which flows land in the kept bucket
@@ -212,10 +210,8 @@ class Tracer {
     Commit(ev);
   }
 
-  // Commits an already-built event, bypassing the flow sampler (merge input
-  // from shard tracers is already sampled). Used by the sharded workload
-  // engine and the binary decoder to rebuild a canonical stream; the caller
-  // is responsible for remapping `ev.host` first.
+  // Commits an already-built event, bypassing the flow sampler. Used by the
+  // binary decoder to rebuild a stream that was sampled when recorded.
   void Append(const TraceEvent& ev) {
     if (!enabled_) return;
     Emit(ev);
@@ -224,14 +220,12 @@ class Tracer {
   // ---- Time-series telemetry plane (src/trace/timeseries.h) -------------
   //
   // Orthogonal to event recording: producers push counter samples through
-  // Host::TraceSample into a per-tracer sampler (per-shard in sharded runs,
-  // no cross-shard sync). Disabled-tracer cost is the same single pointer
-  // test as TracePacket; attached-but-not-enabled cost is one extra null
-  // test here.
+  // Host::TraceSample into a per-tracer sampler. Disabled-tracer cost is
+  // the same single pointer test as TracePacket; attached-but-not-enabled
+  // cost is one extra null test here.
 
   void EnableTimeseries(const TimeseriesConfig& config);
   bool timeseries_enabled() const { return timeseries_ != nullptr; }
-  const TimeseriesConfig& timeseries_config() const { return timeseries_config_; }
   TimeseriesSampler* timeseries() { return timeseries_.get(); }
   const TimeseriesSampler* timeseries() const { return timeseries_.get(); }
 
@@ -247,8 +241,7 @@ class Tracer {
   }
 
   // The finalized timeline: points stable-sorted on (ts_ns, host), which is
-  // byte-identical across TCPLAT_JOBS, shard counts, and serial-vs-sharded
-  // execution. Empty when the plane is off.
+  // byte-identical across TCPLAT_JOBS. Empty when the plane is off.
   std::vector<TimeseriesPoint> SortedTimeseriesPoints() const;
   // Long-format timeline CSV over the finalized points.
   std::string TimelineCsv() const;
@@ -266,7 +259,7 @@ class Tracer {
 
   void EnableBinaryRecording();
   bool binary_recording() const { return binary_ != nullptr; }
-  // The raw record stream (CHECKs binary mode). Exposed for the shard merge.
+  // The raw record stream (CHECKs binary mode), for sealing and spilling.
   const BinaryTraceWriter& binary_records() const;
   BinaryTraceWriter* mutable_binary_records();
 
@@ -286,7 +279,6 @@ class Tracer {
   void EnableFlowSampling(const FlowSampleConfig& config);
   bool flow_sampling() const { return sampling_; }
   uint32_t sample_one_in() const { return sampling_ ? sample_.one_in : 1; }
-  const FlowSampleConfig& sample_config() const { return sample_; }
 
   // Reservoir variant for open-ended flow populations: keeps the K flows
   // whose seeded canonical-flow hash ranks lowest (a bottom-K sketch — the
@@ -295,8 +287,9 @@ class Tracer {
   // live (a better-ranked late flow evicts a worse one); FinalizeReservoir
   // prunes evicted flows' events so the surviving capture covers exactly
   // the final bottom-K set, which is a pure function of the flows seen —
-  // deterministic across runs, thread counts, and shard layouts. In-memory
-  // event recording only (excludes binary and flight-recorder modes).
+  // deterministic across runs and thread counts. StarTestbed::RunToCompletion
+  // finalizes an attached tracer. In-memory event recording only (excludes
+  // binary and flight-recorder modes).
   void EnableFlowReservoir(uint32_t k, uint64_t seed);
   bool flow_reservoir() const { return reservoir_k_ > 0; }
   uint32_t reservoir_k() const { return reservoir_k_; }
@@ -305,20 +298,16 @@ class Tracer {
   // sampler. seen/kept sizes give the blame scale factor.
   const std::set<uint64_t>& flows_seen() const { return flows_seen_; }
   const std::set<uint64_t>& flows_kept() const { return flows_kept_; }
-  // Unions another tracer's seen/kept sets into this one (shard merge).
-  void MergeSampleSets(const Tracer& other);
 
   // ---- Memory accounting -------------------------------------------------
   //
   // Recording-buffer footprint by content (event payload bytes held right
   // now), deliberately excluding allocator capacity so the number is
   // identical across platforms and can be gated. peak additionally covers
-  // transient sampler buffering and, after a shard merge, the per-shard
-  // recorders' peaks.
+  // transient sampler buffering.
 
   size_t ApproxMemoryBytes() const;
   size_t peak_memory_bytes() const;
-  void AddChildPeakBytes(size_t bytes) { child_peak_bytes_ += bytes; }
 
   // Drops recorded events (full-trace, binary, sampler and flight-recorder
   // state); registered hosts and the recording mode are kept.
@@ -359,7 +348,6 @@ class Tracer {
   // binary recording or flow sampling (all checked — a tracer that silently
   // split its stream between events() and the ring would corrupt both).
   void EnableFlightRecorder(const FlightRecorderConfig& config);
-  bool flight_recorder_enabled() const { return flight_enabled_; }
   const std::vector<AnomalyRecord>& anomalies() const { return anomalies_; }
   // Total trigger events observed, including ones past max_anomalies.
   uint64_t anomalies_seen() const { return anomalies_seen_; }
@@ -430,10 +418,8 @@ class Tracer {
   std::set<std::pair<uint64_t, uint64_t>> reservoir_;  // (rank, canonical)
 
   std::unique_ptr<TimeseriesSampler> timeseries_;
-  TimeseriesConfig timeseries_config_;
 
   size_t peak_bytes_ = 0;
-  size_t child_peak_bytes_ = 0;
 
   bool flight_enabled_ = false;
   FlightRecorderConfig flight_;

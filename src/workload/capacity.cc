@@ -85,8 +85,6 @@ CapacityOutcome RunCapacityCell(const CapacityCell& cell, Tracer* tracer) {
   config.seed = cell.seed;
   config.tcp.header_prediction = cell.header_prediction;
   config.tcp.checksum = cell.checksum;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   StarTestbed testbed(config);
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);

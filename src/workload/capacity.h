@@ -30,11 +30,6 @@ struct CapacityCell {
   SimDuration think_time;         // closed-loop only
   SimDuration mean_interarrival;  // open-loop only (zero = 500 us default)
   uint64_t seed = 1;
-  // Host shards for the conservative-lookahead parallel engine; 0 = serial
-  // (see StarTestbedConfig::shards). Thread count comes from TCPLAT_JOBS
-  // unless shard_threads pins it; neither ever changes the row bytes.
-  int shards = 0;
-  unsigned shard_threads = 0;
 };
 
 struct CapacityOutcome {

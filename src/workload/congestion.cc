@@ -59,8 +59,6 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
   config.clients = cell.flows;
   config.servers = 1;
   config.seed = cell.seed;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   config.propagation = GetLinkProfile(cell.profile).propagation;
   config.vc_buffers.buffer_cells = cell.buffer_cells;
   config.vc_buffers.policy = cell.policy;

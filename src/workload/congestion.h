@@ -49,8 +49,6 @@ struct CongestionCell {
   size_t rcvbuf = 32768;
   size_t mss_clamp = 1460;
   uint64_t seed = 1;
-  int shards = 0;
-  unsigned shard_threads = 0;
 };
 
 // Per-flow view for the tail-blame section: with one client host per flow,
@@ -107,7 +105,7 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell);
 CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer);
 
 // Table formatting (simulated quantities only — byte-identical across
-// TCPLAT_JOBS and shard counts at a fixed seed).
+// TCPLAT_JOBS at a fixed seed).
 std::vector<std::string> CongestionHeader();
 std::vector<std::string> CongestionRow(const CongestionCell& cell,
                                        const CongestionOutcome& out);

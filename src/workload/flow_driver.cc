@@ -21,19 +21,14 @@ struct RunState {
   StarTestbed* tb = nullptr;
   const WorkloadOptions* options = nullptr;
   std::vector<FlowResult> results;
-  // uint8_t, not bool: in a sharded run flows on different hosts finish on
-  // different worker threads, and vector<bool>'s bit packing would turn
-  // per-flow writes into read-modify-write races on shared words.
   std::vector<uint8_t> server_done;
   std::vector<uint8_t> client_done;
   // Per-flow [enter, leave] round-trip intervals (nanos; leave = -1 while
-  // open). Each flow's vector is written only by its own client coroutine,
-  // so recording is shard-safe; max_concurrent is swept from these after
-  // the run instead of bumping a shared counter mid-simulation.
+  // open), written by the flow's client coroutine; max_concurrent is swept
+  // from these after the run.
   std::vector<std::vector<std::pair<int64_t, int64_t>>> intervals;
   // Streaming mode: per-message send-entry (client coroutine) and sink-side
-  // delivery (server coroutine) timestamps, paired after the run. One owner
-  // per vector keeps the recording shard-safe.
+  // delivery (server coroutine) timestamps, paired after the run.
   std::vector<std::vector<int64_t>> stream_send_ts;
   std::vector<std::vector<int64_t>> stream_recv_ts;
 };
@@ -164,13 +159,9 @@ SimTask ClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint16_t 
   std::vector<uint8_t> in(spec->size);
   const int total = spec->warmup + spec->iterations;
   for (int iter = 0; iter < total; ++iter) {
-    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup &&
-        !state->tb->sharded()) {
+    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
       // Start of the measured region: clear the layer accumulators, the
       // way the single-flow benchmark re-initializes its kernel counters.
-      // Skipped when sharded: the trackers belong to hosts on other shards
-      // that may be mid-window on other threads (sharded runs measure whole
-      // runs, not a warmup-trimmed region).
       state->tb->ResetTrackers();
     }
     FillPattern(out, iter);
@@ -316,8 +307,7 @@ SimTask InteractiveClientProc(RunState* state, const FlowSpec* spec, size_t flow
   int completed = 0;
   while (completed < total) {
     while (issued < total && issued - completed < depth) {
-      if (issued == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup &&
-          !state->tb->sharded()) {
+      if (issued == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
         state->tb->ResetTrackers();
       }
       FillPattern(out, issued);
@@ -416,8 +406,7 @@ SimTask StreamClientProc(RunState* state, const FlowSpec* spec, size_t flow, uin
   std::vector<uint8_t> out(spec->size);
   const int total = spec->warmup + spec->iterations;
   for (int iter = 0; iter < total; ++iter) {
-    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup &&
-        !state->tb->sharded()) {
+    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
       state->tb->ResetTrackers();
     }
     FillPattern(out, iter);

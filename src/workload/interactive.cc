@@ -85,8 +85,6 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
   config.clients = std::min(cell.clients, cell.flows);
   config.servers = std::min(cell.servers, cell.flows);
   config.seed = cell.seed;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   if (cell.delack_timeout.nanos() > 0) {
     config.tcp.delack_timeout = cell.delack_timeout;
   }

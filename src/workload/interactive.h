@@ -80,8 +80,6 @@ struct InteractiveCell {
   int keystrokes = 0;
   SimDuration keystroke_interval = SimDuration::FromMillis(150);
   uint64_t seed = 1;
-  int shards = 0;
-  unsigned shard_threads = 0;
 };
 
 struct InteractiveOutcome {

@@ -1,12 +1,8 @@
 #include "src/workload/star_testbed.h"
 
-#include <algorithm>
 #include <string>
 
-#include "src/atm/aal34.h"
 #include "src/base/check.h"
-#include "src/exec/executor.h"
-#include "src/trace/binary_trace.h"
 
 namespace tcplat {
 namespace {
@@ -20,42 +16,25 @@ uint16_t PairVci(int src, int dst, int n) {
 
 }  // namespace
 
-StarTestbed::StarTestbed(StarTestbedConfig config) : config_(std::move(config)) {
+StarTestbed::StarTestbed(StarTestbedConfig config)
+    : config_(std::move(config)), sim_(config_.seed) {
   TCPLAT_CHECK_GT(config_.clients, 0);
   TCPLAT_CHECK_GT(config_.servers, 0);
   const int n = host_count();
   TCPLAT_CHECK_LE(n, 250) << "star exceeds the address/VCI plan";
 
-  // Sharding needs cross-shard edges with positive lookahead, which only the
-  // ATM fibers provide (the Ethernet SharedBus is one global serializer),
-  // and at least two hosts so there is parallel work to find.
-  const bool sharded_run =
-      config_.shards > 0 && config_.network == NetworkKind::kAtm && n >= 2;
-  if (sharded_run) {
-    host_shards_ = std::min(config_.shards, n);
-    const unsigned threads =
-        config_.shard_threads != 0 ? config_.shard_threads : DefaultExecutorJobs();
-    engine_ = std::make_unique<ShardEngine>(config_.seed, 1 + host_shards_, threads);
-  } else {
-    serial_sim_ = std::make_unique<Simulator>(config_.seed);
-  }
-  const auto host_sim = [&](int idx) {
-    return sharded() ? &engine_->sim(shard_of_host(idx)) : serial_sim_.get();
-  };
-  Simulator* const hub_sim = sharded() ? &engine_->sim(0) : serial_sim_.get();
-
   for (int idx = 0; idx < n; ++idx) {
     const bool is_client = idx < config_.clients;
     const std::string name = (is_client ? "client" : "server") +
                              std::to_string(is_client ? idx : idx - config_.clients);
-    hosts_.push_back(std::make_unique<Host>(host_sim(idx), name, config_.profile));
+    hosts_.push_back(std::make_unique<Host>(&sim_, name, config_.profile));
     const Ipv4Addr addr =
         is_client ? StarClientAddr(idx) : StarServerAddr(idx - config_.clients);
     ips_.push_back(std::make_unique<IpStack>(hosts_.back().get(), addr));
   }
 
   if (config_.network == NetworkKind::kAtm) {
-    atm_switch_ = std::make_unique<AtmSwitch>(hub_sim, kTaxiBitsPerSecond, config_.propagation,
+    atm_switch_ = std::make_unique<AtmSwitch>(&sim_, kTaxiBitsPerSecond, config_.propagation,
                                               config_.switch_latency);
     if (config_.vc_buffers.buffer_cells > 0) {
       atm_switch_->ConfigureVcBuffers(config_.vc_buffers);
@@ -65,25 +44,13 @@ StarTestbed::StarTestbed(StarTestbedConfig config) : config_(std::move(config)) 
       // Each host owns a private fiber into the switch; the switch creates
       // the return fiber in AttachOutput. Port number = host index.
       fibers_.push_back(
-          std::make_unique<Wire>(host_sim(idx), kTaxiBitsPerSecond, config_.propagation));
+          std::make_unique<Wire>(&sim_, kTaxiBitsPerSecond, config_.propagation));
       adapters_.push_back(std::make_unique<Tca100>(hosts_[static_cast<size_t>(idx)].get(),
                                                    fibers_.back().get()));
       const bool server_port = idx >= config_.clients;
       atm_switch_->AttachOutput(idx, adapters_.back().get(),
                                 server_port ? config_.server_trunk_bps : 0);
       adapters_.back()->ConnectSink(atm_switch_->input(idx));
-      if (sharded()) {
-        // A cell transmitted "now" cannot arrive before one cell time plus
-        // the propagation delay, so that sum is the fiber's lookahead in
-        // both directions. Channel creation order (per host: uplink then
-        // downlink) is part of the deterministic message tie-break.
-        const SimDuration lookahead =
-            fibers_.back()->SerializationDelay(kAtmCellBytes) + config_.propagation;
-        fibers_.back()->set_shard_channel(
-            engine_->CreateChannel(shard_of_host(idx), 0, lookahead));
-        atm_switch_->SetOutputChannel(
-            idx, engine_->CreateChannel(0, shard_of_host(idx), lookahead));
-      }
       atm_ifs_.push_back(std::make_unique<AtmNetIf>(ips_[static_cast<size_t>(idx)].get(),
                                                     adapters_.back().get(),
                                                     PairVci(idx, idx, n)));
@@ -103,7 +70,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config) : config_(std::move(config)) 
       }
     }
   } else {
-    ether_segment_ = std::make_unique<EtherSegment>(serial_sim_.get(), config_.propagation);
+    ether_segment_ = std::make_unique<EtherSegment>(&sim_, config_.propagation);
     for (int idx = 0; idx < n; ++idx) {
       const MacAddr mac{0x02, 0, 0, 0, 0, static_cast<uint8_t>(idx + 1)};
       ether_ifs_.push_back(std::make_unique<EtherNetIf>(ips_[static_cast<size_t>(idx)].get(),
@@ -129,186 +96,23 @@ StarTestbed::StarTestbed(StarTestbedConfig config) : config_(std::move(config)) 
   }
 }
 
-Simulator& StarTestbed::sim() {
-  TCPLAT_CHECK(!sharded()) << "no single simulator in sharded mode; use "
-                              "RunToCompletion/EndTime/EventsDispatched";
-  return *serial_sim_;
-}
-
 void StarTestbed::RunToCompletion() {
-  if (sharded()) {
-    engine_->Run();
-    MergeShardTraces();
-    return;
+  sim_.RunToCompletion();
+  // A reservoir capture evicts flows as better-ranked ones arrive; the kept
+  // set is final only now, so prune the evicted flows' events.
+  if (tracer_ != nullptr) {
+    tracer_->FinalizeReservoir();
   }
-  serial_sim_->RunToCompletion();
-}
-
-SimTime StarTestbed::EndTime() const {
-  return sharded() ? engine_->EndTime() : serial_sim_->Now();
-}
-
-uint64_t StarTestbed::EventsDispatched() const {
-  return sharded() ? engine_->events_dispatched() : serial_sim_->events_dispatched();
 }
 
 void StarTestbed::AttachTracer(Tracer* tracer) {
-  if (!sharded()) {
-    for (auto& host : hosts_) {
-      host->AttachTracer(tracer);
-    }
-    if (atm_switch_ != nullptr) {
-      if (tracer != nullptr) {
-        atm_switch_->AttachTracer(tracer, tracer->RegisterHost("switch"));
-      } else {
-        atm_switch_->AttachTracer(nullptr, 0);
-      }
-    }
-    return;
+  tracer_ = tracer;
+  for (auto& host : hosts_) {
+    host->AttachTracer(tracer);
   }
-
-  user_tracer_ = tracer;
-  shard_tracers_.clear();
-  trace_remap_.clear();
-  if (tracer == nullptr) {
-    for (auto& host : hosts_) {
-      host->AttachTracer(nullptr);
-    }
-    atm_switch_->AttachTracer(nullptr, 0);
-    return;
+  if (atm_switch_ != nullptr) {
+    atm_switch_->AttachTracer(tracer, tracer != nullptr ? tracer->RegisterHost("switch") : 0);
   }
-
-  // Flight-recorder mode cannot shard: the ring and its anomaly triggers
-  // are properties of the merged global stream, so the per-shard recorders
-  // below would each full-record the whole run (defeating the recorder's
-  // bounded memory) only to trigger at merge time. Run captures serially.
-  TCPLAT_CHECK(!tracer->flight_recorder_enabled())
-      << "flight-recorder tracers are unsupported in sharded mode; run with "
-         "shards = 0 to capture anomalies";
-
-  // One private recorder per shard (a shared one would race across worker
-  // threads), remapped to canonical ids registered on the user's tracer in
-  // the serial order: hosts 0..N-1, then the switch.
-  const size_t shards = static_cast<size_t>(engine_->shard_count());
-  shard_tracers_.resize(shards);
-  trace_remap_.assign(shards, {});
-  for (auto& shard_tracer : shard_tracers_) {
-    shard_tracer = std::make_unique<Tracer>();
-    shard_tracer->set_enabled(tracer->enabled());
-    // The shard recorders inherit the user tracer's recording mode, so each
-    // worker encodes (and samples) locally with no cross-shard
-    // synchronization; the flow sampler's hash verdicts agree across shards
-    // by construction.
-    if (tracer->binary_recording()) {
-      shard_tracer->EnableBinaryRecording();
-    }
-    if (tracer->flow_reservoir()) {
-      // Reservoir before plain sampling: a reservoir tracer reports
-      // flow_sampling() too (it shares the sampler machinery).
-      shard_tracer->EnableFlowReservoir(tracer->reservoir_k(), tracer->sample_config().seed);
-    } else if (tracer->flow_sampling()) {
-      shard_tracer->EnableFlowSampling(tracer->sample_config());
-    }
-    if (tracer->timeseries_enabled()) {
-      shard_tracer->EnableTimeseries(tracer->timeseries_config());
-    }
-  }
-  const auto remap = [&](size_t shard, uint8_t local, uint8_t canonical) {
-    auto& table = trace_remap_[shard];
-    if (table.size() <= local) {
-      table.resize(static_cast<size_t>(local) + 1, 0);
-    }
-    table[local] = canonical;
-  };
-  for (int idx = 0; idx < host_count(); ++idx) {
-    const auto shard = static_cast<size_t>(shard_of_host(idx));
-    hosts_[static_cast<size_t>(idx)]->AttachTracer(shard_tracers_[shard].get());
-    remap(shard, hosts_[static_cast<size_t>(idx)]->trace_id(),
-          tracer->RegisterHost(hosts_[static_cast<size_t>(idx)]->name()));
-  }
-  const uint8_t local_switch = shard_tracers_[0]->RegisterHost("switch");
-  atm_switch_->AttachTracer(shard_tracers_[0].get(), local_switch);
-  remap(0, local_switch, tracer->RegisterHost("switch"));
-}
-
-void StarTestbed::MergeShardTraces() {
-  if (user_tracer_ == nullptr || shard_tracers_.empty()) {
-    return;
-  }
-  // Head-to-head merge in (timestamp, shard index, per-shard sequence)
-  // order. For the ordinary timestamp-monotonic shard streams this is
-  // exactly the old stable sort on timestamp (ties keep shard order); under
-  // flow sampling a shard stream can emit a buffered chain prefix behind a
-  // flow-agnostic anchor, and unlike a re-sort this merge preserves each
-  // shard's within-chain order, which the causal-graph consumers rely on.
-  // Either way the result is a pure function of the shard streams — never
-  // of worker scheduling — so it is byte-identical across TCPLAT_JOBS.
-  if (user_tracer_->binary_recording()) {
-    std::vector<BinaryShardStream> streams;
-    streams.reserve(shard_tracers_.size());
-    for (size_t shard = 0; shard < shard_tracers_.size(); ++shard) {
-      streams.push_back(
-          BinaryShardStream{&shard_tracers_[shard]->binary_records(), &trace_remap_[shard]});
-    }
-    TCPLAT_CHECK(MergeBinaryShards(streams, user_tracer_->mutable_binary_records()))
-        << "corrupt shard trace stream";
-  } else {
-    struct Head {
-      const std::vector<TraceEvent>* events;
-      size_t pos = 0;
-    };
-    std::vector<Head> heads;
-    heads.reserve(shard_tracers_.size());
-    for (const auto& shard_tracer : shard_tracers_) {
-      heads.push_back(Head{&shard_tracer->events(), 0});
-    }
-    for (;;) {
-      size_t best = heads.size();
-      for (size_t shard = 0; shard < heads.size(); ++shard) {
-        if (heads[shard].pos >= heads[shard].events->size()) {
-          continue;
-        }
-        if (best == heads.size() ||
-            (*heads[shard].events)[heads[shard].pos].ts_ns <
-                (*heads[best].events)[heads[best].pos].ts_ns) {
-          best = shard;
-        }
-      }
-      if (best == heads.size()) {
-        break;
-      }
-      TraceEvent ev = (*heads[best].events)[heads[best].pos++];
-      ev.host = trace_remap_[best][ev.host];
-      user_tracer_->Append(ev);
-    }
-  }
-  // Timeseries points concatenate in shard order with hosts remapped; the
-  // export-time stable sort on (ts, host) makes the result independent of
-  // the shard layout, because a host's points stay contiguous and in push
-  // order whatever shard it lived on.
-  if (user_tracer_->timeseries_enabled()) {
-    TimeseriesSampler* merged = user_tracer_->timeseries();
-    for (size_t shard = 0; shard < shard_tracers_.size(); ++shard) {
-      const TimeseriesSampler* src = shard_tracers_[shard]->timeseries();
-      if (src == nullptr) {
-        continue;
-      }
-      for (TimeseriesPoint p : src->points()) {
-        p.host = trace_remap_[shard][p.host];
-        merged->Append(p);
-      }
-    }
-  }
-  for (auto& shard_tracer : shard_tracers_) {
-    user_tracer_->MergeSampleSets(*shard_tracer);
-    user_tracer_->AddChildPeakBytes(shard_tracer->peak_memory_bytes());
-    shard_tracer->Clear();
-  }
-  // Under reservoir sampling the shard merge can carry events of flows the
-  // global bottom-K evicted (each shard keeps its local bottom-K, a superset
-  // of the global set restricted to its flows); prune them now that the
-  // merged kept set is final.
-  user_tracer_->FinalizeReservoir();
 }
 
 void StarTestbed::ResetTrackers() {

@@ -26,7 +26,6 @@
 #include "src/ip/ip_stack.h"
 #include "src/link/wire.h"
 #include "src/os/host.h"
-#include "src/sim/shard_engine.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/tcp_stack.h"
 
@@ -50,20 +49,6 @@ struct StarTestbedConfig {
   // congestion cells study, instead of the hosts' protocol CPU.
   double server_trunk_bps = 0;
   CostProfile profile = CostProfile::Decstation5000_200();
-  // Parallel execution: partition the hosts over this many event shards (the
-  // switch always gets a shard of its own on top), run by a conservative-
-  // lookahead ShardEngine where each fiber's propagation + one-cell
-  // serialization bounds the window. 0 keeps the classic serial engine.
-  // Sharding requires ATM and at least two hosts; other configurations fall
-  // back to serial silently (the Ethernet SharedBus is global state).
-  // Results are byte-identical to other shard_threads values at a fixed
-  // seed, but NOT to the serial engine (cross-host event interleaving at
-  // equal timestamps follows the documented deterministic merge order
-  // instead of serial scheduling order).
-  int shards = 0;
-  // OS threads driving the shards; 0 means DefaultExecutorJobs() (honoring
-  // TCPLAT_JOBS). Thread count never affects results, only wall-clock time.
-  unsigned shard_threads = 0;
 };
 
 // Client i is 10.0.1.(i+1), server j is 10.0.2.(j+1).
@@ -81,20 +66,13 @@ class StarTestbed {
   StarTestbed& operator=(const StarTestbed&) = delete;
 
   const StarTestbedConfig& config() const { return config_; }
-  // Serial-mode accessor (CHECKs !sharded()). Sharded callers go through
-  // RunToCompletion()/EndTime()/EventsDispatched(), which work in both modes.
-  Simulator& sim();
-  bool sharded() const { return engine_ != nullptr; }
-  ShardEngine* engine() { return engine_.get(); }
-  // Engine shard owning host `idx` (the switch owns shard 0).
-  int shard_of_host(int idx) const { return 1 + idx % host_shards_; }
+  Simulator& sim() { return sim_; }
 
-  // Runs the simulation to completion on whichever engine is active; in
-  // sharded mode this also merges the per-shard trace streams into the
-  // attached tracer (deterministic order: timestamp, then canonical host).
+  // Runs the simulation until the event queue drains, then finalizes the
+  // attached tracer's flow reservoir (if any).
   void RunToCompletion();
-  SimTime EndTime() const;
-  uint64_t EventsDispatched() const;
+  SimTime EndTime() const { return sim_.Now(); }
+  uint64_t EventsDispatched() const { return sim_.events_dispatched(); }
 
   int clients() const { return config_.clients; }
   int servers() const { return config_.servers; }
@@ -116,12 +94,7 @@ class StarTestbed {
 
   // Attaches `tracer` to every host (and the switch, when present). The
   // tracer is owned by the caller and must outlive the testbed's use.
-  //
-  // In sharded mode each shard records into a private Tracer (shared
-  // recording would race); RunToCompletion() merges the shard streams into
-  // `tracer` with canonical host ids assigned in the serial registration
-  // order (hosts 0..N-1, then "switch"), so exporters and span totals see
-  // the same participant table either way.
+  // Participant ids are registered hosts 0..N-1, then "switch".
   void AttachTracer(Tracer* tracer);
 
   // Clears every host's span tracker (start of a measured region).
@@ -131,14 +104,9 @@ class StarTestbed {
   SimDuration SpanTotal(SpanId id) const;
 
  private:
-  void MergeShardTraces();
-
   StarTestbedConfig config_;
-  // Exactly one of these is set; first members so they are destroyed last,
-  // after all schedulers.
-  std::unique_ptr<ShardEngine> engine_;
-  std::unique_ptr<Simulator> serial_sim_;
-  int host_shards_ = 1;
+  // Declared before every component that schedules on it, so it outlives them.
+  Simulator sim_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<IpStack>> ips_;
 
@@ -152,11 +120,7 @@ class StarTestbed {
 
   std::vector<std::unique_ptr<TcpStack>> tcps_;
 
-  // Sharded tracing: per-shard recorders plus the (shard, local id) ->
-  // canonical id table used by MergeShardTraces.
-  Tracer* user_tracer_ = nullptr;
-  std::vector<std::unique_ptr<Tracer>> shard_tracers_;
-  std::vector<std::vector<uint8_t>> trace_remap_;
+  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace tcplat

@@ -1,7 +1,6 @@
 // Unit tests for the TLBT compact binary trace format: encode/decode round
 // trips (including backward timestamp deltas), header and record
-// validation on truncated/corrupt streams, and the deterministic shard
-// merge.
+// validation on truncated/corrupt streams.
 
 #include <gtest/gtest.h>
 
@@ -160,69 +159,6 @@ TEST(BinaryTrace, CorruptTagBytesAreRangeChecked) {
     Tracer out;
     EXPECT_FALSE(DecodeBinaryTrace(bad, &out));
   }
-}
-
-TEST(BinaryTrace, MergeOrdersByTimestampThenShardAndRemapsHosts) {
-  BinaryTraceWriter shard_a;  // local host 0 -> canonical 2
-  shard_a.Append(Make(10, TraceEventKind::kSegTx, TraceLayer::kTcp, 0, 1));
-  shard_a.Append(Make(30, TraceEventKind::kSegRx, TraceLayer::kTcp, 0, 1));
-  BinaryTraceWriter shard_b;  // local host 0 -> canonical 0
-  shard_b.Append(Make(10, TraceEventKind::kPktTx, TraceLayer::kIp, 0, 2));
-  shard_b.Append(Make(20, TraceEventKind::kPktRx, TraceLayer::kIp, 0, 2));
-
-  const std::vector<uint8_t> remap_a = {2};
-  const std::vector<uint8_t> remap_b = {0};
-  BinaryTraceWriter merged;
-  ASSERT_TRUE(MergeBinaryShards({{&shard_a, &remap_a}, {&shard_b, &remap_b}}, &merged));
-  EXPECT_EQ(merged.count(), 4u);
-
-  BinaryRecordCursor cursor(merged.data(), merged.count());
-  TraceEvent ev;
-  // ts 10 tie resolves to shard 0 first; hosts remapped to canonical ids.
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 10);
-  EXPECT_EQ(ev.kind, TraceEventKind::kSegTx);
-  EXPECT_EQ(ev.host, 2);
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 10);
-  EXPECT_EQ(ev.kind, TraceEventKind::kPktTx);
-  EXPECT_EQ(ev.host, 0);
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 20);
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 30);
-  EXPECT_FALSE(cursor.Next(&ev));
-  EXPECT_FALSE(cursor.error());
-}
-
-TEST(BinaryTrace, MergePreservesWithinShardOrderForBackwardDeltas) {
-  // A sampled shard stream may emit ts 50 then ts 40 (deferred chain
-  // prefix); the merge must keep that pair adjacent and in order, not
-  // re-sort it behind another shard's ts 45.
-  BinaryTraceWriter shard_a;
-  shard_a.Append(Make(50, TraceEventKind::kEnqueue, TraceLayer::kIp, 0, 0, 1));
-  shard_a.Append(Make(40, TraceEventKind::kPduRx, TraceLayer::kAtm, 0, 0, 1));
-  BinaryTraceWriter shard_b;
-  shard_b.Append(Make(45, TraceEventKind::kCellSwitch, TraceLayer::kAtm, 0, 3));
-
-  BinaryTraceWriter merged;
-  ASSERT_TRUE(MergeBinaryShards({{&shard_a, nullptr}, {&shard_b, nullptr}}, &merged));
-  BinaryRecordCursor cursor(merged.data(), merged.count());
-  TraceEvent ev;
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 45);  // shard b's head was earliest
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 50);
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 40);  // stayed glued behind its chain's anchor
-}
-
-TEST(BinaryTrace, MergeRejectsHostWithoutRemapEntry) {
-  BinaryTraceWriter shard;
-  shard.Append(Make(10, TraceEventKind::kSegTx, TraceLayer::kTcp, /*host=*/1));
-  BinaryTraceWriter merged;
-  const std::vector<uint8_t> short_remap = {0};  // only local host 0 is mapped
-  EXPECT_FALSE(MergeBinaryShards({{&shard, &short_remap}}, &merged));
 }
 
 TEST(BinaryTrace, WriterClearResetsDeltaState) {

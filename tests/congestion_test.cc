@@ -3,8 +3,8 @@
 // their physical bounds, small per-VC buffers actually drop and force
 // retransmissions, EPD discards whole AAL frames rather than poisoning
 // them cell-by-cell, SACK flows negotiate the option and repair from the
-// scoreboard, and every cell is byte-identical across repeated runs, shard
-// counts and worker threads at a fixed seed. The *comparative* results
+// scoreboard, and every cell is byte-identical across repeated runs at a
+// fixed seed. The *comparative* results
 // (SACK+EPD beating Reno+tail drop, the gap shrinking with buffer size)
 // live in bench/congestion where the full grid runs; these tests pin the
 // invariants each grid cell relies on.
@@ -98,27 +98,15 @@ TEST(CongestionCell, SackFlowsNegotiateAndRepairFromTheScoreboard) {
 }
 
 // One canonical cell, rendered through CongestionRow (simulated quantities
-// only): repeated runs, sharded runs and threaded-shard runs must agree to
-// the byte. This is the same property bench/congestion's CI determinism
-// step checks end-to-end over the whole grid.
-TEST(CongestionCell, RowsAreByteIdenticalAcrossShardsAndRepeats) {
+// only): repeated runs must agree to the byte. bench/congestion's CI
+// determinism step checks the same property end-to-end over the whole grid.
+TEST(CongestionCell, RowsAreByteIdenticalAcrossRepeats) {
   CongestionCell cell = QuickCell();
   cell.variant = CongestionVariant::kSack;
   cell.policy = DropPolicy::kEpd;
-  const std::vector<std::string> serial = CongestionRow(cell, RunCongestionCell(cell));
+  const std::vector<std::string> first = CongestionRow(cell, RunCongestionCell(cell));
   const std::vector<std::string> again = CongestionRow(cell, RunCongestionCell(cell));
-  EXPECT_EQ(serial, again) << "repeat run diverged";
-
-  CongestionCell sharded = cell;
-  sharded.shards = 2;
-  const std::vector<std::string> two_shards =
-      CongestionRow(sharded, RunCongestionCell(sharded));
-  EXPECT_EQ(serial, two_shards) << "2-shard run diverged";
-
-  sharded.shard_threads = 2;
-  const std::vector<std::string> threaded =
-      CongestionRow(sharded, RunCongestionCell(sharded));
-  EXPECT_EQ(serial, threaded) << "threaded 2-shard run diverged";
+  EXPECT_EQ(first, again) << "repeat run diverged";
 }
 
 TEST(CongestionCell, SeedsAreIndividuallyDeterministic) {

@@ -6,8 +6,8 @@
 // the receiver). The silly-window and retransmit-storm scenarios are
 // self-verifying: sws_holds moves only under an artificial window clamp,
 // and burst loss never snowballs retransmits past a small multiple of the
-// injected drops. Every cell is byte-identical across shard/thread counts
-// and deterministic per seed.
+// injected drops. Every cell is byte-identical across repeat runs and
+// deterministic per seed.
 
 #include <gtest/gtest.h>
 
@@ -95,7 +95,7 @@ TEST(InteractivePathology, PerSocketDelackTimerOverridesConfig) {
   EXPECT_LE(result.rtt.Percentile(50).nanos(), 45 * kMs);
 }
 
-InteractiveCell ShardableCell(uint64_t seed, int shards, unsigned threads) {
+InteractiveCell MultiFlowCell(uint64_t seed, InteractiveKnob knob) {
   InteractiveCell cell;
   cell.flows = 4;
   cell.clients = 2;
@@ -103,8 +103,7 @@ InteractiveCell ShardableCell(uint64_t seed, int shards, unsigned threads) {
   cell.iterations = 10;
   cell.warmup = 2;
   cell.seed = seed;
-  cell.shards = shards;
-  cell.shard_threads = threads;
+  cell.knob = knob;
   return cell;
 }
 
@@ -121,27 +120,17 @@ void ExpectSameOutcome(const InteractiveOutcome& a, const InteractiveOutcome& b)
   EXPECT_EQ(a.sim_events, b.sim_events);
 }
 
-// All three knob cells must produce byte-identical outcomes whether run
-// serially, sharded on one worker, or sharded on four workers — across two
-// seeds. (CI re-runs this binary under TCPLAT_JOBS=1 and =4; any
+// All three knob cells must produce byte-identical outcomes run to run,
+// across two seeds. (CI re-runs this binary under TCPLAT_JOBS=1 and =4; any
 // wall-clock leak into the results shows up as a diff there too.)
-TEST(InteractiveDeterminism, CellsAreByteIdenticalAcrossShardsAndSeeds) {
+TEST(InteractiveDeterminism, CellsAreByteIdenticalAcrossRepeatsAndSeeds) {
   for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
     for (const InteractiveKnob knob :
          {InteractiveKnob::kPathological, InteractiveKnob::kNodelay,
           InteractiveKnob::kDelackOff}) {
-      InteractiveCell serial = ShardableCell(seed, 0, 0);
-      serial.knob = knob;
-      InteractiveCell sharded1 = ShardableCell(seed, 2, 1);
-      sharded1.knob = knob;
-      InteractiveCell sharded4 = ShardableCell(seed, 2, 4);
-      sharded4.knob = knob;
-      const InteractiveOutcome a = RunInteractiveCell(serial);
-      const InteractiveOutcome b = RunInteractiveCell(sharded1);
-      const InteractiveOutcome c = RunInteractiveCell(sharded4);
+      const InteractiveCell cell = MultiFlowCell(seed, knob);
       SCOPED_TRACE(InteractiveKnobName(knob));
-      ExpectSameOutcome(a, b);
-      ExpectSameOutcome(a, c);
+      ExpectSameOutcome(RunInteractiveCell(cell), RunInteractiveCell(cell));
     }
   }
 }
@@ -306,19 +295,15 @@ TEST(InteractiveKeystroke, BurstTypingShiftsNagleHoldsToTheEchoUnderNodelay) {
 }
 
 // Keystroke cells obey the same determinism contract as every other cell:
-// byte-identical rows across repeats and across shard/thread counts.
-TEST(InteractiveKeystroke, CellsAreByteIdenticalAcrossShards) {
+// byte-identical rows across repeats.
+TEST(InteractiveKeystroke, CellsAreByteIdenticalAcrossRepeats) {
   InteractiveCell cell;
   cell.keystrokes = 16;
   cell.warmup = 2;
   cell.flows = 2;
   cell.clients = 2;
-  const std::vector<std::string> serial = InteractiveRow(cell, RunInteractiveCell(cell));
-  EXPECT_EQ(serial, InteractiveRow(cell, RunInteractiveCell(cell)));
-  InteractiveCell sharded = cell;
-  sharded.shards = 2;
-  sharded.shard_threads = 2;
-  EXPECT_EQ(serial, InteractiveRow(sharded, RunInteractiveCell(sharded)));
+  const std::vector<std::string> first = InteractiveRow(cell, RunInteractiveCell(cell));
+  EXPECT_EQ(first, InteractiveRow(cell, RunInteractiveCell(cell)));
 }
 
 }  // namespace

@@ -1,26 +1,26 @@
 // Contract of the time-series telemetry plane (src/trace/timeseries.h and
 // its producers): timelines are a pure function of the seed — byte-identical
-// across repeat runs, shard counts, worker threads and TCPLAT_JOBS — edge
-// samples land exactly on the discontinuities they mark (summing kTcpRtoFire
-// edges reconstructs rexmt_stall_ns to the nanosecond, loss-enter/exit pairs
-// carry the exact peak and deflated window), mid-run TLBT disk spill
-// reproduces the unspilled stream byte for byte, and reservoir flow sampling
-// keeps the same bottom-K set no matter how the run was threaded. The bench
-// self-checks (bench/congestion --timeline, bench/observability_selfcheck)
-// exercise the same paths at full scale; these tests pin the invariants on
-// cells small enough for the tier-1 suite.
+// across repeat runs — edge samples land exactly on the discontinuities they
+// mark (summing kTcpRtoFire edges reconstructs rexmt_stall_ns to the
+// nanosecond, loss-enter/exit pairs carry the exact peak and deflated
+// window), mid-run TLBT disk spill reproduces the unspilled stream byte for
+// byte, and reservoir flow sampling keeps the same bottom-K set run to run
+// and prunes every evicted flow. The bench self-checks (bench/congestion
+// --timeline, bench/observability_selfcheck) exercise the same paths at full
+// scale; these tests pin the invariants on cells small enough for the tier-1
+// suite.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/trace/binary_trace.h"
+#include "src/trace/causal_graph.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
@@ -65,38 +65,14 @@ bool IsClientHost(const TimelineRun& run, uint8_t host) {
          run.host_names[host].compare(0, 6, "client") == 0;
 }
 
-TEST(Timeseries, TimelineByteIdenticalAcrossShardsThreadsAndRepeats) {
+TEST(Timeseries, TimelineByteIdenticalAcrossRepeatsAndSeeds) {
   for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
     CongestionCell cell = LossyCell();
     cell.seed = seed;
-    const TimelineRun serial = RunTimeline(cell);
-    ASSERT_FALSE(serial.csv.empty()) << "seed " << seed;
-    EXPECT_EQ(serial.csv, RunTimeline(cell).csv)
-        << "repeat run diverged, seed " << seed;
-
-    CongestionCell sharded = cell;
-    sharded.shards = 2;
-    EXPECT_EQ(serial.csv, RunTimeline(sharded).csv)
-        << "2-shard run diverged, seed " << seed;
-
-    sharded.shard_threads = 2;
-    EXPECT_EQ(serial.csv, RunTimeline(sharded).csv)
-        << "threaded 2-shard run diverged, seed " << seed;
+    const std::string first = RunTimeline(cell).csv;
+    ASSERT_FALSE(first.empty()) << "seed " << seed;
+    EXPECT_EQ(first, RunTimeline(cell).csv) << "repeat run diverged, seed " << seed;
   }
-}
-
-TEST(Timeseries, TimelineIgnoresTcplatJobs) {
-  // Sharded cell with the thread count left to TCPLAT_JOBS: the env var may
-  // change how many workers drive the shard engine, never the bytes.
-  CongestionCell cell = LossyCell();
-  cell.shards = 2;
-  setenv("TCPLAT_JOBS", "1", 1);
-  const std::string one_job = RunTimeline(cell).csv;
-  setenv("TCPLAT_JOBS", "4", 1);
-  const std::string four_jobs = RunTimeline(cell).csv;
-  unsetenv("TCPLAT_JOBS");
-  ASSERT_FALSE(one_job.empty());
-  EXPECT_EQ(one_job, four_jobs);
 }
 
 // Summing the kTcpRtoFire edge values of one client host reconstructs that
@@ -205,33 +181,34 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
 }
 
 // Reservoir flow sampling (bottom-K over seeded per-flow hashes) keeps the
-// same flows and yields the same pruned event stream across repeat runs and
-// across shard-engine thread counts.
+// same flows and yields the same pruned event stream across repeat runs,
+// and the run's end prunes every flow the reservoir evicted along the way.
 TEST(Timeseries, ReservoirKeptSetAndCsvAreDeterministic) {
-  auto run_reservoir = [](unsigned shard_threads) {
-    CapacityCell cell = SmallCapacityCell();
-    cell.shards = 3;
-    cell.shard_threads = shard_threads;
+  auto run_reservoir = [] {
+    const CapacityCell cell = SmallCapacityCell();
     Tracer tracer;
     tracer.EnableFlowReservoir(3, cell.seed);
     RunCapacityCell(cell, &tracer);
+    for (const TraceEvent& ev : tracer.events()) {
+      const bool flow_layer = ev.layer == TraceLayer::kTcp || ev.layer == TraceLayer::kSock;
+      if (flow_layer && ev.flow != 0) {
+        EXPECT_EQ(tracer.flows_kept().count(CanonicalFlow(ev.flow)), 1u)
+            << TraceEventKindName(ev.kind) << " event of evicted flow " << ev.flow;
+      }
+    }
     return std::make_pair(
         std::vector<uint64_t>(tracer.flows_kept().begin(),
                               tracer.flows_kept().end()),
         tracer.ToCsv());
   };
 
-  const auto serial = run_reservoir(1);
-  EXPECT_EQ(serial.first.size(), 3u);
-  ASSERT_FALSE(serial.second.empty());
+  const auto first = run_reservoir();
+  EXPECT_EQ(first.first.size(), 3u);
+  ASSERT_FALSE(first.second.empty());
 
-  const auto repeat = run_reservoir(1);
-  EXPECT_EQ(serial.first, repeat.first);
-  EXPECT_EQ(serial.second, repeat.second);
-
-  const auto threaded = run_reservoir(4);
-  EXPECT_EQ(serial.first, threaded.first);
-  EXPECT_EQ(serial.second, threaded.second);
+  const auto repeat = run_reservoir();
+  EXPECT_EQ(first.first, repeat.first);
+  EXPECT_EQ(first.second, repeat.second);
 }
 
 }  // namespace
