@@ -75,7 +75,6 @@ std::vector<AtmCell> SegmentCpcsPdu(std::span<const uint8_t> cpcs, uint16_t vci,
     const size_t off = i * kSarPayloadBytes;
     const size_t take = std::min(kSarPayloadBytes, cpcs.size() - off);
     cell.li = static_cast<uint8_t>(take);
-    cell.payload.assign(kSarPayloadBytes, 0);
     std::copy(cpcs.begin() + off, cpcs.begin() + off + take, cell.payload.begin());
     if (n_cells == 1) {
       cell.st = SegmentType::kSsm;
@@ -92,7 +91,6 @@ std::vector<AtmCell> SegmentCpcsPdu(std::span<const uint8_t> cpcs, uint16_t vci,
 }
 
 std::vector<uint8_t> SerializeCell(const AtmCell& cell) {
-  TCPLAT_CHECK_EQ(cell.payload.size(), kSarPayloadBytes);
   std::vector<uint8_t> wire(kAtmCellBytes, 0);
   // Cell header: GFC/VPI omitted, VCI in bytes 1-2, PT/CLP zero, HEC unused.
   wire[0] = 0;
@@ -127,12 +125,13 @@ std::optional<AtmCell> ParseCell(std::span<const uint8_t> wire, bool* crc_ok) {
   cell.st = static_cast<SegmentType>(hdr >> 14);
   cell.sn = static_cast<uint8_t>((hdr >> 10) & 0xF);
   cell.mid = hdr & 0x3FF;
-  cell.payload.assign(sar + kSarHeaderBytes, sar + kSarHeaderBytes + kSarPayloadBytes);
+  std::copy_n(sar + kSarHeaderBytes, kSarPayloadBytes, cell.payload.begin());
   const uint16_t trailer = LoadBe16(sar + kSarHeaderBytes + kSarPayloadBytes);
   cell.li = static_cast<uint8_t>(trailer >> 10);
   const uint16_t got_crc = trailer & 0x3FF;
   // Recompute over the SAR-PDU with the CRC bits zeroed.
-  std::vector<uint8_t> check(sar, sar + kAtmCellPayloadBytes);
+  std::array<uint8_t, kAtmCellPayloadBytes> check;
+  std::copy_n(sar, kAtmCellPayloadBytes, check.begin());
   check[kAtmCellPayloadBytes - 1] = 0;
   check[kAtmCellPayloadBytes - 2] &= 0xFC;
   *crc_ok = Crc10(check) == got_crc;

@@ -16,6 +16,7 @@
 #ifndef SRC_ATM_AAL34_H_
 #define SRC_ATM_AAL34_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -49,7 +50,7 @@ struct AtmCell {
   uint8_t sn = 0;     // 4-bit sequence number
   uint16_t mid = 0;   // 10-bit multiplexing id
   uint8_t li = 0;     // 6-bit length indicator (valid SAR payload bytes)
-  std::vector<uint8_t> payload;  // exactly kSarPayloadBytes
+  std::array<uint8_t, kSarPayloadBytes> payload{};
 };
 
 // Builds the CPCS-PDU envelope around a datagram.

@@ -20,11 +20,11 @@
 #define SRC_ATM_TCA100_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "src/atm/aal34.h"
+#include "src/base/ring_buffer.h"
 #include "src/link/wire.h"
 #include "src/os/host.h"
 
@@ -110,9 +110,11 @@ class Tca100 : public CellSink {
   std::function<void()> rx_interrupt_;
 
   // Completion (serialization-finished) times of cells occupying the TX
-  // FIFO; entries older than the CPU cursor have drained.
-  std::deque<SimTime> tx_fifo_drain_;
-  std::deque<RxEntry> rx_fifo_;
+  // FIFO; entries older than the CPU cursor have drained. Both FIFOs grow to
+  // their high-water mark on first use rather than to the hardware depth up
+  // front, so an adapter that only carries small PDUs stays small.
+  RingBuffer<SimTime> tx_fifo_drain_;
+  RingBuffer<RxEntry> rx_fifo_;
   bool cut_through_ = true;
   std::vector<std::vector<uint8_t>> staged_tx_;  // store-and-forward mode
   Tca100Stats stats_;

@@ -8,8 +8,9 @@
 //  * CRC-32 — IEEE 802.3 frame check sequence for the Ethernet baseline
 //    (reflected, polynomial 0xEDB88320, init/final 0xFFFFFFFF).
 //
-// Both are table-driven with the tables generated at first use; tests verify
-// them against bit-serial reference implementations and known vectors.
+// Both are slice-by-8 table-driven (eight bytes per step, eight independent
+// lookups) with the tables generated at first use; tests verify them against
+// bit-serial reference implementations and known vectors.
 
 #ifndef SRC_NET_CRC_H_
 #define SRC_NET_CRC_H_

@@ -32,7 +32,9 @@ std::vector<uint8_t> RpcMessage::Serialize() const {
   StoreBe32(&out[8], xid);
   StoreBe32(&out[12], procedure);
   StoreBe32(&out[16], static_cast<uint32_t>(payload.size()));
-  std::memcpy(out.data() + kRpcHeaderBytes, payload.data(), payload.size());
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kRpcHeaderBytes, payload.data(), payload.size());
+  }
   return out;
 }
 

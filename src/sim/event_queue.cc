@@ -7,77 +7,57 @@
 namespace tcplat {
 
 namespace {
-// Compaction triggers only past this many dead entries, so small queues
-// never pay for it; above it, compaction runs when dead entries outnumber
-// live ones, which keeps the heap within 2x the peak live count while
-// amortizing the O(n) sweep over at least n/2 cancellations.
+// Compaction triggers only past this many dead keys, so small queues never
+// pay for it; above it, compaction runs when dead keys outnumber live ones,
+// which keeps the heap within 2x the peak live count while amortizing the
+// O(n) sweep over at least n/2 cancellations.
 constexpr size_t kCompactMinDead = 64;
-// The freelist tracks the working set but is capped so a transient burst of
-// pending events cannot pin memory forever.
-constexpr size_t kMaxFreeEntries = 4096;
 }  // namespace
 
-EventQueue::~EventQueue() {
-  for (Entry* e : heap_) {
-    delete e;
-  }
-  for (Entry* e : free_) {
-    delete e;
-  }
-}
-
-EventQueue::Entry* EventQueue::AllocEntry(SimTime when, Callback fn) {
-  Entry* e;
-  if (!free_.empty()) {
-    e = free_.back();
-    free_.pop_back();
+EventId EventQueue::ScheduleAt(SimTime when, Callback&& fn) {
+  TCPLAT_CHECK(static_cast<bool>(fn));
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   } else {
-    e = new Entry;
+    TCPLAT_CHECK_LT(slots_.size(), kSlotMask + 1) << "too many pending events";
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  e->time = when;
-  e->seq = next_seq_++;
-  e->id = next_id_++;
-  e->fn = std::move(fn);
-  e->cancelled = false;
-  return e;
+  TCPLAT_CHECK_LT(next_seq_, uint64_t{1} << (64 - kSlotBits)) << "event sequence exhausted";
+  const uint64_t seq = next_seq_++;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.seq = seq;
+  const Key key{when.nanos(), (seq << kSlotBits) | slot};
+  heap_.push_back(key);
+  std::push_heap(heap_.begin(), heap_.end(), KeyGreater{});
+  ++live_;
+  return key.seq_slot;
 }
 
-void EventQueue::RecycleEntry(Entry* e) {
-  e->fn = nullptr;  // release captured state eagerly
-  if (free_.size() < kMaxFreeEntries) {
-    free_.push_back(e);
-  } else {
-    delete e;
-  }
-}
-
-EventId EventQueue::ScheduleAt(SimTime when, Callback fn) {
-  TCPLAT_CHECK(fn != nullptr);
-  Entry* entry = AllocEntry(when, std::move(fn));
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  live_.emplace(entry->id, entry);
-  return entry->id;
+void EventQueue::ReleaseSlot(uint32_t slot) {
+  slots_[slot].seq = 0;
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
+  const Key key{0, id};
+  if (key.seq() == 0 || key.slot() >= slots_.size() || !IsLive(key)) {
     return false;
   }
-  Entry* entry = it->second;
-  live_.erase(it);
-  entry->cancelled = true;
-  entry->fn = nullptr;  // the captured state dies now, not at pop time
+  slots_[key.slot()].fn.Reset();  // the captured state dies now, not at pop time
+  ReleaseSlot(key.slot());
   ++dead_in_heap_;
   CompactIfWorthIt();
   return true;
 }
 
 void EventQueue::DropDeadHead() {
-  while (!heap_.empty() && heap_.front()->cancelled) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    RecycleEntry(heap_.back());
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
     heap_.pop_back();
     --dead_in_heap_;
   }
@@ -87,31 +67,25 @@ void EventQueue::CompactIfWorthIt() {
   if (dead_in_heap_ < kCompactMinDead || dead_in_heap_ * 2 < heap_.size()) {
     return;
   }
-  auto first_dead = std::partition(heap_.begin(), heap_.end(),
-                                   [](const Entry* e) { return !e->cancelled; });
-  for (auto it = first_dead; it != heap_.end(); ++it) {
-    RecycleEntry(*it);
-  }
-  heap_.erase(first_dead, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), EntryGreater{});
+  std::erase_if(heap_, [this](const Key& k) { return !IsLive(k); });
+  std::make_heap(heap_.begin(), heap_.end(), KeyGreater{});
   dead_in_heap_ = 0;
 }
 
 SimTime EventQueue::NextTime() {
   DropDeadHead();
   TCPLAT_CHECK(!heap_.empty());
-  return heap_.front()->time;
+  return SimTime::FromNanos(heap_.front().time);
 }
 
 EventQueue::Dispatched EventQueue::PopNext() {
   DropDeadHead();
   TCPLAT_CHECK(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  Entry* entry = heap_.back();
+  std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
+  const Key key = heap_.back();
   heap_.pop_back();
-  Dispatched out{entry->time, std::move(entry->fn)};
-  live_.erase(entry->id);
-  RecycleEntry(entry);
+  Dispatched out{SimTime::FromNanos(key.time), std::move(slots_[key.slot()].fn)};
+  ReleaseSlot(key.slot());
   return out;
 }
 

@@ -5,23 +5,31 @@
 // order), which keeps whole-simulation runs byte-for-byte reproducible.
 //
 // Hot-path design (this queue is popped once per dispatched event, and TCP
-// timers cancel far more events than ever fire):
-//  * Cancellation is O(1): a hash map keyed by EventId finds the entry, which
-//    is marked dead in place and skipped lazily when it surfaces at the top
-//    of the heap.
-//  * Entries are pooled on a freelist instead of new/delete per event, so a
-//    40k-iteration run stops churning the global allocator.
-//  * Dead entries never accumulate: cancelled callbacks are released
-//    immediately (eager reclamation of captured state), and when dead
-//    entries outnumber live ones the heap is compacted in place. Memory is
-//    bounded by the peak *live* event count, not by cancellation traffic.
+// timers cancel far more events than ever fire). No schedule, pop or cancel
+// allocates once the arrays have grown to the run's peak:
+//  * The heap holds 16-byte keys by value: the time, then the sequence number
+//    and a slot index packed into one word. The slot array holds each
+//    pending event's callback, and a slot is reused as soon as its event
+//    runs or is cancelled.
+//  * An EventId is the packed (sequence, slot) word. The sequence number
+//    doubles as the slot's generation, so Cancel is an O(1) index-and-compare
+//    and a stale id never touches the event that reused its slot.
+//  * Cancelled keys stay in the heap and are skipped when they surface; their
+//    callbacks are destroyed at once (eager reclamation of captured state).
+//    When dead keys outnumber live ones the heap is compacted in place, so
+//    memory is bounded by the peak *live* event count, not by cancellation
+//    traffic.
+//  * Callbacks are stored inline in the slot (see Callback below).
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <cstring>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -34,25 +42,147 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  // A move-only `void()` callable. Captures of up to kInlineBytes live
+  // inside the object; larger ones (or ones whose move may throw) go to the
+  // heap. std::function cannot do this job: libstdc++ keeps only 16 bytes
+  // inline, while the per-cell deliveries capture 64, and C++20 has no
+  // std::move_only_function. Built implicitly from any callable, including a
+  // std::function lvalue (which is copied in); an empty std::function or a
+  // null function pointer yields an empty Callback.
+  class Callback {
+   public:
+    static constexpr size_t kInlineBytes = 64;
+
+    Callback() = default;
+
+    template <typename F, typename Fn = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<Fn, Callback> &&
+                                          std::is_invocable_v<Fn&>>>
+    Callback(F&& f) {  // implicit: Schedule(delay, [..] {...}) converts here
+      if constexpr (std::is_constructible_v<bool, const Fn&>) {
+        if (!static_cast<bool>(f)) {
+          return;
+        }
+      }
+      if constexpr (kStoredInline<Fn>) {
+        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      } else {
+        ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      }
+      ops_ = &kOps<Fn>;
+    }
+
+    Callback(Callback&& other) noexcept { TakeFrom(other); }
+    Callback& operator=(Callback&& other) noexcept {
+      if (this != &other) {
+        Reset();
+        TakeFrom(other);
+      }
+      return *this;
+    }
+    Callback(const Callback&) = delete;
+    Callback& operator=(const Callback&) = delete;
+    ~Callback() { Reset(); }
+
+    explicit operator bool() const { return ops_ != nullptr; }
+
+    // Requires a non-empty callback.
+    void operator()() { ops_->invoke(storage_); }
+
+    // Destroys the callable (and what it captured); leaves *this empty.
+    void Reset() {
+      if (ops_ != nullptr) {
+        ops_->destroy(storage_);
+        ops_ = nullptr;
+      }
+    }
+
+   private:
+    struct Ops {
+      void (*invoke)(void* storage);
+      // Move-constructs the callable at `dst` from `src` and destroys the
+      // one at `src`. Null when a byte copy does both.
+      void (*relocate)(void* dst, void* src);
+      void (*destroy)(void* storage);
+    };
+
+    template <typename Fn>
+    static constexpr bool kStoredInline = sizeof(Fn) <= kInlineBytes &&
+                                          alignof(Fn) <= alignof(void*) &&
+                                          std::is_nothrow_move_constructible_v<Fn>;
+
+    template <typename Fn>
+    static Fn* Target(void* storage) {
+      if constexpr (kStoredInline<Fn>) {
+        return std::launder(reinterpret_cast<Fn*>(storage));
+      } else {
+        return *std::launder(reinterpret_cast<Fn**>(storage));
+      }
+    }
+
+    template <typename Fn>
+    static void Invoke(void* storage) {
+      (*Target<Fn>(storage))();
+    }
+    template <typename Fn>
+    static void Relocate(void* dst, void* src) {
+      Fn* from = Target<Fn>(src);
+      ::new (dst) Fn(std::move(*from));
+      from->~Fn();
+    }
+    template <typename Fn>
+    static void Destroy(void* storage) {
+      if constexpr (kStoredInline<Fn>) {
+        Target<Fn>(storage)->~Fn();
+      } else {
+        delete Target<Fn>(storage);
+      }
+    }
+
+    // A heap-stored callable moves as its pointer; an inline trivially
+    // copyable one moves as its bytes.
+    template <typename Fn>
+    static constexpr bool kByteRelocatable =
+        !kStoredInline<Fn> ||
+        (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>);
+
+    template <typename Fn>
+    static constexpr Ops kOps = {&Invoke<Fn>, kByteRelocatable<Fn> ? nullptr : &Relocate<Fn>,
+                                 &Destroy<Fn>};
+
+    void TakeFrom(Callback& other) {
+      ops_ = other.ops_;
+      if (ops_ == nullptr) {
+        return;
+      }
+      if (ops_->relocate == nullptr) {
+        std::memcpy(storage_, other.storage_, kInlineBytes);
+      } else {
+        ops_->relocate(storage_, other.storage_);
+      }
+      other.ops_ = nullptr;
+    }
+
+    alignas(void*) unsigned char storage_[kInlineBytes];
+    const Ops* ops_ = nullptr;
+  };
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-  ~EventQueue();
 
   // Schedules `fn` to run at absolute time `when`. `when` may equal the
   // current dispatch time (the event runs after all earlier-scheduled events
   // at that time) but must never be in the past.
-  EventId ScheduleAt(SimTime when, Callback fn);
+  EventId ScheduleAt(SimTime when, Callback&& fn);
 
   // Cancels a pending event in O(1). Returns true if the event was still
   // pending. Cancelling an already-run or already-cancelled event returns
   // false.
   bool Cancel(EventId id);
 
-  bool empty() const { return live_.empty(); }
-  size_t size() const { return live_.size(); }
+  bool empty() const { return live_ == 0; }
+  size_t size() const { return live_; }
 
   // Time of the earliest pending event. Requires !empty().
   SimTime NextTime();
@@ -66,45 +196,55 @@ class EventQueue {
 
   // --- introspection (tests and the perf self-check) ---
 
-  // Entries currently owned by the queue: live + cancelled-but-not-yet-
-  // compacted + pooled on the freelist. Bounded-memory regression tests
-  // assert this stays proportional to the peak live count.
-  size_t allocated_entries() const { return heap_.size() + free_.size(); }
+  // Callback slots owned by the queue: pending events plus free slots kept
+  // for reuse. Bounded-memory regression tests assert this stays
+  // proportional to the peak live count.
+  size_t allocated_entries() const { return slots_.size(); }
+  // Heap keys: pending events plus cancelled keys not yet compacted away.
   size_t heap_entries() const { return heap_.size(); }
 
  private:
-  struct Entry {
-    SimTime time;
-    uint64_t seq = 0;
-    EventId id = kInvalidEventId;
-    Callback fn;
-    bool cancelled = false;
+  // The low kSlotBits of a key's second word are the slot; the rest is the
+  // sequence number, so ordering by that word orders by sequence number.
+  static constexpr int kSlotBits = 20;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+
+  struct Key {
+    int64_t time;
+    uint64_t seq_slot;  // == the event's EventId
+
+    uint64_t seq() const { return seq_slot >> kSlotBits; }
+    uint32_t slot() const { return static_cast<uint32_t>(seq_slot & kSlotMask); }
   };
-  struct EntryGreater {
-    // (time, seq) is unique per entry, so this is a strict total order and
+  struct KeyGreater {
+    // (time, seq) is unique per event, so this is a strict total order and
     // the pop sequence is independent of the heap's internal layout.
-    bool operator()(const Entry* a, const Entry* b) const {
-      if (a->time != b->time) {
-        return a->time > b->time;
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
       }
-      return a->seq > b->seq;
+      return a.seq_slot > b.seq_slot;
     }
   };
+  struct Slot {
+    Callback fn;
+    uint64_t seq = 0;  // sequence number of the pending event; 0 when free
+  };
 
-  Entry* AllocEntry(SimTime when, Callback fn);
-  void RecycleEntry(Entry* e);
-  // Pops cancelled entries off the heap top onto the freelist.
+  bool IsLive(const Key& key) const { return slots_[key.slot()].seq == key.seq(); }
+  void ReleaseSlot(uint32_t slot);
+  // Pops cancelled keys off the heap top.
   void DropDeadHead();
-  // Removes all cancelled entries from the heap and restores the heap
-  // property. Called when dead entries outnumber live ones.
+  // Removes all cancelled keys from the heap and restores the heap property.
+  // Called when dead keys outnumber live ones.
   void CompactIfWorthIt();
 
-  std::vector<Entry*> heap_;  // binary min-heap via std::push_heap/pop_heap
-  std::unordered_map<EventId, Entry*> live_;
-  std::vector<Entry*> free_;  // recycled entries
+  std::vector<Key> heap_;  // binary min-heap via std::push_heap/pop_heap
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  size_t live_ = 0;
   size_t dead_in_heap_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
 };
 
 }  // namespace tcplat

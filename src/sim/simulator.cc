@@ -6,12 +6,12 @@ namespace tcplat {
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::Schedule(SimDuration delay, EventQueue::Callback fn) {
+EventId Simulator::Schedule(SimDuration delay, EventQueue::Callback&& fn) {
   TCPLAT_CHECK_GE(delay.nanos(), 0) << "cannot schedule into the past";
   return events_.ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::ScheduleAt(SimTime when, EventQueue::Callback fn) {
+EventId Simulator::ScheduleAt(SimTime when, EventQueue::Callback&& fn) {
   TCPLAT_CHECK_GE(when.nanos(), now_.nanos()) << "cannot schedule into the past";
   return events_.ScheduleAt(when, std::move(fn));
 }

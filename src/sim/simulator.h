@@ -25,10 +25,10 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   // Schedules `fn` at Now() + delay (delay >= 0).
-  EventId Schedule(SimDuration delay, EventQueue::Callback fn);
+  EventId Schedule(SimDuration delay, EventQueue::Callback&& fn);
 
   // Schedules `fn` at the absolute time `when` (>= Now()).
-  EventId ScheduleAt(SimTime when, EventQueue::Callback fn);
+  EventId ScheduleAt(SimTime when, EventQueue::Callback&& fn);
 
   bool Cancel(EventId id) { return events_.Cancel(id); }
 

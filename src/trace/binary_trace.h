@@ -134,10 +134,12 @@ class BinaryRecordCursor {
 // Streaming decoder for a full sealed stream. Parses the header eagerly;
 // ok() is false on a bad magic/version/truncated header. Next() then yields
 // records until the advertised count is exhausted, flagging error() if the
-// stream is truncated or a field is out of range.
+// stream is truncated or a field is out of range. The reader keeps a view
+// into `blob`, which must outlive it, so a temporary string is refused.
 class BinaryTraceReader {
  public:
   explicit BinaryTraceReader(std::string_view blob);
+  explicit BinaryTraceReader(std::string&& blob) = delete;
 
   bool ok() const { return ok_; }
   const char* error_message() const;

@@ -121,7 +121,7 @@ TEST(BinaryTrace, TruncatedStreamFailsGracefully) {
   // Every proper prefix must either fail header validation or decode some
   // records and then flag an error — never crash, never fabricate records.
   for (size_t len = 0; len < blob.size(); ++len) {
-    BinaryTraceReader reader(blob.substr(0, len));
+    BinaryTraceReader reader(std::string_view(blob).substr(0, len));
     if (!reader.ok()) {
       continue;
     }

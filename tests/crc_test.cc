@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/base/random.h"
@@ -31,27 +33,49 @@ TEST(Crc32, EmptyIsZero) {
   EXPECT_EQ(Crc32Reference({}), 0u);
 }
 
-class CrcLengthTest : public ::testing::TestWithParam<size_t> {};
+// One buffer to check: `length` random bytes that start `offset` bytes into
+// their allocation, so a non-zero offset makes the sliced kernels load words
+// from an unaligned address.
+struct CrcInput {
+  size_t length;
+  size_t offset = 0;
+};
+
+class CrcLengthTest : public ::testing::TestWithParam<CrcInput> {};
 
 TEST_P(CrcLengthTest, TableMatchesBitSerialCrc10) {
-  Rng rng(GetParam() + 1);
+  const auto [length, offset] = GetParam();
+  Rng rng(length + 1);
   for (int trial = 0; trial < 20; ++trial) {
-    const auto buf = RandomBuffer(rng, GetParam());
-    EXPECT_EQ(Crc10(buf), Crc10Reference(buf));
+    const auto buf = RandomBuffer(rng, offset + length);
+    const auto data = std::span<const uint8_t>(buf).subspan(offset);
+    EXPECT_EQ(Crc10(data), Crc10Reference(data));
   }
 }
 
 TEST_P(CrcLengthTest, TableMatchesBitSerialCrc32) {
-  Rng rng(GetParam() + 1000);
+  const auto [length, offset] = GetParam();
+  Rng rng(length + 1000);
   for (int trial = 0; trial < 20; ++trial) {
-    const auto buf = RandomBuffer(rng, GetParam());
-    EXPECT_EQ(Crc32(buf), Crc32Reference(buf));
+    const auto buf = RandomBuffer(rng, offset + length);
+    const auto data = std::span<const uint8_t>(buf).subspan(offset);
+    EXPECT_EQ(Crc32(data), Crc32Reference(data));
   }
 }
 
+// Every length residue mod 8 (the sliced kernels' byte-at-a-time tail), the
+// SAR-PDU and cell sizes, the Ethernet frame, the 9188-byte ATM MTU, and one
+// buffer at an odd start address.
 INSTANTIATE_TEST_SUITE_P(Lengths, CrcLengthTest,
-                         ::testing::Values(0, 1, 2, 3, 7, 8, 44, 48, 53, 64, 100, 1500),
-                         [](const auto& inst) { return "n" + std::to_string(inst.param); });
+                         ::testing::ValuesIn(std::vector<CrcInput>{
+                             {0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}, {10}, {11}, {12},
+                             {13}, {14}, {15}, {44}, {48}, {53}, {64}, {100}, {1500}, {9188},
+                             {1501, 1}}),
+                         [](const auto& inst) {
+                           const CrcInput& in = inst.param;
+                           return "n" + std::to_string(in.length) +
+                                  (in.offset == 0 ? "" : "_at" + std::to_string(in.offset));
+                         });
 
 TEST(Crc10, TenBitRange) {
   Rng rng(5);

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -159,8 +163,8 @@ TEST(EventQueue, CancelledLongTailDoesNotOutliveCompaction) {
 }
 
 TEST(EventQueue, EntriesAreRecycledThroughTheFreelist) {
-  // Steady-state schedule/pop traffic should settle into the entry pool
-  // instead of allocating per event.
+  // Steady-state schedule/pop traffic should keep reusing one callback slot
+  // instead of growing per event.
   EventQueue q;
   for (int round = 0; round < 1000; ++round) {
     q.ScheduleAt(SimTime::FromNanos(round + 1), [] {});
@@ -190,6 +194,94 @@ TEST(EventQueue, CancelAfterCompactionKeepsOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelTheEventThatReusedItsSlot) {
+  EventQueue q;
+  const EventId ran_id = q.ScheduleAt(SimTime::FromNanos(10), [] {});
+  q.PopNext().fn();
+  const EventId cancelled_id = q.ScheduleAt(SimTime::FromNanos(20), [] {});
+  EXPECT_TRUE(q.Cancel(cancelled_id));
+  bool ran = false;
+  const EventId live_id = q.ScheduleAt(SimTime::FromNanos(30), [&] { ran = true; });
+  EXPECT_EQ(q.allocated_entries(), 1u);  // all three events used the same slot
+  EXPECT_NE(live_id, ran_id);
+  EXPECT_NE(live_id, cancelled_id);
+  EXPECT_FALSE(q.Cancel(ran_id));
+  EXPECT_FALSE(q.Cancel(cancelled_id));
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  ASSERT_EQ(q.size(), 1u);
+  EventQueue::Dispatched next = q.PopNext();
+  EXPECT_EQ(next.time, SimTime::FromNanos(30));
+  EXPECT_TRUE(q.empty());
+  next.fn();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, RunsCallbacksLargerThanTheInlineBufferAndMoveOnlyOnes) {
+  EventQueue q;
+  std::array<uint64_t, 32> big{};
+  static_assert(sizeof(big) > EventQueue::Callback::kInlineBytes);
+  big.back() = 7;
+  uint64_t seen_big = 0;
+  int seen_unique = 0;
+  q.ScheduleAt(SimTime::FromNanos(1), [big, &seen_big] { seen_big = big.back(); });
+  q.ScheduleAt(SimTime::FromNanos(2),
+               [p = std::make_unique<int>(42), &seen_unique] { seen_unique = *p; });
+  while (!q.empty()) {
+    q.PopNext().fn();
+  }
+  EXPECT_EQ(seen_big, 7u);
+  EXPECT_EQ(seen_unique, 42);
+}
+
+// Counts destructions of the state a callback captured. A moved-from shell
+// does not count, so each scheduled callback must add exactly one.
+class DestroyCounter {
+ public:
+  explicit DestroyCounter(int* destroyed) : destroyed_(destroyed) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(EventQueue, EveryCallbackIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int ran = 0;
+  std::vector<EventId> ids;
+  {
+    EventQueue q;
+    // Odd times carry a capture too large for the inline buffer.
+    for (int t = 1; t <= 6; ++t) {
+      const SimTime when = SimTime::FromNanos(t);
+      if (t % 2 == 0) {
+        ids.push_back(q.ScheduleAt(when, [c = DestroyCounter(&destroyed), &ran] { ++ran; }));
+      } else {
+        std::array<char, 2 * EventQueue::Callback::kInlineBytes> pad{};
+        ids.push_back(
+            q.ScheduleAt(when, [c = DestroyCounter(&destroyed), pad, &ran] { ran += pad[0] + 1; }));
+      }
+    }
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_TRUE(q.Cancel(ids[1]));
+    EXPECT_TRUE(q.Cancel(ids[2]));
+    EXPECT_EQ(destroyed, 2);  // cancelled: released at once
+    q.PopNext().fn();         // t=1
+    q.PopNext().fn();         // t=4
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(destroyed, 4);  // run: released after the call
+    EXPECT_EQ(q.size(), 2u);
+  }
+  EXPECT_EQ(destroyed, 6);  // still pending: released with the queue
+  EXPECT_EQ(ran, 2);
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {

@@ -26,7 +26,9 @@ std::vector<uint8_t> BuildSegment(Ipv4Addr src, Ipv4Addr dst, const TcpHeader& t
   std::vector<uint8_t> tcp_bytes(hdrlen + payload.size());
   th.checksum = 0;
   th.Serialize(tcp_bytes);
-  std::memcpy(tcp_bytes.data() + hdrlen, payload.data(), payload.size());
+  if (!payload.empty()) {
+    std::memcpy(tcp_bytes.data() + hdrlen, payload.data(), payload.size());
+  }
 
   TcpPseudoHeader ph;
   ph.src = src;
