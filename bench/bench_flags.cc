@@ -1,11 +1,38 @@
 #include "bench/bench_flags.h"
 
+#include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace tcplat {
 namespace {
+
+// True when the usage string `accepted` names `flag` as a whole token, so
+// "[--timeline-csv PATH]" does not name --timeline.
+bool Names(std::string_view accepted, std::string_view flag) {
+  for (size_t pos = accepted.find("--"); pos != std::string_view::npos;
+       pos = accepted.find("--", pos + 2)) {
+    size_t end = pos + 2;
+    while (end < accepted.size() &&
+           (std::isalnum(static_cast<unsigned char>(accepted[end])) || accepted[end] == '-')) {
+      ++end;
+    }
+    if (accepted.substr(pos, end - pos) == flag) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Parses a count flag's value: a whole decimal number >= 1.
+bool ParseCount(const char* v, long* out) {
+  char* end = nullptr;
+  *out = std::strtol(v, &end, 10);
+  return end != v && *end == '\0' && *out >= 1 && *out <= INT_MAX;
+}
 
 // Matches `--name=value` or `--name value`. Returns the value, or nullptr
 // when argv[*i] is not this flag. Advances *i past a detached value.
@@ -27,25 +54,30 @@ const char* FlagValue(int argc, char** argv, int* i, const char* name) {
 }  // namespace
 
 bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accepted) {
+  const auto usage = [&](std::string_view flag, const char* reason) {
+    std::fprintf(stderr, "%s: %.*s %s\nusage: %s %s\n", argv[0], static_cast<int>(flag.size()),
+                 flag.data(), reason, argv[0], accepted);
+    return false;
+  };
+  long count = 0;
   for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    if (!Names(accepted, name)) {
+      return usage(name, "is not a flag of this binary");
+    }
     if (std::strcmp(argv[i], "--quick") == 0) {
       flags->quick = true;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-flows")) {
-      flags->trace_sample_flows = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
+      flags->trace_sample_flows = static_cast<uint32_t>(count);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-reservoir")) {
-      flags->trace_sample_reservoir = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--trace-spill")) {
-      flags->trace_spill_path = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--trace-spill-segment")) {
-      flags->trace_spill_segment = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
+      flags->trace_sample_reservoir = static_cast<uint32_t>(count);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--timeline-csv")) {
@@ -100,7 +132,8 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--flows")) {
-      flags->flows = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
+      flags->flows = static_cast<int>(count);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--csv")) {
@@ -127,8 +160,7 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->selftest = true;
       continue;
     }
-    std::fprintf(stderr, "usage: %s %s\n", argv[0], accepted);
-    return false;
+    return usage(name, "is malformed or missing its value");
   }
   return true;
 }

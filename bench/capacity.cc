@@ -126,51 +126,25 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
   PrintGrid("Open-loop Poisson arrivals (rate rises top to bottom)", cells);
 }
 
-// --bin-out: runs one 64-flow cell with the binary tracer attached
-// (optionally flow-sampled via --trace-sample-flows, or reservoir-sampled
-// via --trace-sample-reservoir) and writes the sealed TLBT stream.
-// The blob is a pure function of the seed, so CI runs this under
-// TCPLAT_JOBS=1 and =4 and `cmp`s the files. With --trace-spill PATH the
-// tracer's resident buffer spills sealed segments to PATH mid-run
-// (--trace-spill-segment sets the segment size); the sealed output is
-// byte-identical to an unspilled capture.
+// --bin-out: runs one 64-flow cell (--flows overrides the count) with a
+// tracer attached, optionally flow-sampled via --trace-sample-flows or
+// reservoir-sampled via --trace-sample-reservoir, and writes the recorded
+// events as a TLBT stream. The blob is a pure function of the seed, so CI
+// runs this under TCPLAT_JOBS=1 and =4 and `cmp`s the files.
 int CaptureBinaryTrace(const BenchFlags& flags) {
   CapacityCell cell = BaseCell(flags.seed, flags.quick);
   cell.flows = flags.flows > 0 ? flags.flows : 64;
   Tracer tracer;
   if (flags.trace_sample_reservoir > 0) {
-    // Reservoir sampling works on in-memory events (the bottom-K kept set is
-    // only final at end of run, and FinalizeReservoir prunes the evicted
-    // flows' events); the kept stream is encoded to TLBT after the run.
     tracer.EnableFlowReservoir(flags.trace_sample_reservoir, flags.seed);
-  } else {
-    tracer.EnableBinaryRecording();
-    if (flags.trace_sample_flows > 1) {
-      FlowSampleConfig sample;
-      sample.one_in = flags.trace_sample_flows;
-      sample.seed = flags.seed;
-      tracer.EnableFlowSampling(sample);
-    }
-    if (!flags.trace_spill_path.empty()) {
-      const size_t segment =
-          flags.trace_spill_segment > 0 ? flags.trace_spill_segment : size_t{1} << 20;
-      if (!tracer.mutable_binary_records()->EnableSpill(flags.trace_spill_path, segment)) {
-        std::fprintf(stderr, "cannot open spill file %s\n", flags.trace_spill_path.c_str());
-        return 1;
-      }
-    }
+  } else if (flags.trace_sample_flows > 1) {
+    FlowSampleConfig sample;
+    sample.one_in = flags.trace_sample_flows;
+    sample.seed = flags.seed;
+    tracer.EnableFlowSampling(sample);
   }
   const CapacityOutcome outcome = RunCapacityCell(cell, &tracer);
-  std::string blob;
-  if (tracer.flow_reservoir()) {
-    BinaryTraceWriter writer;
-    for (const TraceEvent& ev : tracer.events()) {
-      writer.Append(ev);
-    }
-    blob = SealBinaryTrace(tracer.host_names(), writer);
-  } else {
-    blob = SealBinaryTrace(tracer.host_names(), tracer.binary_records());
-  }
+  const std::string blob = EncodeBinaryTrace(tracer);
   if (!WriteTextFile(flags.bin_out_path, blob)) {
     return 1;
   }
@@ -182,11 +156,6 @@ int CaptureBinaryTrace(const BenchFlags& flags) {
   } else if (tracer.flow_sampling()) {
     std::printf("flow sampling: 1-in-%u kept %zu of %zu flows\n", tracer.sample_one_in(),
                 tracer.flows_kept().size(), tracer.flows_seen().size());
-  }
-  if (!tracer.flow_reservoir() && tracer.binary_records().spilling()) {
-    std::fprintf(stderr, "spill: %" PRIu64 " segments, %" PRIu64 " bytes -> %s\n",
-                 tracer.binary_records().spill_segments(),
-                 tracer.binary_records().spilled_bytes(), flags.trace_spill_path.c_str());
   }
   return 0;
 }
@@ -217,10 +186,20 @@ void Run(uint64_t seed, bool quick) {
 int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--seed N] [--jobs N] [--quick] [--flows N] "
-                               "[--bin-out PATH] [--trace-sample-flows N] "
-                               "[--trace-sample-reservoir K] "
-                               "[--trace-spill PATH [--trace-spill-segment BYTES]]")) {
+                               "[--seed N] [--jobs N] [--quick] "
+                               "[--bin-out PATH [--flows N] "
+                               "[--trace-sample-flows N | --trace-sample-reservoir K]]")) {
+    return 2;
+  }
+  if (flags.bin_out_path.empty() &&
+      (flags.flows > 0 || flags.trace_sample_flows > 0 || flags.trace_sample_reservoir > 0)) {
+    std::fprintf(stderr, "%s: --flows and --trace-sample-* apply only with --bin-out\n", argv[0]);
+    return 2;
+  }
+  if (flags.trace_sample_flows > 0 && flags.trace_sample_reservoir > 0) {
+    std::fprintf(stderr,
+                 "%s: --trace-sample-flows and --trace-sample-reservoir are exclusive\n",
+                 argv[0]);
     return 2;
   }
   if (!flags.bin_out_path.empty()) {

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   flags.size = 1400;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
                                "[--trace [--size N] [--from-binary PATH]] "
-                               "[--timeline [--seed N] [--flows N] "
+                               "[--timeline [--quick] [--seed N] [--flows N] "
                                "[--timeline-period-us N]]")) {
     return 2;
   }

@@ -11,37 +11,34 @@
 //   4. a fixed seed produces a byte-identical Perfetto JSON trace, run to
 //      run AND when the runs execute on the src/exec/ parallel executor.
 //
-// Part two covers the binary trace pipeline (src/trace/binary_trace.h) and
-// its consumers:
+// Part two covers the TLBT capture format (src/trace/binary_trace.h), flow
+// sampling and their consumers:
 //
-//   5. recording the same echo into the TLBT stream and decoding it back
+//   5. encoding the echo's event log as TLBT and decoding it back
 //      reproduces the Perfetto JSON byte-for-byte (lossless round trip);
-//   6. on an 8-flow capacity cell, the binary stream is byte-identical
+//   6. on an 8-flow capacity cell, the TLBT capture is byte-identical
 //      run serially and run four times at once on a 4-job executor;
-//   7. streaming attribution fed straight from the binary reader closes
-//      exactly the windows the batch CausalGraph/AttributeRtts path finds,
-//      every window's stages telescope to its RTT with 0 ns error, and
-//      >= 95% of the p99-p50 gap is attributed;
+//   7. attribution over the decoded 8-flow capture covers every measured
+//      round trip, every window's stages telescope to its RTT with 0 ns
+//      error, and >= 95% of the p99-p50 gap is attributed;
 //   8. with 1-in-8 flow sampling on the big capacity cell, peak tracer
-//      memory drops >= 4x versus the full binary trace while the sampled
-//      p99 stage blame tracks the full-trace blame per stage.
+//      memory drops >= 4x versus the full trace while the sampled p99
+//      stage blame tracks the full-trace blame per stage.
 //
-// Part three covers the PR 10 additions:
+// Part three covers reservoir sampling and the timeseries plane:
 //
-//    9. mid-run TLBT disk spill (BinaryTraceWriter::EnableSpill) seals the
-//       same byte stream an unspilled capture produces;
-//   10. deterministic bottom-K reservoir flow sampling keeps the same flow
+//    9. deterministic bottom-K reservoir flow sampling keeps the same flow
 //       set and event stream, serially and on a 4-job executor;
-//   11. the timeseries hooks cost nothing when no sampler is attached
+//   10. the timeseries hooks cost nothing when no sampler is attached
 //       (timeseries_overhead_pct, gated on an absolute ceiling);
-//   12. the default-period timeseries plane stays frugal
+//   11. the default-period timeseries plane stays frugal
 //       (timeseries_points_per_flow, gated on a 1.10x ceiling).
 //
 // Writes a flat metrics JSON (the regression-gate input) to
 // BENCH_trace.json — override with --out — and the reference Perfetto
 // trace next to it (<out>_perfetto.json) for ui.perfetto.dev. --bin-out
-// additionally writes the 8-flow cell's sealed binary stream. Exits
-// nonzero on any failure.
+// additionally writes the 8-flow cell's TLBT capture. Exits nonzero on any
+// failure.
 
 #include <algorithm>
 #include <chrono>
@@ -61,7 +58,6 @@
 #include "src/trace/attribution.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
-#include "src/trace/stream_attribution.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
@@ -89,6 +85,7 @@ uint64_t Fnv1a64(const std::string& data) {
 
 struct TracedRun {
   std::string json;
+  std::string blob;  // the event log as a TLBT stream
   size_t events = 0;
   int64_t max_span_delta_ns = 0;
   bool metrics_match = true;
@@ -109,6 +106,7 @@ TracedRun RunOnce(size_t size) {
   TracedRun out;
   out.events = tracer.events().size();
   out.json = tracer.ToPerfettoJson();
+  out.blob = EncodeBinaryTrace(tracer);
 
   // (2) lossless: trace-recovered span sums == tracker totals.
   for (Host* host : {&tb.client_host(), &tb.server_host()}) {
@@ -171,32 +169,6 @@ TracedRun RunOnce(size_t size) {
   return out;
 }
 
-// The same echo recorded straight into the TLBT stream; returns the sealed
-// binary blob. With a non-empty `spill_path` the writer spills sealed
-// `spill_segment`-byte segments to disk mid-run (and `spill_segments_out`
-// reports how many it sealed): the returned blob must be byte-identical
-// either way.
-std::string RunOnceBinary(size_t size, const std::string& spill_path = "",
-                          size_t spill_segment = 0, uint64_t* spill_segments_out = nullptr) {
-  TestbedConfig cfg;
-  Testbed tb(cfg);
-  Tracer tracer;
-  tracer.EnableBinaryRecording();
-  if (!spill_path.empty()) {
-    TCPLAT_CHECK(tracer.mutable_binary_records()->EnableSpill(spill_path, spill_segment));
-  }
-  tb.AttachTracer(&tracer);
-  RpcOptions opt;
-  opt.size = size;
-  opt.iterations = 50;
-  opt.warmup = 16;
-  RunRpcBenchmark(tb, opt);
-  if (spill_segments_out != nullptr) {
-    *spill_segments_out = tracer.binary_records().spill_segments();
-  }
-  return SealBinaryTrace(tracer.host_names(), tracer.binary_records());
-}
-
 CapacityCell EchoCell(int flows, size_t size, int iterations, int warmup, uint64_t seed) {
   CapacityCell cell;
   cell.clients = 4;
@@ -210,18 +182,17 @@ CapacityCell EchoCell(int flows, size_t size, int iterations, int warmup, uint64
 }
 
 struct BinaryCellRun {
-  std::string blob;        // sealed stream
+  std::string blob;        // TLBT capture
   size_t peak_bytes = 0;   // tracer recording-buffer high-water mark
   size_t flows_seen = 0;   // sampler only
   size_t flows_kept = 0;   // sampler only
   uint64_t samples = 0;    // measured round trips
 };
 
-// Runs `cell` with a binary-recording tracer (optionally flow-sampled at
-// 1-in-`sample_one_in`).
+// Runs `cell` with a tracer attached (optionally flow-sampled at
+// 1-in-`sample_one_in`) and encodes the recorded events as TLBT.
 BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   if (sample_one_in > 1) {
     FlowSampleConfig sample;
     sample.one_in = sample_one_in;
@@ -230,7 +201,7 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   }
   BinaryCellRun out;
   out.samples = RunCapacityCell(cell, &tracer).samples;
-  out.blob = SealBinaryTrace(tracer.host_names(), tracer.binary_records());
+  out.blob = EncodeBinaryTrace(tracer);
   out.peak_bytes = tracer.peak_memory_bytes();
   out.flows_seen = tracer.flows_seen().size();
   out.flows_kept = tracer.flows_kept().size();
@@ -294,24 +265,37 @@ double MeasureEchoEventRate(int iterations, Tracer* tracer) {
 // sides attach a full tracer; one also enables the timeseries plane with a
 // non-positive period, which keeps every producer hook live (TcpConnection,
 // AtmSwitch, FlowDriver all reach TimeseriesSampler::Push) but records no
-// points. Best-of-3 each side to shave scheduler noise.
-double MeasureTimeseriesOverheadPct(int iterations) {
-  double base = 0;
-  double hooked = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    {
-      Tracer tracer;
-      base = std::max(base, MeasureEchoEventRate(iterations, &tracer));
-    }
-    {
-      Tracer tracer;
+// points. Each round runs the two sides back to back, alternating which
+// goes first, and yields one paired overhead; the estimate is the median
+// round. Pairing cancels host drift between rounds and the median drops a
+// round an outlier hit. (Keeping each side's best rate instead failed the
+// 10% ceiling whenever one side caught a single fast outlier.)
+double MeasureTimeseriesOverheadPct(int iterations, int rounds) {
+  const auto rate = [iterations](bool hooked) {
+    Tracer tracer;
+    if (hooked) {
       TimeseriesConfig cfg;
       cfg.period_ns = 0;  // hooks live, sampler records nothing
       tracer.EnableTimeseries(cfg);
-      hooked = std::max(hooked, MeasureEchoEventRate(iterations, &tracer));
     }
+    return MeasureEchoEventRate(iterations, &tracer);
+  };
+  std::vector<double> overhead_pct;
+  for (int round = 0; round < rounds; ++round) {
+    double base = 0;
+    double hooked = 0;
+    if (round % 2 == 0) {
+      base = rate(false);
+      hooked = rate(true);
+    } else {
+      hooked = rate(true);
+      base = rate(false);
+    }
+    overhead_pct.push_back(100.0 * (base - hooked) / base);
   }
-  return 100.0 * (base - hooked) / base;
+  const auto mid = overhead_pct.begin() + overhead_pct.size() / 2;
+  std::nth_element(overhead_pct.begin(), mid, overhead_pct.end());
+  return *mid;
 }
 
 // Decodes `blob` and runs the batch CausalGraph + AttributeRtts path on it.
@@ -326,34 +310,8 @@ std::vector<RttWindow> BatchWindows(const std::string& blob, const AttributionOp
   return AttributeRtts(decoded, graph, opt).windows;
 }
 
-bool SameWindow(const RttWindow& a, const RttWindow& b) {
-  return a.flow == b.flow && a.client_host == b.client_host &&
-         a.server_host == b.server_host && a.start_ns == b.start_ns && a.end_ns == b.end_ns &&
-         a.stage_ns == b.stage_ns && a.retransmits == b.retransmits &&
-         a.delayed_acks == b.delayed_acks && a.tx_stall_ns == b.tx_stall_ns;
-}
-
-// Order-insensitive window-set equality: the batch path emits (flow, index)
-// order, the streaming path close order; both sorts land on (flow, start).
-bool SameWindows(std::vector<RttWindow> a, std::vector<RttWindow> b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  const auto by_flow_start = [](const RttWindow& x, const RttWindow& y) {
-    return x.flow != y.flow ? x.flow < y.flow : x.start_ns < y.start_ns;
-  };
-  std::sort(a.begin(), a.end(), by_flow_start);
-  std::sort(b.begin(), b.end(), by_flow_start);
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameWindow(a[i], b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// True when every window's stages sum exactly to its RTT (the streaming
-// acceptance criterion: 0 ns span-sum delta).
+// True when every window's stages sum exactly to its RTT (0 ns span-sum
+// delta).
 bool StagesTelescope(const std::vector<RttWindow>& windows) {
   for (const RttWindow& w : windows) {
     int64_t sum = 0;
@@ -401,11 +359,11 @@ int Run(const BenchFlags& flags) {
   }
   Check(identical, "4-size grid traces are byte-identical serial vs 4-job parallel");
 
-  // (5) binary round trip: encode -> decode -> export equals the legacy
-  // in-memory export byte-for-byte.
-  const std::string echo_blob = RunOnceBinary(1400);
+  // (5) TLBT round trip: encode -> decode -> export equals the export of
+  // the recorded events byte-for-byte.
+  const std::string& echo_blob = a.blob;
   BinaryTraceReader echo_reader(echo_blob);
-  Check(echo_reader.ok(), "sealed binary echo stream parses");
+  Check(echo_reader.ok(), "binary echo stream parses");
   Check(echo_reader.record_count() == a.events,
         "binary stream carries every event of the echo trace");
   const double bytes_per_event =
@@ -417,8 +375,8 @@ int Run(const BenchFlags& flags) {
   const bool roundtrip_identical = echo_decode_ok && echo_decoded.ToPerfettoJson() == a.json;
   Check(roundtrip_identical,
         "binary round trip reproduces the Perfetto JSON byte-for-byte");
-  std::printf("binary echo stream: %zu bytes, %.2f bytes/event (in-memory struct: 64)\n\n",
-              echo_blob.size(), bytes_per_event);
+  std::printf("binary echo stream: %zu bytes, %.2f bytes/event (in-memory struct: %zu)\n\n",
+              echo_blob.size(), bytes_per_event, sizeof(TraceEvent));
 
   // (6) 8-flow cell: the binary stream must not depend on executor width or
   // on the cells running beside it.
@@ -434,37 +392,25 @@ int Run(const BenchFlags& flags) {
         "binary stream byte-identical serially and on a 4-job executor");
   if (!flags.bin_out_path.empty()) {
     Check(WriteTextFile(flags.bin_out_path, jobs1.blob),
-          "sealed binary stream written to " + flags.bin_out_path);
+          "binary stream written to " + flags.bin_out_path);
   }
 
-  // (7) streaming attribution straight off the binary reader == batch.
+  // (7) attribution over the decoded 8-flow capture.
   AttributionOptions small_opt;
   small_opt.message_bytes = small_cell.size;
   small_opt.warmup_windows = small_cell.warmup;
   bool small_decode_ok = false;
-  const std::vector<RttWindow> small_batch = BatchWindows(jobs1.blob, small_opt, &small_decode_ok);
+  const std::vector<RttWindow> small_windows =
+      BatchWindows(jobs1.blob, small_opt, &small_decode_ok);
   Check(small_decode_ok, "8-flow cell binary stream decodes cleanly");
-  StreamingAttribution streaming(small_opt);
-  BinaryTraceReader small_reader(jobs1.blob);
-  TraceEvent ev;
-  while (small_reader.Next(&ev)) {
-    streaming.OnEvent(ev);
-  }
-  Check(small_reader.ok() && !small_reader.error(), "streaming decode consumed the full stream");
-  Check(small_batch.size() == jobs1.samples,
+  Check(small_windows.size() == jobs1.samples,
         "every measured round trip of the 8-flow cell is attributed");
-  Check(SameWindows(small_batch, streaming.windows()),
-        "streaming attribution reproduces the batch window set exactly");
-  Check(StagesTelescope(streaming.windows()),
-        "streaming stages telescope to each RTT with 0 ns error");
-  const BlameReport small_blame = BuildBlame(streaming.windows(), 50.0, 99.0);
+  Check(StagesTelescope(small_windows), "stages telescope to each RTT with 0 ns error");
+  const BlameReport small_blame = BuildBlame(small_windows, 50.0, 99.0);
   char line[160];
   std::snprintf(line, sizeof(line), ">=95%% of the p99-p50 gap attributed (%.2f%%)",
                 small_blame.explained_pct);
   Check(small_blame.explained_pct >= 95.0, line);
-  const size_t peak_nodes = streaming.peak_live_journeys();
-  std::printf("streaming graph: %zu peak live journeys (%zu at end of run, %zu windows)\n\n",
-              peak_nodes, streaming.live_journeys(), streaming.windows().size());
 
   // (8) flow sampling on the big cell: memory must collapse, blame must
   // not. Same cell, same seed; only the sampler differs.
@@ -528,21 +474,7 @@ int Run(const BenchFlags& flags) {
                 full_blame.hi_rtt_ns, sampled_blame.hi_rtt_ns);
   Check(blame_matches, line);
 
-  // (9) mid-run TLBT disk spill: tiny segments force many seals; the
-  // consolidated (spilled + resident) stream must equal the unspilled one.
-  const std::string spill_path = flags.out_path + "_spill.tmp";
-  uint64_t spill_segments = 0;
-  const std::string spilled_blob =
-      RunOnceBinary(1400, spill_path, /*spill_segment=*/16 * 1024, &spill_segments);
-  const bool spill_identical = spill_segments >= 2 && spilled_blob == echo_blob;
-  std::snprintf(line, sizeof(line),
-                "mid-run TLBT spill (%" PRIu64
-                " segments) seals the unspilled byte stream exactly",
-                spill_segments);
-  Check(spill_identical, line);
-  std::remove(spill_path.c_str());
-
-  // (10) reservoir flow sampling: the bottom-K kept set and the kept event
+  // (9) reservoir flow sampling: the bottom-K kept set and the kept event
   // stream are pure functions of (cell, K), serially and on the executor.
   const uint32_t reservoir_k = 3;
   const std::vector<ReservoirRun> res = RunSerialAndParallel<ReservoirRun>(
@@ -558,14 +490,15 @@ int Run(const BenchFlags& flags) {
                 reservoir_k);
   Check(reservoir_deterministic, line);
 
-  // (11) timeseries hook overhead with no sampler recording.
-  const double ts_overhead_pct = MeasureTimeseriesOverheadPct(flags.quick ? 400 : 2000);
+  // (10) timeseries hook overhead with no sampler recording, at the same
+  // run length in quick and full mode so both modes measure the same thing.
+  const double ts_overhead_pct = MeasureTimeseriesOverheadPct(/*iterations=*/2000, /*rounds=*/9);
   std::snprintf(line, sizeof(line),
                 "timeseries hooks with recording off cost <= 10%% (measured %.2f%%)",
                 ts_overhead_pct);
   Check(ts_overhead_pct <= 10.0, line);
 
-  // (12) default-period plane on the 8-flow cell: points per flow
+  // (11) default-period plane on the 8-flow cell: points per flow
   // is a deterministic simulated quantity the gate holds to a ceiling.
   Tracer ts_tracer;
   ts_tracer.EnableTimeseries(TimeseriesConfig{});
@@ -607,16 +540,11 @@ int Run(const BenchFlags& flags) {
              (roundtrip_identical ? "true" : "false") + ",\n";
   metrics += std::string("  \"binary_executor_identical\": ") +
              (executor_identical ? "true" : "false") + ",\n";
-  metrics += std::string("  \"streaming_matches_batch\": ") +
-             (SameWindows(small_batch, streaming.windows()) ? "true" : "false") + ",\n";
-  metrics += "  \"streaming_graph_peak_nodes\": " + std::to_string(peak_nodes) + ",\n";
   metrics += "  \"trace_sampled_flows\": " + std::to_string(sampled.flows_kept) + ",\n";
   std::snprintf(buf, sizeof(buf), "  \"sampled_memory_ratio\": %.2f,\n", memory_ratio);
   metrics += buf;
   metrics += std::string("  \"sampled_blame_within_tolerance\": ") +
              (blame_matches ? "true" : "false") + ",\n";
-  metrics += std::string("  \"spill_roundtrip_identical\": ") +
-             (spill_identical ? "true" : "false") + ",\n";
   metrics += std::string("  \"reservoir_deterministic\": ") +
              (reservoir_deterministic ? "true" : "false") + ",\n";
   std::snprintf(buf, sizeof(buf), "  \"timeseries_overhead_pct\": %.2f,\n", ts_overhead_pct);

@@ -321,17 +321,16 @@ void HostCounters() {
   Check(views_alias, "registry views alias the live TcpStats counters");
 }
 
-// The Tables-2/3 run again, instrumented. Records through the compact TLBT
-// binary stream (the production capture path), decodes it back, and proves
-// the pipeline is lossless: summing self/interval times per span out of the
-// decoded trace reproduces the aggregate SpanTracker totals. Produces the
-// same Perfetto-loadable JSON file as direct in-memory recording.
+// The Tables-2/3 run again, instrumented. Encodes the recorded events as a
+// compact TLBT stream (the capture file format), decodes it back, and
+// proves the pipeline is lossless: summing self/interval times per span out
+// of the decoded trace reproduces the aggregate SpanTracker totals.
+// Produces the same Perfetto-loadable JSON file as the recorded events.
 void TracedRun(const std::string& path) {
   std::printf("\n## Traced run — 1400-byte ATM echo\n\n");
   TestbedConfig cfg;
   Testbed tb(cfg);
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   tb.AttachTracer(&tracer);
   RpcOptions opt;
   opt.size = 1400;
@@ -339,7 +338,7 @@ void TracedRun(const std::string& path) {
   opt.warmup = 16;
   RunRpcBenchmark(tb, opt);
 
-  const std::string blob = SealBinaryTrace(tracer.host_names(), tracer.binary_records());
+  const std::string blob = EncodeBinaryTrace(tracer);
   Tracer decoded;
   const bool decode_ok = DecodeBinaryTrace(blob, &decoded);
   Check(decode_ok, "binary trace stream decodes back losslessly");

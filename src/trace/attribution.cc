@@ -97,13 +97,12 @@ int64_t FirstIn(const std::vector<int64_t>& ts, int64_t lo, int64_t hi) {
   return it != ts.end() && *it <= hi ? *it : -1;
 }
 
-}  // namespace
-
-std::string_view BlameStageName(BlameStage stage) {
-  const auto i = static_cast<size_t>(stage);
-  return i < kStageNames.size() ? kStageNames[i] : "?";
-}
-
+// Fills w->stage_ns and w->tx_stall_ns from the window's two critical
+// journeys (either may be null), the server write-entry anchor
+// (`srv_begin`, -1 when unobserved), and the first sender-side hold
+// (kNagleHold) timestamps on each side (`cli_hold`/`srv_hold`, -1 when no
+// hold was observed — the ACK-wait stage is then zero); w->start_ns/end_ns
+// must already be set.
 void DecomposeWindow(const Journey* req, const Journey* rsp, int64_t srv_begin,
                      int64_t cli_hold, int64_t srv_hold, RttWindow* w) {
   w->stage_ns.fill(0);
@@ -156,6 +155,13 @@ void DecomposeWindow(const Journey* req, const Journey* rsp, int64_t srv_begin,
   }
   w->tx_stall_ns =
       (req != nullptr ? req->tx_stall_ns : 0) + (rsp != nullptr ? rsp->tx_stall_ns : 0);
+}
+
+}  // namespace
+
+std::string_view BlameStageName(BlameStage stage) {
+  const auto i = static_cast<size_t>(stage);
+  return i < kStageNames.size() ? kStageNames[i] : "?";
 }
 
 AttributionResult AttributeRtts(const Tracer& tracer, const CausalGraph& graph,

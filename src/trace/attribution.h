@@ -91,16 +91,6 @@ struct AttributionResult {
 AttributionResult AttributeRtts(const Tracer& tracer, const CausalGraph& graph,
                                 const AttributionOptions& options);
 
-// Fills w->stage_ns and w->tx_stall_ns from the window's two critical
-// journeys (either may be null), the server write-entry anchor
-// (`srv_begin`, -1 when unobserved), and the first sender-side hold
-// (kNagleHold) timestamps on each side (`cli_hold`/`srv_hold`, -1 when no
-// hold was observed — the ACK-wait stage is then zero); w->start_ns/end_ns
-// must already be set. Factored out of AttributeRtts so the batch and
-// streaming reconstructors produce bit-identical decompositions.
-void DecomposeWindow(const Journey* req, const Journey* rsp, int64_t srv_begin,
-                     int64_t cli_hold, int64_t srv_hold, RttWindow* w);
-
 // Per-span totals for `host` partitioned into the given windows (bucketed
 // by each span event's end timestamp) plus a residual bucket for time
 // outside every window. Counts the same post-kSpanReset events as

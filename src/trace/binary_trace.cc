@@ -2,8 +2,6 @@
 
 #include <cstddef>
 
-#include "src/base/check.h"
-
 namespace tcplat {
 namespace {
 
@@ -62,142 +60,120 @@ bool GetByte(std::string_view data, size_t* pos, uint8_t* out) {
 
 }  // namespace
 
-BinaryTraceWriter::~BinaryTraceWriter() {
-  if (spill_file_ != nullptr) {
-    std::fclose(spill_file_);
-  }
-}
-
-void BinaryTraceWriter::Append(const TraceEvent& ev) {
-  PutZigzag(&data_, ev.ts_ns - prev_ts_);
-  prev_ts_ = ev.ts_ns;
-  data_.push_back(static_cast<char>(ev.kind));
-  data_.push_back(static_cast<char>(ev.layer));
-  data_.push_back(static_cast<char>(ev.span));
-  data_.push_back(static_cast<char>(ev.host));
-  PutVarint(&data_, ev.flow);
-  PutVarint(&data_, ev.packet);
-  PutVarint(&data_, ev.bytes);
-  PutZigzag(&data_, ev.dur_ns);
-  PutZigzag(&data_, ev.self_ns);
-  ++count_;
-  MaybeSpill();
-}
-
-void BinaryTraceWriter::Clear() {
-  std::string().swap(data_);
-  prev_ts_ = 0;
-  count_ = 0;
-  if (spill_file_ != nullptr) {
-    // Truncate the spill file so the writer restarts from an empty capture.
-    std::FILE* reopened = std::freopen(spill_path_.c_str(), "wb", spill_file_);
-    TCPLAT_CHECK(reopened != nullptr);
-    spill_file_ = reopened;
-    spilled_bytes_ = 0;
-    spill_segments_ = 0;
-  }
-}
-
-bool BinaryTraceWriter::EnableSpill(const std::string& path, size_t segment_bytes) {
-  TCPLAT_CHECK(spill_file_ == nullptr);
-  TCPLAT_CHECK(segment_bytes > 0);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return false;
-  }
-  spill_file_ = file;
-  spill_path_ = path;
-  spill_segment_bytes_ = segment_bytes;
-  MaybeSpill();  // the buffer may already be over the threshold
-  return true;
-}
-
-void BinaryTraceWriter::MaybeSpill() {
-  if (spill_file_ == nullptr || data_.size() < spill_segment_bytes_) {
-    return;
-  }
-  const size_t written = std::fwrite(data_.data(), 1, data_.size(), spill_file_);
-  TCPLAT_CHECK(written == data_.size());
-  spilled_bytes_ += data_.size();
-  ++spill_segments_;
-  // swap with a fresh string (rather than clear()) so the capacity is
-  // actually released — bounding memory is the whole point of spilling.
-  std::string().swap(data_);
-}
-
-std::string BinaryTraceWriter::ConsolidatedRecords() const {
-  if (spill_file_ == nullptr) {
-    return data_;
-  }
-  TCPLAT_CHECK(std::fflush(spill_file_) == 0);
+std::string EncodeBinaryTrace(const Tracer& tracer) {
+  const std::vector<TraceEvent>& events = tracer.events();
   std::string out;
-  out.reserve(spilled_bytes_ + data_.size());
-  std::FILE* in = std::fopen(spill_path_.c_str(), "rb");
-  TCPLAT_CHECK(in != nullptr);
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(in);
-  TCPLAT_CHECK(out.size() == spilled_bytes_);
-  out += data_;
-  return out;
-}
-
-std::string SealBinaryTrace(const std::vector<std::string>& host_names,
-                            const BinaryTraceWriter& records) {
-  std::string out;
-  out.reserve(32 + records.TotalBytes());
+  out.reserve(32 + events.size() * 16);
   out.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
   out.push_back(static_cast<char>(kBinaryTraceVersion & 0xff));
   out.push_back(static_cast<char>(kBinaryTraceVersion >> 8));
-  PutVarint(&out, host_names.size());
-  for (const std::string& name : host_names) {
+  PutVarint(&out, tracer.host_names().size());
+  for (const std::string& name : tracer.host_names()) {
     PutVarint(&out, name.size());
     out += name;
   }
-  PutVarint(&out, records.count());
-  out += records.ConsolidatedRecords();
+  PutVarint(&out, events.size());
+  int64_t prev_ts = 0;
+  for (const TraceEvent& ev : events) {
+    PutZigzag(&out, ev.ts_ns - prev_ts);
+    prev_ts = ev.ts_ns;
+    out.push_back(static_cast<char>(ev.kind));
+    out.push_back(static_cast<char>(ev.layer));
+    out.push_back(static_cast<char>(ev.span));
+    out.push_back(static_cast<char>(ev.host));
+    PutVarint(&out, ev.flow);
+    PutVarint(&out, ev.packet);
+    PutVarint(&out, ev.bytes);
+    PutZigzag(&out, ev.dur_ns);
+    PutZigzag(&out, ev.self_ns);
+  }
   return out;
 }
 
-bool BinaryRecordCursor::Next(TraceEvent* ev) {
-  if (error_ != nullptr || remaining_ == 0) {
+BinaryTraceReader::BinaryTraceReader(std::string_view blob) {
+  size_t pos = 0;
+  if (blob.size() < sizeof(kBinaryTraceMagic) + 2) {
+    Fail("stream shorter than header");
+    return;
+  }
+  if (blob.compare(0, sizeof(kBinaryTraceMagic),
+                   std::string_view(kBinaryTraceMagic, sizeof(kBinaryTraceMagic))) != 0) {
+    Fail("bad magic");
+    return;
+  }
+  pos = sizeof(kBinaryTraceMagic);
+  const uint16_t version = static_cast<uint16_t>(static_cast<uint8_t>(blob[pos])) |
+                           static_cast<uint16_t>(static_cast<uint8_t>(blob[pos + 1]) << 8);
+  pos += 2;
+  if (version != kBinaryTraceVersion) {
+    Fail("unsupported version");
+    return;
+  }
+  uint64_t host_count = 0;
+  if (!GetVarint(blob, &pos, &host_count) || host_count > 255) {
+    Fail("bad host table");
+    return;
+  }
+  host_names_.reserve(host_count);
+  for (uint64_t i = 0; i < host_count; ++i) {
+    uint64_t len = 0;
+    if (!GetVarint(blob, &pos, &len) || len > blob.size() - pos) {
+      Fail("truncated host name");
+      host_names_.clear();
+      return;
+    }
+    host_names_.emplace_back(blob.substr(pos, len));
+    pos += len;
+  }
+  if (!GetVarint(blob, &pos, &record_count_)) {
+    Fail("truncated record count");
+    return;
+  }
+  ok_ = true;
+  records_ = blob.substr(pos);
+  remaining_ = record_count_;
+}
+
+bool BinaryTraceReader::Fail(const char* message) {
+  error_ = message;
+  return false;
+}
+
+bool BinaryTraceReader::Next(TraceEvent* ev) {
+  if (!ok_ || error_ != nullptr || remaining_ == 0) {
     return false;
   }
   int64_t ts_delta = 0;
-  if (!GetZigzag(data_, &pos_, &ts_delta)) {
-    error_ = "truncated timestamp delta";
-    return false;
+  if (!GetZigzag(records_, &pos_, &ts_delta)) {
+    return Fail("truncated timestamp delta");
   }
   uint8_t kind = 0, layer = 0, span = 0, host = 0;
-  if (!GetByte(data_, &pos_, &kind) || !GetByte(data_, &pos_, &layer) ||
-      !GetByte(data_, &pos_, &span) || !GetByte(data_, &pos_, &host)) {
-    error_ = "truncated tag block";
-    return false;
+  if (!GetByte(records_, &pos_, &kind) || !GetByte(records_, &pos_, &layer) ||
+      !GetByte(records_, &pos_, &span) || !GetByte(records_, &pos_, &host)) {
+    return Fail("truncated tag block");
   }
   if (kind >= static_cast<uint8_t>(TraceEventKind::kCount)) {
-    error_ = "event kind out of range";
-    return false;
+    return Fail("event kind out of range");
   }
   if (layer >= static_cast<uint8_t>(TraceLayer::kCount)) {
-    error_ = "layer out of range";
-    return false;
+    return Fail("layer out of range");
   }
   if (span >= static_cast<uint8_t>(SpanId::kCount)) {
-    error_ = "span id out of range";
-    return false;
+    return Fail("span id out of range");
+  }
+  if (host >= host_names_.size()) {
+    return Fail("host id out of range");
   }
   uint64_t flow = 0, packet = 0, bytes = 0;
   int64_t dur = 0, self = 0;
-  if (!GetVarint(data_, &pos_, &flow) || !GetVarint(data_, &pos_, &packet) ||
-      !GetVarint(data_, &pos_, &bytes) || !GetZigzag(data_, &pos_, &dur) ||
-      !GetZigzag(data_, &pos_, &self)) {
-    error_ = "truncated record payload";
-    return false;
+  if (!GetVarint(records_, &pos_, &flow) || !GetVarint(records_, &pos_, &packet) ||
+      !GetVarint(records_, &pos_, &bytes) || !GetZigzag(records_, &pos_, &dur) ||
+      !GetZigzag(records_, &pos_, &self)) {
+    return Fail("truncated record payload");
   }
-  prev_ts_ += ts_delta;
+  // Wrapping add: a corrupt delta must not overflow a signed integer.
+  prev_ts_ = static_cast<int64_t>(static_cast<uint64_t>(prev_ts_) +
+                                  static_cast<uint64_t>(ts_delta));
   ev->ts_ns = prev_ts_;
   ev->dur_ns = dur;
   ev->self_ns = self;
@@ -209,69 +185,6 @@ bool BinaryRecordCursor::Next(TraceEvent* ev) {
   ev->span = static_cast<SpanId>(span);
   ev->host = host;
   --remaining_;
-  return true;
-}
-
-BinaryTraceReader::BinaryTraceReader(std::string_view blob) {
-  size_t pos = 0;
-  if (blob.size() < sizeof(kBinaryTraceMagic) + 2) {
-    header_error_ = "stream shorter than header";
-    return;
-  }
-  if (blob.compare(0, sizeof(kBinaryTraceMagic),
-                   std::string_view(kBinaryTraceMagic, sizeof(kBinaryTraceMagic))) != 0) {
-    header_error_ = "bad magic";
-    return;
-  }
-  pos = sizeof(kBinaryTraceMagic);
-  const uint16_t version = static_cast<uint16_t>(static_cast<uint8_t>(blob[pos])) |
-                           static_cast<uint16_t>(static_cast<uint8_t>(blob[pos + 1]) << 8);
-  pos += 2;
-  if (version != kBinaryTraceVersion) {
-    header_error_ = "unsupported version";
-    return;
-  }
-  uint64_t host_count = 0;
-  if (!GetVarint(blob, &pos, &host_count) || host_count > 255) {
-    header_error_ = "bad host table";
-    return;
-  }
-  host_names_.reserve(host_count);
-  for (uint64_t i = 0; i < host_count; ++i) {
-    uint64_t len = 0;
-    if (!GetVarint(blob, &pos, &len) || len > blob.size() - pos) {
-      header_error_ = "truncated host name";
-      host_names_.clear();
-      return;
-    }
-    host_names_.emplace_back(blob.substr(pos, len));
-    pos += len;
-  }
-  if (!GetVarint(blob, &pos, &record_count_)) {
-    header_error_ = "truncated record count";
-    return;
-  }
-  ok_ = true;
-  cursor_ = BinaryRecordCursor(blob.substr(pos), record_count_);
-}
-
-const char* BinaryTraceReader::error_message() const {
-  if (header_error_ != nullptr) return header_error_;
-  return cursor_.error_message();
-}
-
-bool BinaryTraceReader::Next(TraceEvent* ev) {
-  if (!ok_) return false;
-  if (!cursor_.Next(ev)) return false;
-  if (ev->host >= host_names_.size()) {
-    // No cursor-level range check covers hosts (the record section has no
-    // host table); enforce it here so a corrupt stream can't index past the
-    // registered names downstream.
-    cursor_ = BinaryRecordCursor(std::string_view(), 0);
-    header_error_ = "host id out of range";
-    ok_ = false;
-    return false;
-  }
   return true;
 }
 

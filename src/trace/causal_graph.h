@@ -73,8 +73,7 @@ inline uint64_t CanonicalFlow(uint64_t raw_flow) {
 
 class CausalGraph {
  public:
-  // Single pass over tracer.events(). The tracer must have recorded in full
-  // (not flight-recorder) mode.
+  // Single pass over tracer.events().
   static CausalGraph Build(const Tracer& tracer);
 
   // All journeys, in order of creation (first transmit-side event).

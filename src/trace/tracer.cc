@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
 
 namespace tcplat {
@@ -89,11 +88,10 @@ constexpr bool AllDistinctNonEmpty(const std::array<std::string_view, N>& names)
 static_assert(AllDistinctNonEmpty(kLayerNames), "every TraceLayer needs a unique name");
 static_assert(AllDistinctNonEmpty(kKindNames), "every TraceEventKind needs a unique name");
 
-// One trace_event object for `ev`, no separators — shared by the full-trace
-// and anomaly exporters so both stay byte-stable and format-identical.
-// `packet_tid` places instant events (the default case): the shared packets
-// track normally, a per-flow track for congestion-era kinds.
-void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid = kTidPackets) {
+// One trace_event object for `ev`, no separators. `packet_tid` places
+// instant events (the default case): the shared packets track normally, a
+// per-flow track for congestion-era kinds.
+void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid) {
   char buf[256];
   const int pid = ev.host;
   switch (ev.kind) {
@@ -146,7 +144,7 @@ void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid = kT
   }
 }
 
-// Shared process/track-name metadata prologue for both exporters.
+// Process/track-name metadata prologue.
 void AppendProcessMetadata(std::string* out, const std::vector<std::string>& host_names,
                            bool* first) {
   char buf[256];
@@ -192,38 +190,14 @@ uint8_t Tracer::RegisterHost(std::string name) {
   return static_cast<uint8_t>(host_names_.size() - 1);
 }
 
-void Tracer::EnableBinaryRecording() {
-  if (binary_ != nullptr) {
-    return;
-  }
-  TCPLAT_CHECK(!flight_enabled_) << "binary recording excludes flight-recorder mode";
-  TCPLAT_CHECK(events_.empty()) << "binary recording must be enabled before recording starts";
-  binary_ = std::make_unique<BinaryTraceWriter>();
-}
-
-const BinaryTraceWriter& Tracer::binary_records() const {
-  TCPLAT_CHECK(binary_ != nullptr) << "tracer is not in binary recording mode";
-  return *binary_;
-}
-
-BinaryTraceWriter* Tracer::mutable_binary_records() {
-  TCPLAT_CHECK(binary_ != nullptr) << "tracer is not in binary recording mode";
-  return binary_.get();
-}
-
 void Tracer::EnableFlowSampling(const FlowSampleConfig& config) {
-  TCPLAT_CHECK(!flight_enabled_) << "flow sampling excludes flight-recorder mode";
-  TCPLAT_CHECK(events_.empty() && (binary_ == nullptr || binary_->count() == 0))
-      << "flow sampling must be enabled before recording starts";
+  TCPLAT_CHECK(events_.empty()) << "flow sampling must be enabled before recording starts";
   TCPLAT_CHECK_GE(config.one_in, 1u);
   sampling_ = true;
   sample_ = config;
 }
 
 void Tracer::EnableFlowReservoir(uint32_t k, uint64_t seed) {
-  TCPLAT_CHECK(!flight_enabled_) << "reservoir sampling excludes flight-recorder mode";
-  TCPLAT_CHECK(binary_ == nullptr)
-      << "reservoir sampling keeps in-memory events (FinalizeReservoir prunes them)";
   TCPLAT_CHECK(!sampling_) << "reservoir and 1-in-N flow sampling are mutually exclusive";
   TCPLAT_CHECK(events_.empty()) << "reservoir must be enabled before recording starts";
   TCPLAT_CHECK_GE(k, 1u);
@@ -250,20 +224,8 @@ std::string Tracer::TimelineCsv() const {
   return TimeseriesToCsv(SortedTimeseriesPoints(), host_names_);
 }
 
-void Tracer::EnableFlightRecorder(const FlightRecorderConfig& config) {
-  TCPLAT_CHECK(binary_ == nullptr) << "flight-recorder mode excludes binary recording";
-  TCPLAT_CHECK(!sampling_) << "flight-recorder mode excludes flow sampling";
-  TCPLAT_CHECK(events_.empty())
-      << "flight-recorder mode must be selected before recording starts";
-  flight_enabled_ = true;
-  flight_ = config;
-}
-
 size_t Tracer::ApproxMemoryBytes() const {
-  size_t bytes = events_.size() * sizeof(TraceEvent) + deferred_events_ * sizeof(TraceEvent);
-  if (binary_ != nullptr) {
-    bytes += binary_->SizeBytes();
-  }
+  size_t bytes = (events_.size() + deferred_events_) * sizeof(TraceEvent);
   if (timeseries_ != nullptr) {
     bytes += timeseries_->ApproxMemoryBytes();
   }
@@ -278,9 +240,6 @@ void Tracer::NotePeak() { peak_bytes_ = std::max(peak_bytes_, ApproxMemoryBytes(
 
 void Tracer::Clear() {
   events_.clear();
-  if (binary_ != nullptr) {
-    binary_->Clear();
-  }
   sample_hosts_.clear();
   deferred_events_ = 0;
   flows_seen_.clear();
@@ -290,20 +249,6 @@ void Tracer::Clear() {
     timeseries_->Clear();
   }
   peak_bytes_ = 0;
-  ring_.clear();
-  anomalies_.clear();
-  anomalies_seen_ = 0;
-  commit_seq_ = 0;
-}
-
-void Tracer::Emit(const TraceEvent& ev) {
-  if (flight_enabled_) {
-    CommitToRing(ev);
-  } else if (binary_ != nullptr) {
-    binary_->Append(ev);
-  } else {
-    events_.push_back(ev);
-  }
 }
 
 bool Tracer::KeepFlow(uint64_t raw_flow) {
@@ -367,27 +312,20 @@ void Tracer::ResolveDeferred(size_t host, bool keep) {
     return;
   }
   NotePeak();  // the buffered events are about to drain; record them first
-  for (const TraceEvent& deferred : st.deferred) {
-    if (keep) {
-      Emit(deferred);
-    }
+  if (keep) {
+    events_.insert(events_.end(), st.deferred.begin(), st.deferred.end());
   }
   deferred_events_ -= st.deferred.size();
   st.deferred.clear();
 }
 
-void Tracer::CommitSlow(const TraceEvent& ev) {
-  if (!sampling_) {
-    Emit(ev);
-    return;
-  }
-
-  // Flow sampling. Per-host chain machine: a chain start resets the verdict
-  // to undecided and buffering begins; the chain's first flow-identifying
-  // event settles keep/drop for the buffered prefix and the rest of the
-  // chain. Sound for the same reason the causal graph is: a host's CPU runs
-  // each activation chain to completion, so buffered events can only belong
-  // to the chain being decided.
+void Tracer::CommitSampled(const TraceEvent& ev) {
+  // Per-host chain machine: a chain start resets the verdict to undecided
+  // and buffering begins; the chain's first flow-identifying event settles
+  // keep/drop for the buffered prefix and the rest of the chain. Sound for
+  // the same reason the causal graph is: a host's CPU runs each activation
+  // chain to completion, so buffered events can only belong to the chain
+  // being decided.
   if (ev.host >= sample_hosts_.size()) {
     sample_hosts_.resize(static_cast<size_t>(ev.host) + 1);
   }
@@ -399,7 +337,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
     // stays exact and drop diagnostics stay complete. kDequeue/kPduRx/
     // kFrameRx also start a receive chain: the verdict resets to undecided.
     case TraceEventKind::kDequeue:
-      Emit(ev);
+      events_.push_back(ev);
       if (ev.layer == TraceLayer::kIp) {
         ResolveDeferred(ev.host, false);
         st.keep = -1;
@@ -407,7 +345,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
       return;
     case TraceEventKind::kPduRx:
     case TraceEventKind::kFrameRx:
-      Emit(ev);
+      events_.push_back(ev);
       ResolveDeferred(ev.host, false);
       st.keep = -1;
       return;
@@ -420,7 +358,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
     case TraceEventKind::kImpairDrop:
     case TraceEventKind::kImpairDup:
     case TraceEventKind::kImpairDelay:
-      Emit(ev);
+      events_.push_back(ev);
       return;
 
     // Per-cell switch hops identify host pairs (VCI), not flows, and no
@@ -446,7 +384,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
         st.keep = keep ? 1 : 0;
         ResolveDeferred(ev.host, keep);
         if (keep) {
-          Emit(ev);
+          events_.push_back(ev);
         }
         return;
       }
@@ -457,7 +395,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
         st.keep = keep ? 1 : 0;
         ResolveDeferred(ev.host, keep);
         if (keep) {
-          Emit(ev);
+          events_.push_back(ev);
         }
         return;
       }
@@ -477,7 +415,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
 
   // Chain-follow events ride the current verdict; undecided chains buffer.
   if (st.keep == 1) {
-    Emit(ev);
+    events_.push_back(ev);
   } else if (st.keep == -1) {
     if (st.deferred.size() >= kMaxDeferredPerHost) {
       st.deferred.pop_front();
@@ -599,82 +537,6 @@ std::string Tracer::ToPerfettoJson() const {
     }
   }
 
-  out += "\n]}\n";
-  return out;
-}
-
-bool Tracer::IsTrigger(const TraceEvent& ev) const {
-  switch (ev.kind) {
-    case TraceEventKind::kRetransmit:
-      return flight_.on_retransmit;
-    case TraceEventKind::kCellDrop:
-      return flight_.on_cell_drop;
-    case TraceEventKind::kTxStall:
-      return flight_.on_tx_stall && ev.dur_ns >= flight_.tx_stall_threshold_ns;
-    case TraceEventKind::kListenOverflow:
-      return flight_.on_listen_overflow;
-    case TraceEventKind::kImpairDrop:
-      return flight_.on_impair_drop;
-    default:
-      return false;
-  }
-}
-
-void Tracer::CommitToRing(const TraceEvent& ev) {
-  ++commit_seq_;
-  ring_.push_back(ev);
-  while (ring_.size() > flight_.ring_capacity) {
-    ring_.pop_front();
-  }
-  if (!IsTrigger(ev)) {
-    return;
-  }
-  ++anomalies_seen_;
-  if (anomalies_.size() >= flight_.max_anomalies) {
-    return;
-  }
-  AnomalyRecord rec;
-  rec.trigger_seq = commit_seq_;
-  rec.trigger = ev;
-  const size_t n = std::min(ring_.size(), flight_.context_events);
-  rec.context.assign(ring_.end() - static_cast<ptrdiff_t>(n), ring_.end());
-  anomalies_.push_back(std::move(rec));
-}
-
-std::string Tracer::AnomaliesToPerfettoJson() const {
-  std::string out;
-  out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
-  AppendProcessMetadata(&out, host_names_, &first);
-  char buf[256];
-  // Overlapping context windows would repeat events; track the last emitted
-  // commit ordinal and skip duplicates (context seqs are contiguous and end
-  // at the trigger's).
-  uint64_t emitted_through = 0;
-  for (const AnomalyRecord& rec : anomalies_) {
-    if (!first) out += ",\n";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"anomaly.%s.%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,\"tid\":%d,"
-                  "\"ts\":",
-                  std::string(TraceLayerName(rec.trigger.layer)).c_str(),
-                  std::string(TraceEventKindName(rec.trigger.kind)).c_str(),
-                  static_cast<int>(rec.trigger.host), kTidPackets);
-    out += buf;
-    AppendMicros(&out, rec.trigger.ts_ns);
-    std::snprintf(buf, sizeof(buf), ",\"args\":{\"seq\":%" PRIu64 "}}", rec.trigger_seq);
-    out += buf;
-    const uint64_t first_seq = rec.trigger_seq - rec.context.size() + 1;
-    for (size_t i = 0; i < rec.context.size(); ++i) {
-      const uint64_t seq = first_seq + i;
-      if (seq <= emitted_through) {
-        continue;
-      }
-      out += ",\n";
-      AppendEventJson(&out, rec.context[i]);
-    }
-    emitted_through = rec.trigger_seq;
-  }
   out += "\n]}\n";
   return out;
 }

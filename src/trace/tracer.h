@@ -21,8 +21,11 @@
 //    accumulated by SpanTracker for that instance, so per-layer sums over a
 //    trace reproduce the tracker's totals to the nanosecond.
 //
-// Exporters: Chrome/Perfetto trace_event JSON (load at ui.perfetto.dev or
-// chrome://tracing) and a flat CSV, one row per event.
+// The in-memory event log (events()) is the only recorded form; flow
+// sampling is the one filter in front of it. Everything else is a file
+// format written from the log: Chrome/Perfetto trace_event JSON (load at
+// ui.perfetto.dev or chrome://tracing), a flat CSV with one row per event,
+// and the compact TLBT binary stream (src/trace/binary_trace.h).
 
 #ifndef SRC_TRACE_TRACER_H_
 #define SRC_TRACE_TRACER_H_
@@ -42,8 +45,6 @@
 #include "src/trace/timeseries.h"
 
 namespace tcplat {
-
-class BinaryTraceWriter;
 
 // Which layer of the simulated stack emitted an event.
 enum class TraceLayer : uint8_t {
@@ -129,9 +130,11 @@ struct TraceEvent {
   uint64_t flow = 0;    // flow id (TCP: local<<16|remote port; ATM: VCI)
   uint64_t packet = 0;  // packet id (TCP: seq; IP: header id; ATM: cells)
   uint64_t bytes = 0;
+  // SpanId is an int: declared ahead of the one-byte fields so the struct
+  // packs to 56 bytes instead of padding to 64.
+  SpanId span = SpanId::kOther;  // span events only
   TraceEventKind kind = TraceEventKind::kSpanBegin;
   TraceLayer layer = TraceLayer::kSched;
-  SpanId span = SpanId::kOther;  // span events only
   uint8_t host = 0;
 };
 
@@ -214,7 +217,7 @@ class Tracer {
   // binary decoder to rebuild a stream that was sampled when recorded.
   void Append(const TraceEvent& ev) {
     if (!enabled_) return;
-    Emit(ev);
+    events_.push_back(ev);
   }
 
   // ---- Time-series telemetry plane (src/trace/timeseries.h) -------------
@@ -246,22 +249,9 @@ class Tracer {
   // Long-format timeline CSV over the finalized points.
   std::string TimelineCsv() const;
 
+  // The recorded event log, in commit order.
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<std::string>& host_names() const { return host_names_; }
-
-  // ---- Binary recording --------------------------------------------------
-  //
-  // Events encode straight into a compact append-only byte stream (see
-  // src/trace/binary_trace.h) instead of the events() vector; exporters and
-  // the causal-graph consumers reach the events by decoding the stream.
-  // Must be selected before anything is recorded; mutually exclusive with
-  // flight-recorder mode (checked).
-
-  void EnableBinaryRecording();
-  bool binary_recording() const { return binary_ != nullptr; }
-  // The raw record stream (CHECKs binary mode), for sealing and spilling.
-  const BinaryTraceWriter& binary_records() const;
-  BinaryTraceWriter* mutable_binary_records();
 
   // ---- Flow sampling -----------------------------------------------------
   //
@@ -274,7 +264,7 @@ class Tracer {
   // discarded wholesale with the chain's verdict. Span self-time totals are
   // NOT preserved for unsampled flows; sampled traces feed attribution, not
   // the exact span accounting. Must be selected before anything is
-  // recorded; mutually exclusive with flight-recorder mode (checked).
+  // recorded (checked).
 
   void EnableFlowSampling(const FlowSampleConfig& config);
   bool flow_sampling() const { return sampling_; }
@@ -288,8 +278,7 @@ class Tracer {
   // prunes evicted flows' events so the surviving capture covers exactly
   // the final bottom-K set, which is a pure function of the flows seen —
   // deterministic across runs and thread counts. StarTestbed::RunToCompletion
-  // finalizes an attached tracer. In-memory event recording only (excludes
-  // binary and flight-recorder modes).
+  // finalizes an attached tracer. Excludes 1-in-N sampling (checked).
   void EnableFlowReservoir(uint32_t k, uint64_t seed);
   bool flow_reservoir() const { return reservoir_k_ > 0; }
   uint32_t reservoir_k() const { return reservoir_k_; }
@@ -309,53 +298,9 @@ class Tracer {
   size_t ApproxMemoryBytes() const;
   size_t peak_memory_bytes() const;
 
-  // Drops recorded events (full-trace, binary, sampler and flight-recorder
-  // state); registered hosts and the recording mode are kept.
+  // Drops recorded events and sampler state; registered hosts and the
+  // sampler configuration are kept.
   void Clear();
-
-  // ---- Anomaly flight recorder ------------------------------------------
-  //
-  // Production-style alternative to full recording: committed events go to a
-  // bounded ring instead of events(), and whenever a trigger event commits
-  // (retransmit, cell drop, FIFO stall over a threshold, listen-queue
-  // overflow, impairment drop) the tail of the ring is snapped into an
-  // AnomalyRecord. Memory stays O(ring_capacity + captured anomalies)
-  // however long the run is, and since everything captured is pure
-  // simulated-time state the dumps are byte-identical across TCPLAT_JOBS
-  // at a fixed seed.
-
-  struct FlightRecorderConfig {
-    size_t ring_capacity = 4096;  // events retained while armed
-    size_t context_events = 64;   // events per anomaly dump (incl. trigger)
-    size_t max_anomalies = 64;    // later triggers count but are not captured
-    int64_t tx_stall_threshold_ns = 0;  // kTxStall triggers when dur_ns >= this
-    bool on_retransmit = true;
-    bool on_cell_drop = true;
-    bool on_tx_stall = true;
-    bool on_listen_overflow = true;
-    bool on_impair_drop = false;
-  };
-
-  struct AnomalyRecord {
-    uint64_t trigger_seq = 0;         // ordinal among all committed events
-    TraceEvent trigger;
-    std::vector<TraceEvent> context;  // ring tail, oldest first, ends at trigger
-  };
-
-  // Switches this tracer into flight-recorder mode. Mutually exclusive with
-  // full recording: committed events feed the ring, not events(), so it must
-  // be selected before anything is recorded and cannot be combined with
-  // binary recording or flow sampling (all checked — a tracer that silently
-  // split its stream between events() and the ring would corrupt both).
-  void EnableFlightRecorder(const FlightRecorderConfig& config);
-  const std::vector<AnomalyRecord>& anomalies() const { return anomalies_; }
-  // Total trigger events observed, including ones past max_anomalies.
-  uint64_t anomalies_seen() const { return anomalies_seen_; }
-
-  // Chrome trace_event JSON for the captured anomalies: one instant marker
-  // per trigger plus the surrounding context events (de-duplicated across
-  // overlapping windows).
-  std::string AnomaliesToPerfettoJson() const;
 
   // Per-span self-time sums for `host`, in nanoseconds, counting only events
   // after that host's last kSpanReset marker: kSpanEnd contributes self_ns,
@@ -372,22 +317,16 @@ class Tracer {
   std::string ToCsv() const;
 
  private:
-  // Every Record* method funnels here so the sampler / binary encoder /
-  // flight recorder can divert the stream without touching the hook sites.
-  // The plain full-recording path stays a single branch + push_back.
+  // Every Record* method funnels here so the flow sampler can filter the
+  // stream without touching the hook sites.
   void Commit(const TraceEvent& ev) {
-    if (!sampling_ && !flight_enabled_ && binary_ == nullptr) {
+    if (!sampling_) {
       events_.push_back(ev);
       return;
     }
-    CommitSlow(ev);
+    CommitSampled(ev);
   }
-  void CommitSlow(const TraceEvent& ev);
-  // Writes `ev` to the active sink (events() / binary stream / ring),
-  // after any sampling verdict has been applied.
-  void Emit(const TraceEvent& ev);
-  void CommitToRing(const TraceEvent& ev);
-  bool IsTrigger(const TraceEvent& ev) const;
+  void CommitSampled(const TraceEvent& ev);
 
   bool KeepFlow(uint64_t raw_flow);
   void ResolveDeferred(size_t host, bool keep);
@@ -396,8 +335,6 @@ class Tracer {
   bool enabled_ = true;
   std::vector<TraceEvent> events_;
   std::vector<std::string> host_names_;
-
-  std::unique_ptr<BinaryTraceWriter> binary_;
 
   // Flow-sampler state: per-host chain verdict plus the events buffered
   // between a chain start and the chain's first flow-identifying event.
@@ -420,13 +357,6 @@ class Tracer {
   std::unique_ptr<TimeseriesSampler> timeseries_;
 
   size_t peak_bytes_ = 0;
-
-  bool flight_enabled_ = false;
-  FlightRecorderConfig flight_;
-  std::deque<TraceEvent> ring_;
-  uint64_t commit_seq_ = 0;
-  uint64_t anomalies_seen_ = 0;
-  std::vector<AnomalyRecord> anomalies_;
 };
 
 // Writes `contents` to `path`; returns false (after perror) on failure.

@@ -3,8 +3,9 @@
 //  * A traced 1x1 star run decomposes every round trip into stages that
 //    telescope exactly to the RTT, the percentile picks match LatencyStats,
 //    and PartitionSpans reproduces SpanSelfTotalsNanos to the nanosecond.
-//  * The flight recorder fires exactly once per injected impairment drop.
-//  * Anomaly dumps and blame reports are byte-identical serial vs 4 workers.
+//  * An impaired run's trace holds exactly one impair.drop event per
+//    injected drop, and its CSV and blame reports are byte-identical serial
+//    vs 4 workers.
 //  * LatencyStats::Percentiles()/PercentileGap() match a hand-computed
 //    distribution.
 
@@ -23,7 +24,6 @@
 #include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
 #include "src/trace/latency_stats.h"
-#include "src/trace/stream_attribution.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
 #include "src/workload/flow_driver.h"
@@ -139,16 +139,15 @@ TEST(Attribution, MeasuredSpanTimeLandsInsideTheWindows) {
   EXPECT_GT(in_windows, 0);
 }
 
-// --- Flight recorder ------------------------------------------------------
+// --- Impaired runs -------------------------------------------------------
 
 struct ImpairedRunArtifacts {
-  uint64_t anomalies_seen = 0;
+  uint64_t impair_drop_events = 0;
   uint64_t drops_injected = 0;
-  size_t captured = 0;
-  std::string anomaly_json;
+  std::string csv;
 };
 
-ImpairedRunArtifacts RunImpairedFlightRecorder() {
+ImpairedRunArtifacts RunImpaired() {
   StarTestbedConfig star_cfg;
   star_cfg.clients = 2;
   star_cfg.servers = 1;
@@ -157,15 +156,6 @@ ImpairedRunArtifacts RunImpairedFlightRecorder() {
   Tracer tracer;
   star.AttachTracer(&tracer);
   const uint8_t link_id = tracer.RegisterHost("switch-link");
-
-  Tracer::FlightRecorderConfig frc;
-  frc.context_events = 32;
-  frc.on_retransmit = false;  // count ONLY the injected drops
-  frc.on_cell_drop = false;
-  frc.on_tx_stall = false;
-  frc.on_listen_overflow = false;
-  frc.on_impair_drop = true;
-  tracer.EnableFlightRecorder(frc);
 
   ImpairmentConfig imp;
   imp.drop_prob = 2e-3;
@@ -189,32 +179,31 @@ ImpairedRunArtifacts RunImpairedFlightRecorder() {
   star.atm_switch()->set_output_impairment(nullptr);
 
   ImpairedRunArtifacts out;
-  out.anomalies_seen = tracer.anomalies_seen();
+  out.impair_drop_events = static_cast<uint64_t>(
+      std::count_if(tracer.events().begin(), tracer.events().end(), [](const TraceEvent& ev) {
+        return ev.kind == TraceEventKind::kImpairDrop;
+      }));
   out.drops_injected = policy.stats().dropped;
-  out.captured = tracer.anomalies().size();
-  out.anomaly_json = tracer.AnomaliesToPerfettoJson();
+  out.csv = tracer.ToCsv();
   return out;
 }
 
-// With only the impair-drop trigger armed, the recorder must fire exactly
-// once per drop the policy injected — no misses, no double counting.
-TEST(FlightRecorder, FiresExactlyOncePerInjectedDrop) {
-  const ImpairedRunArtifacts run = RunImpairedFlightRecorder();
+// The trace must carry exactly one impair.drop event per drop the policy
+// injected — no misses, no double counting.
+TEST(ImpairedTrace, OneImpairDropEventPerInjectedDrop) {
+  const ImpairedRunArtifacts run = RunImpaired();
   ASSERT_GT(run.drops_injected, 0u) << "impairment config injected nothing; test is vacuous";
-  EXPECT_EQ(run.anomalies_seen, run.drops_injected);
-  EXPECT_EQ(run.captured, run.anomalies_seen);  // under max_anomalies here
-  for (uint64_t i = 0; i < run.captured; ++i) {
-    EXPECT_NE(run.anomaly_json.find("anomaly.link.impair.drop"), std::string::npos);
-  }
+  EXPECT_EQ(run.impair_drop_events, run.drops_injected);
 }
 
-// The anomaly dump is pure simulated-time state: running the same scenario
-// under a serial and a 4-worker executor must give byte-identical JSON.
-TEST(FlightRecorder, AnomalyDumpByteIdenticalSerialVsParallel) {
+// The impaired trace is pure simulated-time state: running the same
+// scenario under a serial and a 4-worker executor must give byte-identical
+// CSV.
+TEST(ImpairedTrace, CsvByteIdenticalSerialVsParallel) {
   auto run_on = [](Executor& exec) {
     std::vector<std::function<std::string()>> thunks;
     for (int i = 0; i < 3; ++i) {
-      thunks.emplace_back([] { return RunImpairedFlightRecorder().anomaly_json; });
+      thunks.emplace_back([] { return RunImpaired().csv; });
     }
     std::vector<std::string> out;
     for (auto& outcome : exec.Run<std::string>(thunks)) {
@@ -230,7 +219,7 @@ TEST(FlightRecorder, AnomalyDumpByteIdenticalSerialVsParallel) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_FALSE(a[i].empty());
-    EXPECT_EQ(a[i], b[i]) << "anomaly dump " << i << " diverged between 1 and 4 workers";
+    EXPECT_EQ(a[i], b[i]) << "impaired trace " << i << " diverged between 1 and 4 workers";
   }
 }
 
@@ -332,7 +321,7 @@ TEST(Attribution, EightFlowWindowsAllTelescope) {
   EXPECT_GE(blame.explained_pct, 95.0);
 }
 
-// --- Streaming attribution and the binary trace pipeline ------------------
+// --- The binary capture format ------------------------------------------
 
 CapacityCell EightFlowCell() {
   CapacityCell cell;
@@ -358,100 +347,7 @@ bool SameWindow(const RttWindow& a, const RttWindow& b) {
   return true;
 }
 
-std::vector<RttWindow> SortedWindows(std::vector<RttWindow> windows) {
-  std::sort(windows.begin(), windows.end(), [](const RttWindow& a, const RttWindow& b) {
-    return a.flow != b.flow ? a.flow < b.flow : a.start_ns < b.start_ns;
-  });
-  return windows;
-}
-
-// The streaming reconstruction must produce the exact window set the batch
-// CausalGraph path produces — same boundaries, same stage decomposition to
-// the nanosecond — while holding only in-flight journeys.
-TEST(StreamingAttribution, MatchesBatchOnEightFlowCell) {
-  const CapacityCell cell = EightFlowCell();
-  Tracer tracer;
-  const CapacityOutcome outcome = RunCapacityCell(cell, &tracer);
-
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  const AttributionResult batch = AttributeRtts(tracer, graph, options);
-  ASSERT_EQ(batch.windows.size(), outcome.samples);
-
-  StreamingAttribution streaming(options);
-  for (const TraceEvent& ev : tracer.events()) {
-    streaming.OnEvent(ev);
-  }
-  const std::vector<RttWindow> a = SortedWindows(batch.windows);
-  const std::vector<RttWindow> b = SortedWindows(streaming.windows());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(SameWindow(a[i], b[i])) << "window " << i << " diverged from batch";
-  }
-  // Memory stays proportional to concurrently open round trips, not to the
-  // trace: 8 closed-loop flows can't hold more than a few journeys each.
-  EXPECT_GT(streaming.peak_live_journeys(), 0u);
-  EXPECT_LE(streaming.peak_live_journeys(), 64u);
-}
-
-// A datagram dropped in flight never sees its kPktRx, so its journey's
-// in-flight pin can only be retired by the window-close prune (anything of
-// the flow transmitted at or before the previous close is lost). Live slots
-// must stay O(in-flight packets) on a lossy stream, not O(total drops).
-TEST(StreamingAttribution, LostDatagramsAreRetiredAtWindowClose) {
-  AttributionOptions options;
-  options.message_bytes = 100;
-  options.warmup_windows = 0;
-  StreamingAttribution streaming(options);
-
-  const uint64_t client_flow = (2000ull << 16) | 80ull;  // client port > server port
-  const uint64_t server_flow = (80ull << 16) | 2000ull;
-  const uint64_t ip_c2s = (1ull << 32) | 2ull;
-  const uint64_t ip_s2c = (2ull << 32) | 1ull;
-  const auto ev = [](TraceEventKind kind, uint8_t host, int64_t ts, uint64_t flow,
-                     uint64_t packet, uint64_t bytes) {
-    TraceEvent e;
-    e.kind = kind;
-    e.host = host;
-    e.ts_ns = ts;
-    e.flow = flow;
-    e.packet = packet;
-    e.bytes = bytes;
-    return e;
-  };
-
-  int64_t t = 0;
-  uint64_t ip_id = 0;
-  constexpr int kWindows = 50;
-  for (int i = 0; i < kWindows; ++i) {
-    // Request: the first copy is lost in flight (no kPktRx, ever), the
-    // second copy delivers and completes the echo round trip.
-    streaming.OnEvent(ev(TraceEventKind::kUserWrite, 0, ++t, client_flow, 0, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 0, ++t, ip_c2s, ++ip_id, 100));  // lost
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 0, ++t, ip_c2s, ++ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktRx, 1, ++t, ip_c2s, ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegRx, 1, ++t, server_flow, static_cast<uint64_t>(i), 100));
-    // Response.
-    streaming.OnEvent(ev(TraceEventKind::kUserWrite, 1, ++t, server_flow, 0, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 1, ++t, server_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 1, ++t, ip_s2c, ++ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktRx, 0, ++t, ip_s2c, ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegRx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kUserRead, 0, ++t, client_flow, 0, 100));
-  }
-
-  EXPECT_EQ(streaming.windows().size(), static_cast<size_t>(kWindows));
-  // One datagram is lost per window; all but the most recent must have been
-  // retired. Without the prune, live slots grow by one per window (~50).
-  EXPECT_LE(streaming.live_journeys(), 8u);
-  EXPECT_LE(streaming.peak_live_journeys(), 16u);
-}
-
-// Routing the same run through the binary stream (encode during the run,
+// Routing the same run through a TLBT capture (encode after the run,
 // decode post hoc) must leave the attribution result untouched.
 TEST(Attribution, BinaryRoundTripPreservesWindows) {
   const CapacityCell cell = EightFlowCell();
@@ -459,19 +355,14 @@ TEST(Attribution, BinaryRoundTripPreservesWindows) {
   options.message_bytes = cell.size;
   options.warmup_windows = cell.warmup;
 
-  Tracer vector_mode;
-  RunCapacityCell(cell, &vector_mode);
-  const CausalGraph vector_graph = CausalGraph::Build(vector_mode);
-  const AttributionResult from_vector = AttributeRtts(vector_mode, vector_graph, options);
+  Tracer recorded;
+  RunCapacityCell(cell, &recorded);
+  const CausalGraph recorded_graph = CausalGraph::Build(recorded);
+  const AttributionResult from_vector = AttributeRtts(recorded, recorded_graph, options);
 
-  Tracer binary_mode;
-  binary_mode.EnableBinaryRecording();
-  RunCapacityCell(cell, &binary_mode);
-  EXPECT_TRUE(binary_mode.events().empty());
-  const std::string blob = SealBinaryTrace(binary_mode.host_names(), binary_mode.binary_records());
   Tracer decoded;
-  ASSERT_TRUE(DecodeBinaryTrace(blob, &decoded));
-  ASSERT_EQ(decoded.events().size(), vector_mode.events().size());
+  ASSERT_TRUE(DecodeBinaryTrace(EncodeBinaryTrace(recorded), &decoded));
+  ASSERT_EQ(decoded.events().size(), recorded.events().size());
   const CausalGraph decoded_graph = CausalGraph::Build(decoded);
   const AttributionResult from_binary = AttributeRtts(decoded, decoded_graph, options);
 
@@ -548,34 +439,6 @@ TEST(InteractiveBlame, NodelayCellHasNoAckWaitBlame) {
     EXPECT_EQ(sum, w.rtt_ns());
     EXPECT_EQ(AckWaitNanos(w), 0);
     EXPECT_LT(w.rtt_ns(), 5 * 1'000'000);
-  }
-}
-
-// The streaming consumer must close byte-identical windows on the
-// pathological cell too — the hold-anchor rule is shared code, and this
-// pins it stays that way (the delack cell is the one workload where the
-// anchors actually move).
-TEST(InteractiveBlame, StreamingMatchesBatchOnDelackCell) {
-  InteractiveCell cell;
-  cell.iterations = 12;
-  cell.warmup = 2;
-  Tracer tracer;
-  RunInteractiveCell(cell, &tracer);
-  const AttributionResult batch = AttributeInteractive(cell, tracer);
-  ASSERT_GT(batch.windows.size(), 0u);
-
-  AttributionOptions options;
-  options.message_bytes = 200;
-  options.warmup_windows = cell.warmup;
-  StreamingAttribution streaming(options);
-  for (const TraceEvent& ev : tracer.events()) {
-    streaming.OnEvent(ev);
-  }
-  const std::vector<RttWindow> a = SortedWindows(batch.windows);
-  const std::vector<RttWindow> b = SortedWindows(streaming.windows());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(SameWindow(a[i], b[i])) << "window " << i;
   }
 }
 

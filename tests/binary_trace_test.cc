@@ -1,12 +1,15 @@
 // Unit tests for the TLBT compact binary trace format: encode/decode round
 // trips (including backward timestamp deltas), header and record
-// validation on truncated/corrupt streams.
+// validation on truncated/corrupt streams, and seeded mutation fuzzing of
+// the reader.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/tracer.h"
 
@@ -61,17 +64,21 @@ std::vector<TraceEvent> Corpus() {
 
 const std::vector<std::string> kHosts = {"client", "server", "switch"};
 
-std::string SealCorpus(const std::vector<TraceEvent>& events) {
-  BinaryTraceWriter writer;
-  for (const TraceEvent& ev : events) {
-    writer.Append(ev);
+std::string EncodeEvents(const std::vector<std::string>& hosts,
+                         const std::vector<TraceEvent>& events) {
+  Tracer tracer;
+  for (const std::string& host : hosts) {
+    tracer.RegisterHost(host);
   }
-  return SealBinaryTrace(kHosts, writer);
+  for (const TraceEvent& ev : events) {
+    tracer.Append(ev);
+  }
+  return EncodeBinaryTrace(tracer);
 }
 
 TEST(BinaryTrace, RoundTripPreservesEveryField) {
   const std::vector<TraceEvent> events = Corpus();
-  const std::string blob = SealCorpus(events);
+  const std::string blob = EncodeEvents(kHosts, events);
 
   BinaryTraceReader reader(blob);
   ASSERT_TRUE(reader.ok()) << reader.error_message();
@@ -89,7 +96,7 @@ TEST(BinaryTrace, RoundTripPreservesEveryField) {
 TEST(BinaryTrace, DecodeIntoTracerMatchesOriginal) {
   const std::vector<TraceEvent> events = Corpus();
   Tracer decoded;
-  ASSERT_TRUE(DecodeBinaryTrace(SealCorpus(events), &decoded));
+  ASSERT_TRUE(DecodeBinaryTrace(EncodeEvents(kHosts, events), &decoded));
   EXPECT_EQ(decoded.host_names(), kHosts);
   ASSERT_EQ(decoded.events().size(), events.size());
   for (size_t i = 0; i < events.size(); ++i) {
@@ -99,11 +106,11 @@ TEST(BinaryTrace, DecodeIntoTracerMatchesOriginal) {
 
 TEST(BinaryTrace, EncodingIsAPureFunctionOfTheSequence) {
   const std::vector<TraceEvent> events = Corpus();
-  EXPECT_EQ(SealCorpus(events), SealCorpus(events));
+  EXPECT_EQ(EncodeEvents(kHosts, events), EncodeEvents(kHosts, events));
 }
 
 TEST(BinaryTrace, RejectsBadMagicAndVersion) {
-  std::string blob = SealCorpus(Corpus());
+  std::string blob = EncodeEvents(kHosts, Corpus());
   std::string bad_magic = blob;
   bad_magic[0] = 'X';
   EXPECT_FALSE(BinaryTraceReader(bad_magic).ok());
@@ -117,7 +124,7 @@ TEST(BinaryTrace, RejectsBadMagicAndVersion) {
 }
 
 TEST(BinaryTrace, TruncatedStreamFailsGracefully) {
-  const std::string blob = SealCorpus(Corpus());
+  const std::string blob = EncodeEvents(kHosts, Corpus());
   // Every proper prefix must either fail header validation or decode some
   // records and then flag an error — never crash, never fabricate records.
   for (size_t len = 0; len < blob.size(); ++len) {
@@ -139,9 +146,8 @@ TEST(BinaryTrace, TruncatedStreamFailsGracefully) {
 TEST(BinaryTrace, CorruptTagBytesAreRangeChecked) {
   // Append a record with kind/layer/span bytes past the enum sentinels by
   // hand-corrupting an encoded single-record stream.
-  BinaryTraceWriter writer;
-  writer.Append(Make(5, TraceEventKind::kSegTx, TraceLayer::kTcp, 0, 1, 2, 3));
-  const std::string good = SealBinaryTrace({"h"}, writer);
+  const std::string good =
+      EncodeEvents({"h"}, {Make(5, TraceEventKind::kSegTx, TraceLayer::kTcp, 0, 1, 2, 3)});
 
   // The record is the stream tail: varint delta (1 byte), four tag bytes
   // kind/layer/span/host, then five 1-byte varints (flow/packet/bytes/dur/self).
@@ -161,17 +167,73 @@ TEST(BinaryTrace, CorruptTagBytesAreRangeChecked) {
   }
 }
 
-TEST(BinaryTrace, WriterClearResetsDeltaState) {
-  BinaryTraceWriter writer;
-  writer.Append(Make(100, TraceEventKind::kSegTx, TraceLayer::kTcp, 0));
-  writer.Clear();
-  EXPECT_EQ(writer.count(), 0u);
-  EXPECT_EQ(writer.SizeBytes(), 0u);
-  writer.Append(Make(100, TraceEventKind::kSegTx, TraceLayer::kTcp, 0));
-  BinaryRecordCursor cursor(writer.data(), writer.count());
+// A corrupt delta chain must wrap rather than overflow a signed integer,
+// which the sanitizer build turns into an abort.
+TEST(BinaryTrace, CorruptTimestampDeltasWrap) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::string blob = EncodeEvents({"h"}, {Make(kMax, TraceEventKind::kSegTx, TraceLayer::kTcp, 0),
+                                          Make(kMax, TraceEventKind::kSegTx, TraceLayer::kTcp, 0)});
+  // The second record is the 10-byte tail; its zero delta becomes +1.
+  blob[blob.size() - 10] = 2;
+  BinaryTraceReader reader(blob);
   TraceEvent ev;
-  ASSERT_TRUE(cursor.Next(&ev));
-  EXPECT_EQ(ev.ts_ns, 100);  // delta is against 0 again, not the old 100
+  ASSERT_TRUE(reader.Next(&ev));
+  ASSERT_TRUE(reader.Next(&ev)) << reader.error_message();
+  EXPECT_EQ(ev.ts_ns, std::numeric_limits<int64_t>::min());
+}
+
+// Seeded mutation fuzzing of the reader: bit flips, byte overwrites,
+// truncation, insertion and deletion applied to the corpus stream. Every
+// mutant must either fail header validation or decode at most
+// record_count() records, each with kind, layer, span and host in range,
+// and a reader that stops short of record_count() must say why.
+TEST(BinaryTrace, MutatedStreamsDecodeInRangeOrReportAnError) {
+  const std::string blob = EncodeEvents(kHosts, Corpus());
+  Rng rng(20260517);
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string mutant = blob;
+    const uint64_t edits = 1 + rng.NextBelow(4);
+    for (uint64_t e = 0; e < edits; ++e) {
+      const size_t at = rng.NextBelow(mutant.size() + 1);
+      const bool inside = at < mutant.size();
+      switch (rng.NextBelow(5)) {
+        case 0:
+          if (inside) mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.NextBelow(8)));
+          break;
+        case 1:
+          if (inside) mutant[at] = static_cast<char>(rng.NextBelow(256));
+          break;
+        case 2:
+          mutant.resize(at);
+          break;
+        case 3:
+          mutant.insert(at, 1, static_cast<char>(rng.NextBelow(256)));
+          break;
+        default:
+          if (inside) mutant.erase(at, 1);
+          break;
+      }
+    }
+    BinaryTraceReader reader(mutant);
+    if (!reader.ok()) {
+      EXPECT_TRUE(reader.error()) << "mutant " << iter;
+      continue;
+    }
+    TraceEvent ev;
+    uint64_t decoded = 0;
+    while (reader.Next(&ev)) {
+      ++decoded;
+      ASSERT_LE(decoded, reader.record_count()) << "mutant " << iter;
+      ASSERT_LT(static_cast<int>(ev.kind), static_cast<int>(TraceEventKind::kCount));
+      ASSERT_LT(static_cast<int>(ev.layer), static_cast<int>(TraceLayer::kCount));
+      ASSERT_LT(static_cast<int>(ev.span), static_cast<int>(SpanId::kCount));
+      ASSERT_LT(ev.host, reader.host_names().size()) << "mutant " << iter;
+    }
+    if (decoded < reader.record_count()) {
+      ASSERT_TRUE(reader.error()) << "mutant " << iter << " stopped after " << decoded << " of "
+                                  << reader.record_count() << " records without an error";
+    }
+  }
 }
 
 }  // namespace

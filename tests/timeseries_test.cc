@@ -3,9 +3,8 @@
 // across repeat runs — edge samples land exactly on the discontinuities they
 // mark (summing kTcpRtoFire edges reconstructs rexmt_stall_ns to the
 // nanosecond, loss-enter/exit pairs carry the exact peak and deflated
-// window), mid-run TLBT disk spill reproduces the unspilled stream byte for
-// byte, and reservoir flow sampling keeps the same bottom-K set run to run
-// and prunes every evicted flow. The bench self-checks (bench/congestion
+// window), and reservoir flow sampling keeps the same bottom-K set run to
+// run and prunes every evicted flow. The bench self-checks (bench/congestion
 // --timeline, bench/observability_selfcheck) exercise the same paths at full
 // scale; these tests pin the invariants on cells small enough for the tier-1
 // suite.
@@ -13,13 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
@@ -150,34 +147,6 @@ CapacityCell SmallCapacityCell() {
   cell.warmup = 2;
   cell.seed = 3;
   return cell;
-}
-
-// A binary capture that spills sealed TLBT segments to disk mid-run must
-// reproduce the unspilled stream byte for byte once re-sealed.
-TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
-  const CapacityCell cell = SmallCapacityCell();
-
-  Tracer resident;
-  resident.EnableBinaryRecording();
-  RunCapacityCell(cell, &resident);
-  const std::string resident_blob =
-      SealBinaryTrace(resident.host_names(), resident.binary_records());
-
-  const std::string spill_path =
-      testing::TempDir() + "/timeseries_test_spill.tlbt";
-  Tracer spilled;
-  spilled.EnableBinaryRecording();
-  ASSERT_TRUE(spilled.mutable_binary_records()->EnableSpill(spill_path,
-                                                            8 * 1024));
-  RunCapacityCell(cell, &spilled);
-  EXPECT_GE(spilled.binary_records().spill_segments(), 2u)
-      << "segment size too large to exercise mid-run spilling";
-  const std::string spilled_blob =
-      SealBinaryTrace(spilled.host_names(), spilled.binary_records());
-  std::remove(spill_path.c_str());
-
-  ASSERT_FALSE(resident_blob.empty());
-  EXPECT_EQ(resident_blob, spilled_blob);
 }
 
 // Reservoir flow sampling (bottom-K over seeded per-flow hashes) keeps the

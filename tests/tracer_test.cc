@@ -138,121 +138,36 @@ TEST(Tracer, EveryLayerAndKindHasAUniqueNonEmptyName) {
   }
 }
 
-TEST(Tracer, FlightRecorderCapturesContextOncePerAnomaly) {
-  Tracer t;
-  const uint8_t h = t.RegisterHost("h");
-  Tracer::FlightRecorderConfig config;
-  config.ring_capacity = 8;
-  config.context_events = 4;
-  t.EnableFlightRecorder(config);
-
-  for (int i = 0; i < 20; ++i) {
-    t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(i * 10), 1, i, 100);
-  }
-  EXPECT_TRUE(t.events().empty());  // diverted to the ring, not the log
-  EXPECT_TRUE(t.anomalies().empty());
-
-  t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kRetransmit, At(300), 1, 3, 100);
-  ASSERT_EQ(t.anomalies().size(), 1u);
-  EXPECT_EQ(t.anomalies_seen(), 1u);
-  const Tracer::AnomalyRecord& rec = t.anomalies()[0];
-  ASSERT_EQ(rec.context.size(), 4u);  // trigger + the 3 events before it
-  EXPECT_EQ(rec.context.back().kind, TraceEventKind::kRetransmit);
-  EXPECT_EQ(rec.trigger.kind, TraceEventKind::kRetransmit);
-
-  // Non-trigger traffic afterwards adds no anomalies.
-  t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(400), 1, 21, 100);
-  EXPECT_EQ(t.anomalies().size(), 1u);
-
-  const std::string json = t.AnomaliesToPerfettoJson();
-  EXPECT_NE(json.find("\"anomaly.tcp.retransmit\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-}
-
-TEST(Tracer, FlightRecorderTxStallRespectsThreshold) {
-  Tracer t;
-  const uint8_t h = t.RegisterHost("h");
-  Tracer::FlightRecorderConfig config;
-  config.tx_stall_threshold_ns = 1000;
-  t.EnableFlightRecorder(config);
-
-  t.RecordPacket(h, TraceLayer::kAtm, TraceEventKind::kTxStall, At(10), 0, 0, 0,
-                 SimDuration::FromNanos(999));
-  EXPECT_TRUE(t.anomalies().empty());
-  t.RecordPacket(h, TraceLayer::kAtm, TraceEventKind::kTxStall, At(20), 0, 0, 0,
-                 SimDuration::FromNanos(1000));
-  EXPECT_EQ(t.anomalies().size(), 1u);
-}
-
-// The three capture modes (full log, binary stream, flight-recorder ring)
-// and the sampler are configured before recording starts, and the ring is
-// mutually exclusive with the other two: a tracer that silently split its
-// stream between sinks would corrupt both. Violations are programming
-// errors and die loudly.
-TEST(TracerModeExclusion, FlightRecorderAfterBinaryDies) {
-  Tracer t;
-  t.EnableBinaryRecording();
-  EXPECT_DEATH(t.EnableFlightRecorder({}), "excludes binary recording");
-}
-
-TEST(TracerModeExclusion, BinaryAfterFlightRecorderDies) {
-  Tracer t;
-  t.EnableFlightRecorder({});
-  EXPECT_DEATH(t.EnableBinaryRecording(), "excludes flight-recorder mode");
-}
-
-TEST(TracerModeExclusion, SamplingAfterFlightRecorderDies) {
-  Tracer t;
-  t.EnableFlightRecorder({});
-  EXPECT_DEATH(t.EnableFlowSampling(FlowSampleConfig{}), "excludes flight-recorder mode");
-}
-
-TEST(TracerModeExclusion, FlightRecorderAfterSamplingDies) {
-  Tracer t;
-  t.EnableFlowSampling(FlowSampleConfig{});
-  EXPECT_DEATH(t.EnableFlightRecorder({}), "excludes flow sampling");
-}
-
-TEST(TracerModeExclusion, ModeChangesAfterRecordingStartsDie) {
+// A sampler decides which events reach the log, so it must be chosen
+// before the first event is recorded; enabling one later is a programming
+// error and dies loudly.
+TEST(TracerSamplingDeathTest, SamplersAfterRecordingStartsDie) {
   Tracer t;
   const uint8_t h = t.RegisterHost("h");
   t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(1), 1, 1, 100);
-  EXPECT_DEATH(t.EnableBinaryRecording(), "before recording starts");
   EXPECT_DEATH(t.EnableFlowSampling(FlowSampleConfig{}), "before recording starts");
-  EXPECT_DEATH(t.EnableFlightRecorder({}), "before recording starts");
+  EXPECT_DEATH(t.EnableFlowReservoir(4, 1), "before recording starts");
 }
 
-TEST(TracerModeExclusion, BinaryAccessorsRequireBinaryMode) {
+// Encoding the recorded log as TLBT and decoding it must reproduce the
+// exporters byte for byte.
+TEST(TracerBinary, RoundTripMatchesExporters) {
   Tracer t;
-  EXPECT_DEATH(t.binary_records(), "not in binary recording mode");
-}
+  const uint8_t c = t.RegisterHost("client");
+  const uint8_t s = t.RegisterHost("server");
+  t.RecordSpanReset(c, At(0));
+  t.RecordSpanBegin(c, SpanId::kTxUser, At(100));
+  t.RecordPacket(c, TraceLayer::kTcp, TraceEventKind::kSegTx, At(150), 0x50001389, 1, 1400);
+  t.RecordSpanEnd(c, SpanId::kTxUser, At(200), SimDuration::FromNanos(80));
+  t.RecordPacket(s, TraceLayer::kAtm, TraceEventKind::kPduRx, At(400), 5, 30, 9180);
+  t.RecordSpanInterval(s, SpanId::kRxIpq, At(500), SimDuration::FromNanos(58));
 
-// Record the same event sequence into a full-log tracer and a
-// binary-recording twin; sealing, decoding, and exporting the twin must
-// reproduce the legacy exporters byte for byte.
-TEST(TracerBinary, RoundTripMatchesLegacyExporters) {
-  Tracer plain;
-  Tracer binary;
-  binary.EnableBinaryRecording();
-  for (Tracer* t : {&plain, &binary}) {
-    const uint8_t c = t->RegisterHost("client");
-    const uint8_t s = t->RegisterHost("server");
-    t->RecordSpanReset(c, At(0));
-    t->RecordSpanBegin(c, SpanId::kTxUser, At(100));
-    t->RecordPacket(c, TraceLayer::kTcp, TraceEventKind::kSegTx, At(150), 0x50001389, 1, 1400);
-    t->RecordSpanEnd(c, SpanId::kTxUser, At(200), SimDuration::FromNanos(80));
-    t->RecordPacket(s, TraceLayer::kAtm, TraceEventKind::kPduRx, At(400), 5, 30, 9180);
-    t->RecordSpanInterval(s, SpanId::kRxIpq, At(500), SimDuration::FromNanos(58));
-  }
-  EXPECT_TRUE(binary.events().empty());  // diverted to the binary stream
-  EXPECT_EQ(binary.binary_records().count(), plain.events().size());
-
-  const std::string blob = SealBinaryTrace(binary.host_names(), binary.binary_records());
   Tracer decoded;
-  ASSERT_TRUE(DecodeBinaryTrace(blob, &decoded));
-  EXPECT_EQ(decoded.ToPerfettoJson(), plain.ToPerfettoJson());
-  EXPECT_EQ(decoded.ToCsv(), plain.ToCsv());
-  EXPECT_EQ(decoded.SpanSelfTotalsNanos(0), plain.SpanSelfTotalsNanos(0));
+  ASSERT_TRUE(DecodeBinaryTrace(EncodeBinaryTrace(t), &decoded));
+  EXPECT_EQ(decoded.events().size(), t.events().size());
+  EXPECT_EQ(decoded.ToPerfettoJson(), t.ToPerfettoJson());
+  EXPECT_EQ(decoded.ToCsv(), t.ToCsv());
+  EXPECT_EQ(decoded.SpanSelfTotalsNanos(0), t.SpanSelfTotalsNanos(0));
 }
 
 // Flow sampling is a pure function of (canonical flow id, seed): two
