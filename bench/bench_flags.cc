@@ -75,11 +75,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->trace_sample_flows = static_cast<uint32_t>(count);
       continue;
     }
-    if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-reservoir")) {
-      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
-      flags->trace_sample_reservoir = static_cast<uint32_t>(count);
-      continue;
-    }
     if (const char* v = FlagValue(argc, argv, &i, "--timeline-csv")) {
       flags->timeline_csv_path = v;
       continue;

@@ -29,7 +29,6 @@ struct BenchFlags {
   bool selftest = false;          // --selftest: pure-logic self-verification
   // Flow sampling and binary captures (src/trace/binary_trace.h).
   uint32_t trace_sample_flows = 0;      // --trace-sample-flows N (>= 1): keep 1-in-N flows
-  uint32_t trace_sample_reservoir = 0;  // --trace-sample-reservoir K (>= 1): bottom-K flows
   std::string bin_out_path;             // --bin-out PATH: write a TLBT capture
   std::string from_binary_path;         // --from-binary PATH: read a TLBT capture
   // Timeseries telemetry plane (src/trace/timeseries.h).
@@ -41,7 +40,7 @@ struct BenchFlags {
 // Parses argv into `flags` (whose pre-set values are the defaults).
 // `accepted` is the binary's usage string; a flag it does not name as a
 // whole token (`--timeline` does not name `--timeline-csv`), an unknown
-// flag, or a count flag (--flows, --trace-sample-*) below 1 prints the
+// flag, or a count flag (--flows, --trace-sample-flows) below 1 prints the
 // reason and the usage line and returns false. `--jobs N` also exports
 // TCPLAT_JOBS=N so the global executor pool — which is sized on first use
 // — picks it up; pass it before any parallel work.

@@ -127,17 +127,15 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
 }
 
 // --bin-out: runs one 64-flow cell (--flows overrides the count) with a
-// tracer attached, optionally flow-sampled via --trace-sample-flows or
-// reservoir-sampled via --trace-sample-reservoir, and writes the recorded
-// events as a TLBT stream. The blob is a pure function of the seed, so CI
-// runs this under TCPLAT_JOBS=1 and =4 and `cmp`s the files.
+// tracer attached, optionally flow-sampled via --trace-sample-flows, and
+// writes the recorded events as a TLBT stream. The blob is a pure function
+// of the seed, so CI runs this under TCPLAT_JOBS=1 and =4 and `cmp`s the
+// files.
 int CaptureBinaryTrace(const BenchFlags& flags) {
   CapacityCell cell = BaseCell(flags.seed, flags.quick);
   cell.flows = flags.flows > 0 ? flags.flows : 64;
   Tracer tracer;
-  if (flags.trace_sample_reservoir > 0) {
-    tracer.EnableFlowReservoir(flags.trace_sample_reservoir, flags.seed);
-  } else if (flags.trace_sample_flows > 1) {
+  if (flags.trace_sample_flows > 1) {
     FlowSampleConfig sample;
     sample.one_in = flags.trace_sample_flows;
     sample.seed = flags.seed;
@@ -150,10 +148,7 @@ int CaptureBinaryTrace(const BenchFlags& flags) {
   }
   std::printf("binary trace: %d flows, %" PRIu64 " round trips, %zu bytes -> %s\n",
               cell.flows, outcome.samples, blob.size(), flags.bin_out_path.c_str());
-  if (tracer.flow_reservoir()) {
-    std::printf("flow reservoir: bottom-%u kept %zu of %zu flows\n", tracer.reservoir_k(),
-                tracer.flows_kept().size(), tracer.flows_seen().size());
-  } else if (tracer.flow_sampling()) {
+  if (tracer.flow_sampling()) {
     std::printf("flow sampling: 1-in-%u kept %zu of %zu flows\n", tracer.sample_one_in(),
                 tracer.flows_kept().size(), tracer.flows_seen().size());
   }
@@ -187,18 +182,11 @@ int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
                                "[--seed N] [--jobs N] [--quick] "
-                               "[--bin-out PATH [--flows N] "
-                               "[--trace-sample-flows N | --trace-sample-reservoir K]]")) {
+                               "[--bin-out PATH [--flows N] [--trace-sample-flows N]]")) {
     return 2;
   }
-  if (flags.bin_out_path.empty() &&
-      (flags.flows > 0 || flags.trace_sample_flows > 0 || flags.trace_sample_reservoir > 0)) {
-    std::fprintf(stderr, "%s: --flows and --trace-sample-* apply only with --bin-out\n", argv[0]);
-    return 2;
-  }
-  if (flags.trace_sample_flows > 0 && flags.trace_sample_reservoir > 0) {
-    std::fprintf(stderr,
-                 "%s: --trace-sample-flows and --trace-sample-reservoir are exclusive\n",
+  if (flags.bin_out_path.empty() && (flags.flows > 0 || flags.trace_sample_flows > 0)) {
+    std::fprintf(stderr, "%s: --flows and --trace-sample-flows apply only with --bin-out\n",
                  argv[0]);
     return 2;
   }

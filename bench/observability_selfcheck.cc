@@ -25,14 +25,12 @@
 //      memory drops >= 4x versus the full trace while the sampled p99
 //      stage blame tracks the full-trace blame per stage.
 //
-// Part three covers reservoir sampling and the timeseries plane:
+// Part three covers the timeseries plane:
 //
-//    9. deterministic bottom-K reservoir flow sampling keeps the same flow
-//       set and event stream, serially and on a 4-job executor;
-//   10. the timeseries hooks cost nothing when no sampler is attached
-//       (timeseries_overhead_pct, gated on an absolute ceiling);
-//   11. the default-period timeseries plane stays frugal
-//       (timeseries_points_per_flow, gated on a 1.10x ceiling).
+//   9. the timeseries hooks cost nothing when no sampler is attached
+//      (timeseries_overhead_pct, gated on an absolute ceiling);
+//  10. the default-period timeseries plane stays frugal
+//      (timeseries_points_per_flow, gated on a 1.10x ceiling).
 //
 // Writes a flat metrics JSON (the regression-gate input) to
 // BENCH_trace.json — override with --out — and the reference Perfetto
@@ -208,24 +206,6 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   return out;
 }
 
-// Runs `cell` with deterministic bottom-K reservoir flow sampling; returns
-// the final kept set and the kept event stream as CSV — both must be pure
-// functions of (cell, k).
-struct ReservoirRun {
-  std::vector<uint64_t> kept;
-  std::string csv;
-};
-
-ReservoirRun RunReservoirCell(const CapacityCell& cell, uint32_t k) {
-  Tracer tracer;
-  tracer.EnableFlowReservoir(k, cell.seed);
-  RunCapacityCell(cell, &tracer);
-  ReservoirRun out;
-  out.kept.assign(tracer.flows_kept().begin(), tracer.flows_kept().end());
-  out.csv = tracer.ToCsv();
-  return out;
-}
-
 // Runs `run` once on a 1-job executor, then four copies at once on a 4-job
 // executor, and returns the five results, serial first. A cell shares
 // nothing global, so every result must equal the serial one.
@@ -264,7 +244,7 @@ double MeasureEchoEventRate(int iterations, Tracer* tracer) {
 // The timeseries hooks must cost nothing when no sampler records: both
 // sides attach a full tracer; one also enables the timeseries plane with a
 // non-positive period, which keeps every producer hook live (TcpConnection,
-// AtmSwitch, FlowDriver all reach TimeseriesSampler::Push) but records no
+// AtmSwitch, RunWorkload all reach TimeseriesSampler::Push) but records no
 // points. Each round runs the two sides back to back, alternating which
 // goes first, and yields one paired overhead; the estimate is the median
 // round. Pairing cancels host drift between rounds and the median drops a
@@ -474,23 +454,7 @@ int Run(const BenchFlags& flags) {
                 full_blame.hi_rtt_ns, sampled_blame.hi_rtt_ns);
   Check(blame_matches, line);
 
-  // (9) reservoir flow sampling: the bottom-K kept set and the kept event
-  // stream are pure functions of (cell, K), serially and on the executor.
-  const uint32_t reservoir_k = 3;
-  const std::vector<ReservoirRun> res = RunSerialAndParallel<ReservoirRun>(
-      [&] { return RunReservoirCell(small_cell, reservoir_k); });
-  const bool reservoir_deterministic =
-      res.front().kept.size() == reservoir_k && !res.front().csv.empty() &&
-      std::all_of(res.begin(), res.end(), [&](const ReservoirRun& run) {
-        return run.kept == res.front().kept && run.csv == res.front().csv;
-      });
-  std::snprintf(line, sizeof(line),
-                "bottom-%u reservoir keeps an identical flow set and event stream "
-                "serially and on a 4-job executor",
-                reservoir_k);
-  Check(reservoir_deterministic, line);
-
-  // (10) timeseries hook overhead with no sampler recording, at the same
+  // (9) timeseries hook overhead with no sampler recording, at the same
   // run length in quick and full mode so both modes measure the same thing.
   const double ts_overhead_pct = MeasureTimeseriesOverheadPct(/*iterations=*/2000, /*rounds=*/9);
   std::snprintf(line, sizeof(line),
@@ -498,7 +462,7 @@ int Run(const BenchFlags& flags) {
                 ts_overhead_pct);
   Check(ts_overhead_pct <= 10.0, line);
 
-  // (11) default-period plane on the 8-flow cell: points per flow
+  // (10) default-period plane on the 8-flow cell: points per flow
   // is a deterministic simulated quantity the gate holds to a ceiling.
   Tracer ts_tracer;
   ts_tracer.EnableTimeseries(TimeseriesConfig{});
@@ -545,8 +509,6 @@ int Run(const BenchFlags& flags) {
   metrics += buf;
   metrics += std::string("  \"sampled_blame_within_tolerance\": ") +
              (blame_matches ? "true" : "false") + ",\n";
-  metrics += std::string("  \"reservoir_deterministic\": ") +
-             (reservoir_deterministic ? "true" : "false") + ",\n";
   std::snprintf(buf, sizeof(buf), "  \"timeseries_overhead_pct\": %.2f,\n", ts_overhead_pct);
   metrics += buf;
   std::snprintf(buf, sizeof(buf), "  \"timeseries_points_per_flow\": %.1f\n", points_per_flow);

@@ -222,7 +222,6 @@ int SelfTest() {
       {"binary_executor_identical", "true"},
       {"trace_sampled_flows", "20"},
       {"sampled_blame_within_tolerance", "true"},
-      {"reservoir_deterministic", "true"},
       {"timeseries_overhead_pct", "1.20"},
       {"timeseries_points_per_flow", "113.0"},
   };
@@ -325,15 +324,13 @@ int SelfTest() {
   Gate(ts_drift, trace);
   expected += g_failures == 0 ? 0 : 1;
 
-  // ...but hooks past the ceiling, a bloated point budget, or a lost
-  // reservoir property all fail.
+  // ...but hooks past the ceiling or a bloated point budget fail.
   std::map<std::string, std::string> ts_broken = trace;
   ts_broken["timeseries_overhead_pct"] = "25.00";
   ts_broken["timeseries_points_per_flow"] = "140.0";
-  ts_broken["reservoir_deterministic"] = "false";
   g_failures = 0;
   Gate(ts_broken, trace);
-  expected += g_failures == 3 ? 0 : 1;
+  expected += g_failures == 2 ? 0 : 1;
 
   // Congestion floors: goodput/efficiency/fairness within 10% of baseline
   // (or better) pass...

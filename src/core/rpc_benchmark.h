@@ -2,18 +2,139 @@
 // client/server arrangement. The client connects with TCP, then repeatedly
 // sends `size` bytes and waits to receive `size` bytes back, timing each
 // round trip with the mapped real-time clock.
+//
+// RunWorkload runs F such flows at once over any WorkloadHosts: the
+// two-host Testbed, or the K x M StarTestbed of src/workload/. Flows take
+// optional start offsets (open-loop arrivals), think times (closed-loop
+// load) and request/response shapes, and the driver also carries the
+// streaming, bulk and keystroke traffic shapes. RunRpcBenchmark is its
+// one-flow run on the Testbed.
+//
+// Every flow gets a dedicated server port (kEchoPort + flow index), so a
+// listener always knows its flow's message sizes — the protocol is
+// read-exactly-then-write, as in the original benchmark.
 
 #ifndef SRC_CORE_RPC_BENCHMARK_H_
 #define SRC_CORE_RPC_BENCHMARK_H_
 
 #include <array>
 #include <cstdint>
+#include <numeric>
+#include <optional>
+#include <vector>
 
 #include "src/core/testbed.h"
+#include "src/tcp/congestion.h"
 #include "src/trace/latency_stats.h"
 #include "src/trace/span.h"
 
 namespace tcplat {
+
+struct FlowSpec {
+  int client = 0;  // client host index in [0, K)
+  int server = 0;  // server host index in [0, M)
+  size_t size = 4;
+  int iterations = 200;  // measured round trips
+  int warmup = 32;       // untimed round trips first
+  SimDuration start_delay;  // open-loop arrival offset before connecting
+  SimDuration think_time;   // closed-loop pause after each round trip
+  // With one request in flight and an echoed response, count the measured
+  // round trips whose response differs from the request (the
+  // application-level check of §4.2.1).
+  bool verify_data = true;
+  // A connection error normally aborts the run (CHECK failure). With this
+  // set the flow instead ends `aborted` with whatever RTTs completed.
+  bool tolerate_errors = false;
+
+  // --- request/response shape ---
+  // Request written as these chunks, each a separate write syscall — the
+  // small-write shape that arms the Nagle × delayed-ACK pathology. Empty =
+  // one `size`-byte write.
+  std::vector<size_t> request_chunks;
+  // Server reply per request; 0 = echo the request back.
+  size_t response_size = 0;
+  // Requests the client keeps in flight before waiting for a response.
+  int pipeline_depth = 1;
+  // Streaming mode: the client appends `size` bytes every `stream_interval`
+  // (jittertrap-style steady small appends) and the server only sinks them;
+  // per-message latency is send-entry to sink-side delivery.
+  bool streaming = false;
+  SimDuration stream_interval;
+  // Per-flow socket options: TCP_NODELAY on the client socket, delayed-ACK
+  // enable/timer on the server's accepted connection. Unset = stack config.
+  std::optional<bool> client_nodelay;
+  std::optional<bool> server_delack;
+  std::optional<SimDuration> server_delack_timeout;
+
+  // --- congestion-era extensions (all default-off) ---
+  // Congestion-control variant for this flow's connection: set on the client
+  // socket before the active open and on the server's listener (accepted
+  // connections inherit it). Unset = the stack config's variant.
+  std::optional<CongestionVariant> congestion;
+  // Bulk-transfer mode: the client pushes `bulk_bytes` one way as fast as
+  // the windows allow; the server sinks them and answers with a 1-byte
+  // completion token. Goodput is bulk_bytes over first-write to token
+  // arrival. `size`/`iterations`/`warmup` are ignored.
+  uint64_t bulk_bytes = 0;
+  // Keystroke mode: the client sends `keystrokes` 1-byte writes, one every
+  // `keystroke_interval` (open loop — the next keystroke is not gated on the
+  // previous echo), against an echo server; each echo's latency lands in
+  // `rtt`. The telnet shape: pure Nagle/delayed-ACK territory.
+  int keystrokes = 0;
+  SimDuration keystroke_interval = SimDuration::FromMillis(200);
+
+  size_t request_bytes() const {
+    return request_chunks.empty()
+               ? size
+               : std::accumulate(request_chunks.begin(), request_chunks.end(), size_t{0});
+  }
+  size_t response_bytes() const { return response_size != 0 ? response_size : request_bytes(); }
+};
+
+struct BulkStats {
+  uint64_t bytes = 0;        // payload delivered (the spec's bulk_bytes)
+  int64_t start_ns = -1;     // client's first write entry
+  int64_t done_ns = -1;      // completion token arrival at the client
+  double goodput_bps() const {
+    return done_ns > start_ns ? static_cast<double>(bytes) * 8e9 /
+                                    static_cast<double>(done_ns - start_ns)
+                              : 0.0;
+  }
+};
+
+struct FlowResult {
+  LatencyStats rtt;
+  uint64_t iterations = 0;
+  bool completed = false;  // every iteration finished and the flow closed
+  bool aborted = false;    // connection died first (tolerate_errors runs)
+  uint64_t data_mismatches = 0;
+  BulkStats bulk;  // populated only in bulk-transfer mode
+};
+
+struct WorkloadOptions {
+  // Flow 0 clears the span trackers when it crosses its warmup boundary
+  // (the single-flow measured-region convention). Disable for mixes where
+  // no single flow owns the measured region.
+  bool reset_trackers_at_warmup = true;
+};
+
+struct WorkloadResult {
+  std::vector<FlowResult> flows;
+  LatencyStats rtt;  // all flows' measured round trips merged
+  std::vector<LatencyStats> per_client;  // merged by client host index
+  uint64_t completed = 0;
+  uint64_t aborted = 0;
+  uint64_t data_mismatches = 0;
+  // Peak number of flows simultaneously inside an echo round trip; a
+  // closed-loop run can never exceed its flow count (concurrency invariant).
+  size_t max_concurrent = 0;
+};
+
+// Runs every flow to completion on the hosts' simulator, after zeroing
+// every stack's TcpStats and span trackers. The hosts can be reused for
+// further runs.
+WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& specs,
+                           const WorkloadOptions& options = {});
 
 struct RpcOptions {
   size_t size = 4;
@@ -21,9 +142,8 @@ struct RpcOptions {
                          // is deterministic, so a few hundred converge)
   int warmup = 32;       // untimed round trips first (opens cwnd, warms PCBs)
   bool verify_data = true;
-  // A connection error normally aborts the run (CHECK failure). Impairment
-  // sweeps can push TCP past max_rexmt; with this set the run instead
-  // returns with `aborted` raised and whatever RTTs completed.
+  // As FlowSpec::tolerate_errors: impairment sweeps can push TCP past
+  // max_rexmt, and the run then returns with `aborted` raised.
   bool tolerate_errors = false;
 };
 
@@ -48,8 +168,9 @@ struct RpcResult {
   }
 };
 
-// Runs the echo benchmark on an existing testbed. Drives the simulator to
-// completion; the testbed can be reused for further runs.
+// Runs the echo benchmark on an existing testbed: one RunWorkload flow,
+// plus the span totals and both stacks' TCP statistics. The testbed can be
+// reused for further runs.
 RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options);
 
 }  // namespace tcplat

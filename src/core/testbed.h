@@ -42,14 +42,34 @@ inline constexpr Ipv4Addr kClientAddr = MakeAddr(10, 0, 0, 1);
 inline constexpr Ipv4Addr kServerAddr = MakeAddr(10, 0, 0, 2);
 inline constexpr uint16_t kEchoPort = 5001;
 
-class Testbed {
+// The hosts a workload runs on (RunWorkload, src/core/rpc_benchmark.h): K
+// client and M server hosts on one simulator. Testbed is the paper's 1 x 1
+// case; StarTestbed (src/workload/star_testbed.h) is the K x M star.
+class WorkloadHosts {
+ public:
+  virtual Simulator& sim() = 0;
+  virtual int clients() const = 0;
+  virtual int servers() const = 0;
+  virtual Host& client_host(int i) = 0;
+  virtual Host& server_host(int j) = 0;
+  virtual TcpStack& client_tcp(int i) = 0;
+  virtual TcpStack& server_tcp(int j) = 0;
+  virtual Ipv4Addr server_addr(int j) const = 0;
+  // Clears every host's span tracker (start of a measured region).
+  virtual void ResetTrackers() = 0;
+
+ protected:
+  ~WorkloadHosts() = default;
+};
+
+class Testbed final : public WorkloadHosts {
  public:
   explicit Testbed(TestbedConfig config);
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
   const TestbedConfig& config() const { return config_; }
-  Simulator& sim() { return sim_; }
+  Simulator& sim() override { return sim_; }
   Host& client_host() { return *client_host_; }
   Host& server_host() { return *server_host_; }
   TcpStack& client_tcp() { return *client_tcp_; }
@@ -75,8 +95,16 @@ class Testbed {
   // The tracer is owned by the caller and must outlive the testbed's use.
   void AttachTracer(Tracer* tracer);
 
+  // WorkloadHosts: one client, one server.
+  int clients() const override { return 1; }
+  int servers() const override { return 1; }
+  Host& client_host(int) override { return *client_host_; }
+  Host& server_host(int) override { return *server_host_; }
+  TcpStack& client_tcp(int) override { return *client_tcp_; }
+  TcpStack& server_tcp(int) override { return *server_tcp_; }
+  Ipv4Addr server_addr(int) const override { return kServerAddr; }
   // Clears both hosts' span trackers (start of a measured region).
-  void ResetTrackers();
+  void ResetTrackers() override;
 
   // Sum of one span's accumulation across both hosts.
   SimDuration SpanTotal(SpanId id) const;

@@ -1,12 +1,17 @@
 #include "src/ip/ip_stack.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 
 #include "src/base/check.h"
 
 namespace tcplat {
 namespace {
+
+// The largest datagram total_length can describe.
+constexpr size_t kMaxDatagramBytes = 65535;
 
 // Trace flow id for IP-layer packet events: (src<<32)|dst. Header ids are
 // per-stack counters, so (this flow, hdr.id) is what identifies one datagram
@@ -379,27 +384,56 @@ MbufPtr IpStack::AddFragment(const Ipv4Header& hdr, MbufPtr packet) {
   auto& frags = reassembly_[key];
 
   Fragment f;
-  f.offset_bytes = static_cast<uint16_t>(hdr.frag_offset * 8);
+  f.offset_bytes = size_t{hdr.frag_offset} * 8;
   f.last = !hdr.more_fragments;
   const size_t data_len = hdr.total_length - kIpv4HeaderBytes;
   f.data.resize(data_len);
   ChainCopyOut(packet.get(), kIpv4HeaderBytes, f.data);
   host_->pool().FreeChain(std::move(packet));
-  frags.push_back(std::move(f));
+
+  // Overlaps resolve as in BSD ip_reass: the new fragment gives up the
+  // bytes its predecessor already holds (all of them: a duplicate is
+  // dropped), and takes over the bytes its successors hold.
+  auto next = std::upper_bound(
+      frags.begin(), frags.end(), f.offset_bytes,
+      [](size_t offset, const Fragment& frag) { return offset < frag.offset_bytes; });
+  if (next != frags.begin()) {
+    const Fragment& prev = *std::prev(next);
+    const size_t prev_end = prev.offset_bytes + prev.data.size();
+    if (prev_end > f.offset_bytes) {
+      const size_t held = prev_end - f.offset_bytes;
+      if (held >= f.data.size()) {
+        return nullptr;
+      }
+      f.data.erase(f.data.begin(), f.data.begin() + static_cast<ptrdiff_t>(held));
+      f.offset_bytes = prev_end;
+    }
+  }
+  const size_t end = f.offset_bytes + f.data.size();
+  while (next != frags.end() && next->offset_bytes < end) {
+    const size_t covered = end - next->offset_bytes;
+    if (covered < next->data.size()) {
+      next->data.erase(next->data.begin(), next->data.begin() + static_cast<ptrdiff_t>(covered));
+      next->offset_bytes = end;
+      break;
+    }
+    next = frags.erase(next);
+  }
+  frags.insert(next, std::move(f));
 
   // Complete iff the offsets tile [0, end) and the last fragment arrived.
-  std::sort(frags.begin(), frags.end(),
-            [](const Fragment& a, const Fragment& b) { return a.offset_bytes < b.offset_bytes; });
   size_t expect = 0;
-  bool saw_last = false;
   for (const Fragment& frag : frags) {
     if (frag.offset_bytes != expect) {
       return nullptr;
     }
     expect += frag.data.size();
-    saw_last = frag.last;
   }
-  if (!saw_last) {
+  if (!frags.back().last) {
+    return nullptr;
+  }
+  if (kIpv4HeaderBytes + expect > kMaxDatagramBytes) {
+    reassembly_.erase(key);
     return nullptr;
   }
 

@@ -112,7 +112,7 @@ class IpStack {
     auto operator<=>(const ReassemblyKey&) const = default;
   };
   struct Fragment {
-    uint16_t offset_bytes;
+    size_t offset_bytes;
     std::vector<uint8_t> data;
     bool last;
   };
@@ -131,7 +131,8 @@ class IpStack {
   NetIf* LookupRoute(Ipv4Addr dst, Ipv4Addr* next_hop);
   void ForwardPacket(MbufPtr packet, const Ipv4Header& hdr);
   // Returns a fully reassembled packet chain when `frag` completes a
-  // datagram, else null.
+  // datagram, else null. Held fragments stay sorted and disjoint; a
+  // datagram that would exceed 65,535 bytes is discarded with its state.
   MbufPtr AddFragment(const Ipv4Header& hdr, MbufPtr packet);
 
   Host* host_;

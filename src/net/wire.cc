@@ -241,6 +241,7 @@ std::optional<TcpHeader> TcpHeader::Parse(std::span<const uint8_t> in) {
   h.checksum = LoadBe16(&in[16]);
   h.urgent = LoadBe16(&in[18]);
   h.options = TcpOptions::Parse(in.subspan(kTcpMinHeaderBytes, hdr_len - kTcpMinHeaderBytes));
+  h.data_offset = static_cast<uint8_t>(hdr_len / 4);
   return h;
 }
 

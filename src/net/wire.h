@@ -139,8 +139,16 @@ struct TcpHeader {
   uint16_t checksum = 0;
   uint16_t urgent = 0;
   TcpOptions options;
+  // Header length in 32-bit words as a parsed segment carried it; 0 for a
+  // header built locally, whose length follows from its options. Input
+  // honors the carried length, since options the parser does not keep
+  // (timestamps, a fourth SACK block) still occupy header bytes.
+  uint8_t data_offset = 0;
 
-  size_t HeaderLength() const { return kTcpMinHeaderBytes + options.WireLength(); }
+  size_t HeaderLength() const {
+    return data_offset != 0 ? size_t{data_offset} * 4
+                            : kTcpMinHeaderBytes + options.WireLength();
+  }
 
   void Serialize(std::span<uint8_t> out) const;
   static std::optional<TcpHeader> Parse(std::span<const uint8_t> in);

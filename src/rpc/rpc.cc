@@ -12,8 +12,6 @@ namespace {
 // overheads of the era's RPC systems (Bershad et al. report tens of
 // microseconds for stub + dispatch work on comparable hardware).
 constexpr double kStubOverheadUs = 12.0;
-// Largest message the framer accepts; larger lengths mean a garbled stream.
-constexpr size_t kMaxRpcPayload = 1 << 20;
 
 void ChargeMarshal(Host* host, size_t bytes) {
   Cpu& cpu = host->cpu();

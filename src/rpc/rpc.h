@@ -29,6 +29,8 @@ namespace tcplat {
 
 inline constexpr uint32_t kRpcMagic = 0x52504331;  // "RPC1"
 inline constexpr size_t kRpcHeaderBytes = 20;
+// Largest payload the framer accepts; larger lengths mean a garbled stream.
+inline constexpr size_t kMaxRpcPayload = 1 << 20;
 
 enum class RpcType : uint8_t { kCall = 1, kReply = 2 };
 

@@ -8,16 +8,8 @@
 #include "src/net/checksum.h"
 #include "src/tcp/tcp_stack.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace tcplat {
 namespace {
-
-bool TraceEnabled() {
-  static const bool enabled = std::getenv("TCPLAT_TRACE") != nullptr;
-  return enabled;
-}
 
 constexpr uint32_t kMaxWindow = 65535;
 
@@ -239,19 +231,6 @@ bool TcpConnection::VerifyChecksum(const Mbuf* chain, const TcpHeader& th,
     acc.Add(m->bytes().subspan(skip));
     skip = 0;
   }
-  if (acc.Finalize() != 0 && TraceEnabled()) {
-    std::fprintf(stderr, "  verify fail: tcp_len=%zu chain_len=%zu acc_len=%zu fold=%04x\n",
-                 tcp_len, ChainLength(chain), (size_t)acc.length(), acc.Finalize());
-    size_t dumped = 0;
-    for (const Mbuf* m = chain; m != nullptr; m = m->next()) {
-      std::fprintf(stderr, "  mbuf len=%zu:", m->len());
-      for (size_t i = 0; i < m->len() && i < 64; ++i) {
-        std::fprintf(stderr, " %02x", m->data()[i]);
-      }
-      std::fprintf(stderr, "\n");
-      dumped += m->len();
-    }
-  }
   return acc.Finalize() == 0;
 }
 
@@ -347,14 +326,6 @@ void TcpConnection::Input(MbufPtr chain, const TcpHeader& th, const Ipv4Header& 
   TCPLAT_CHECK_GE(tcp_len, hdrlen);
   size_t len = tcp_len - hdrlen;
 
-  if (TraceEnabled()) {
-    std::fprintf(stderr, "[%s %8ld] IN  %s seq=%u ack=%u len=%zu win=%u state=%s una=%u nxt=%u max=%u rcv=%u\n",
-                 host.name().c_str(), (long)host.CurrentTime().nanos() / 1000,
-                 th.flags.ToString().c_str(), th.seq - irs_, th.ack - iss_, len, th.window,
-                 TcpStateName(state_), snd_una_ - iss_, snd_nxt_ - iss_, snd_max_ - iss_,
-                 rcv_nxt_ - irs_);
-  }
-
   if (state_ == TcpState::kClosed) {
     pool.FreeChain(std::move(chain));
     return;
@@ -367,10 +338,6 @@ void TcpConnection::Input(MbufPtr chain, const TcpHeader& th, const Ipv4Header& 
     ++stack_->stats().checksum_errors;
     host.TracePacket(TraceLayer::kTcp, TraceEventKind::kChecksumError, TraceFlow(),
                      th.seq - irs_, len);
-    if (TraceEnabled()) {
-      std::fprintf(stderr, "[%s] DROP bad checksum seq=%u len=%zu\n", host.name().c_str(),
-                   th.seq - irs_, len);
-    }
     pool.FreeChain(std::move(chain));
     return;
   }
@@ -1255,29 +1222,6 @@ void TcpConnection::EmitSegment(const SegmentPlan& plan) {
   if (stack_->tap() != nullptr) {
     stack_->tap()->OnSegment({host.CurrentTime(), /*outbound=*/true, pcb_.local, pcb_.remote,
                               th, plan.len});
-  }
-
-  if (TraceEnabled() && !no_checksum_) {
-    // Sender self-verify: recompute the checksum the way the receiver will.
-    TcpPseudoHeader vph;
-    vph.src = pcb_.local.addr;
-    vph.dst = pcb_.remote.addr;
-    vph.tcp_length = static_cast<uint16_t>(hdrlen + plan.len);
-    ChecksumAccumulator vacc;
-    vacc.Add(vph.Serialize());
-    for (const Mbuf* m = hm.get(); m != nullptr; m = m->next()) {
-      vacc.Add(m->bytes());
-    }
-    if (vacc.Finalize() != 0) {
-      std::fprintf(stderr, "[%s] SELF-CHECK FAIL fold=%04x len=%zu hdrlen=%zu\n",
-                   host.name().c_str(), vacc.Finalize(), plan.len, hdrlen);
-    }
-  }
-  if (TraceEnabled()) {
-    std::fprintf(stderr, "[%s %8ld] OUT %s seq=%u ack=%u len=%zu win=%u state=%s una=%u nxt=%u max=%u\n",
-                 host.name().c_str(), (long)host.CurrentTime().nanos() / 1000,
-                 th.flags.ToString().c_str(), th.seq - iss_, th.ack - irs_, plan.len, th.window,
-                 TcpStateName(state_), snd_una_ - iss_, snd_nxt_ - iss_, snd_max_ - iss_);
   }
 
   stack_->ip().Output(std::move(hm), pcb_.local.addr, pcb_.remote.addr, kIpProtoTcp);

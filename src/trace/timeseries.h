@@ -1,7 +1,7 @@
 // Time-series telemetry plane: deterministic counter timelines over
 // simulated time.
 //
-// Producers (TcpConnection, AtmSwitch, FlowDriver) push samples whenever a
+// Producers (TcpConnection, AtmSwitch, RunWorkload) push samples whenever a
 // tracked value changes; the sampler thins them to at most one point per
 // track per sampling period, so a timeline costs O(run length / period) per
 // track instead of O(events). Discontinuities bypass the thinning as "edge"

@@ -197,16 +197,6 @@ void Tracer::EnableFlowSampling(const FlowSampleConfig& config) {
   sample_ = config;
 }
 
-void Tracer::EnableFlowReservoir(uint32_t k, uint64_t seed) {
-  TCPLAT_CHECK(!sampling_) << "reservoir and 1-in-N flow sampling are mutually exclusive";
-  TCPLAT_CHECK(events_.empty()) << "reservoir must be enabled before recording starts";
-  TCPLAT_CHECK_GE(k, 1u);
-  sampling_ = true;  // routes commits through the chain-verdict machinery
-  reservoir_k_ = k;
-  sample_.one_in = 1;  // KeepFlow decides via the reservoir, not the bucket
-  sample_.seed = seed;
-}
-
 void Tracer::EnableTimeseries(const TimeseriesConfig& config) {
   timeseries_ = std::make_unique<TimeseriesSampler>(config);
 }
@@ -244,7 +234,6 @@ void Tracer::Clear() {
   deferred_events_ = 0;
   flows_seen_.clear();
   flows_kept_.clear();
-  reservoir_.clear();
   if (timeseries_ != nullptr) {
     timeseries_->Clear();
   }
@@ -254,56 +243,12 @@ void Tracer::Clear() {
 bool Tracer::KeepFlow(uint64_t raw_flow) {
   const uint64_t canonical = CanonicalFlow(raw_flow);
   flows_seen_.insert(canonical);
-  if (reservoir_k_ > 0) {
-    // Bottom-K sketch: a flow is kept while its seeded hash rank is among
-    // the K smallest seen so far. Once the reservoir is full, every insert
-    // evicts the worst rank; evicted flows' events are pruned at finalize.
-    const std::pair<uint64_t, uint64_t> entry = {Mix64(canonical ^ Mix64(sample_.seed)),
-                                                 canonical};
-    const auto [it, inserted] = reservoir_.insert(entry);
-    if (reservoir_.size() > reservoir_k_) {
-      const auto worst = std::prev(reservoir_.end());
-      flows_kept_.erase(worst->second);
-      const bool rejected_self = worst == it;
-      reservoir_.erase(worst);
-      if (rejected_self) {
-        return false;
-      }
-    }
-    flows_kept_.insert(canonical);
-    return true;
-  }
   const bool keep =
       sample_.one_in <= 1 || Mix64(canonical ^ Mix64(sample_.seed)) % sample_.one_in == 0;
   if (keep) {
     flows_kept_.insert(canonical);
   }
   return keep;
-}
-
-void Tracer::FinalizeReservoir() {
-  if (reservoir_k_ == 0) {
-    return;
-  }
-  // Evicted flows were captured while they transiently held a reservoir
-  // slot; prune their flow-identified events so the surviving capture
-  // covers exactly the final bottom-K set. Flow-agnostic causal anchors
-  // (queue hand-offs, reassembly, drops) are kept for every packet, same
-  // as 1-in-N sampling.
-  const auto pruned = [this](const TraceEvent& ev) {
-    const bool flow_kind =
-        IsFlowTrackKind(ev.kind) || ev.kind == TraceEventKind::kUserWrite ||
-        ev.kind == TraceEventKind::kUserRead || ev.kind == TraceEventKind::kSegTx ||
-        ev.kind == TraceEventKind::kSegRx || ev.kind == TraceEventKind::kRetransmit ||
-        ev.kind == TraceEventKind::kAck || ev.kind == TraceEventKind::kDelayedAck ||
-        ev.kind == TraceEventKind::kNagleHold ||
-        (ev.kind == TraceEventKind::kWakeup && ev.layer == TraceLayer::kSock);
-    if (!flow_kind || ev.flow == 0) {
-      return false;
-    }
-    return flows_kept_.count(CanonicalFlow(ev.flow)) == 0;
-  };
-  events_.erase(std::remove_if(events_.begin(), events_.end(), pruned), events_.end());
 }
 
 void Tracer::ResolveDeferred(size_t host, bool keep) {

@@ -270,19 +270,6 @@ class Tracer {
   bool flow_sampling() const { return sampling_; }
   uint32_t sample_one_in() const { return sampling_ ? sample_.one_in : 1; }
 
-  // Reservoir variant for open-ended flow populations: keeps the K flows
-  // whose seeded canonical-flow hash ranks lowest (a bottom-K sketch — the
-  // deterministic equivalent of reservoir sampling, sharing the 1-in-N
-  // sampler's verdict machinery). Verdicts are transient while the run is
-  // live (a better-ranked late flow evicts a worse one); FinalizeReservoir
-  // prunes evicted flows' events so the surviving capture covers exactly
-  // the final bottom-K set, which is a pure function of the flows seen —
-  // deterministic across runs and thread counts. StarTestbed::RunToCompletion
-  // finalizes an attached tracer. Excludes 1-in-N sampling (checked).
-  void EnableFlowReservoir(uint32_t k, uint64_t seed);
-  bool flow_reservoir() const { return reservoir_k_ > 0; }
-  uint32_t reservoir_k() const { return reservoir_k_; }
-  void FinalizeReservoir();
   // Canonical flow ids observed on flow-identifying events / kept by the
   // sampler. seen/kept sizes give the blame scale factor.
   const std::set<uint64_t>& flows_seen() const { return flows_seen_; }
@@ -348,11 +335,6 @@ class Tracer {
   size_t deferred_events_ = 0;  // total queued across sample_hosts_
   std::set<uint64_t> flows_seen_;
   std::set<uint64_t> flows_kept_;
-
-  // Reservoir (bottom-K) state: the kept set ordered by hash rank, so the
-  // worst-ranked member is O(log K) to evict.
-  uint32_t reservoir_k_ = 0;
-  std::set<std::pair<uint64_t, uint64_t>> reservoir_;  // (rank, canonical)
 
   std::unique_ptr<TimeseriesSampler> timeseries_;
 

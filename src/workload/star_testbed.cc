@@ -96,17 +96,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
   }
 }
 
-void StarTestbed::RunToCompletion() {
-  sim_.RunToCompletion();
-  // A reservoir capture evicts flows as better-ranked ones arrive; the kept
-  // set is final only now, so prune the evicted flows' events.
-  if (tracer_ != nullptr) {
-    tracer_->FinalizeReservoir();
-  }
-}
-
 void StarTestbed::AttachTracer(Tracer* tracer) {
-  tracer_ = tracer;
   for (auto& host : hosts_) {
     host->AttachTracer(tracer);
   }

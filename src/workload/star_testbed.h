@@ -59,32 +59,30 @@ inline constexpr Ipv4Addr StarServerAddr(int j) {
   return MakeAddr(10, 0, 2, static_cast<uint8_t>(j + 1));
 }
 
-class StarTestbed {
+class StarTestbed final : public WorkloadHosts {
  public:
   explicit StarTestbed(StarTestbedConfig config);
   StarTestbed(const StarTestbed&) = delete;
   StarTestbed& operator=(const StarTestbed&) = delete;
 
   const StarTestbedConfig& config() const { return config_; }
-  Simulator& sim() { return sim_; }
+  Simulator& sim() override { return sim_; }
 
-  // Runs the simulation until the event queue drains, then finalizes the
-  // attached tracer's flow reservoir (if any).
-  void RunToCompletion();
   SimTime EndTime() const { return sim_.Now(); }
   uint64_t EventsDispatched() const { return sim_.events_dispatched(); }
 
-  int clients() const { return config_.clients; }
-  int servers() const { return config_.servers; }
+  int clients() const override { return config_.clients; }
+  int servers() const override { return config_.servers; }
   int host_count() const { return config_.clients + config_.servers; }
 
   // Global host index: clients first (0..K-1), then servers (K..K+M-1).
   Host& host(int idx) { return *hosts_[static_cast<size_t>(idx)]; }
   TcpStack& tcp(int idx) { return *tcps_[static_cast<size_t>(idx)]; }
-  Host& client_host(int i) { return host(i); }
-  Host& server_host(int j) { return host(config_.clients + j); }
-  TcpStack& client_tcp(int i) { return tcp(i); }
-  TcpStack& server_tcp(int j) { return tcp(config_.clients + j); }
+  Host& client_host(int i) override { return host(i); }
+  Host& server_host(int j) override { return host(config_.clients + j); }
+  TcpStack& client_tcp(int i) override { return tcp(i); }
+  TcpStack& server_tcp(int j) override { return tcp(config_.clients + j); }
+  Ipv4Addr server_addr(int j) const override { return StarServerAddr(j); }
 
   AtmSwitch* atm_switch() { return atm_switch_.get(); }
   EtherSegment* ether_segment() { return ether_segment_.get(); }
@@ -98,7 +96,7 @@ class StarTestbed {
   void AttachTracer(Tracer* tracer);
 
   // Clears every host's span tracker (start of a measured region).
-  void ResetTrackers();
+  void ResetTrackers() override;
 
   // Sum of one span's accumulation across all hosts.
   SimDuration SpanTotal(SpanId id) const;
@@ -119,8 +117,6 @@ class StarTestbed {
   std::vector<std::unique_ptr<EtherNetIf>> ether_ifs_;
 
   std::vector<std::unique_ptr<TcpStack>> tcps_;
-
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace tcplat

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/atm/aal34.h"
@@ -210,6 +213,88 @@ TEST(Reassembler, ComWithoutBomIsProtocolError) {
   SarReassembler reasm;
   EXPECT_FALSE(reasm.Feed(cells[1], true).has_value());
   EXPECT_EQ(reasm.stats().protocol_errors, 1u);
+}
+
+// Seeded mutation fuzzing of the receive path: the cell stream of a
+// 3000-byte datagram with cells damaged, cut short, dropped, duplicated and
+// swapped, fed through ParseCell and one SarReassembler, then followed by
+// an intact copy of the stream. Nothing delivered may differ from the
+// datagram, and the intact copy must still come through.
+//
+// AAL3/4 carries no payload CRC. Its guards are the per-cell CRC-10 (which
+// catches any error burst of 10 bits or fewer), the 4-bit sequence number
+// and the CPCS length, so an edit damages at most one byte of a cell,
+// outside its LI/CRC trailer, and moves a cell at most one place: cells
+// exchanged a multiple of 16 places apart would pass unseen.
+TEST(Reassembler, MutatedCellStreamsNeverDeliverADifferentDatagram) {
+  struct WireCell {
+    std::vector<uint8_t> wire;
+    bool damaged = false;
+  };
+  const auto payload = RandomPayload(3000, 3000);
+  uint8_t sn = 0;
+  std::vector<WireCell> clean;
+  for (const AtmCell& cell : SegmentCpcsPdu(BuildCpcsPdu(payload, 9), 42, 5, &sn)) {
+    clean.push_back({SerializeCell(cell)});
+  }
+
+  Rng rng(20261020);
+  int delivered = 0;
+  for (int iter = 0; iter < 10000; ++iter) {
+    std::vector<WireCell> cells = clean;
+    const uint64_t edits = 1 + rng.NextBelow(4);
+    for (uint64_t e = 0; e < edits && !cells.empty(); ++e) {
+      const size_t i = rng.NextBelow(cells.size());
+      switch (rng.NextBelow(5)) {
+        case 0:
+          if (!cells[i].damaged) {
+            const size_t at = rng.NextBelow(kAtmCellBytes - 2);
+            cells[i].wire[at] = static_cast<uint8_t>(cells[i].wire[at] ^ (1 + rng.NextBelow(255)));
+            cells[i].damaged = true;
+          }
+          break;
+        case 1:
+          cells[i].wire.resize(rng.NextBelow(kAtmCellBytes));
+          cells[i].damaged = true;
+          break;
+        case 2:
+          cells.erase(cells.begin() + static_cast<ptrdiff_t>(i));
+          break;
+        case 3: {
+          const WireCell copy = cells[i];
+          cells.insert(cells.begin() + static_cast<ptrdiff_t>(i), copy);
+          break;
+        }
+        default:
+          if (i + 1 < cells.size()) {
+            std::swap(cells[i], cells[i + 1]);
+          }
+          break;
+      }
+    }
+
+    SarReassembler reasm;
+    auto feed = [&reasm](const std::vector<uint8_t>& wire) {
+      bool crc_ok = false;
+      const std::optional<AtmCell> cell = ParseCell(wire, &crc_ok);
+      return cell.has_value() ? reasm.Feed(*cell, crc_ok) : std::nullopt;
+    };
+    for (const WireCell& cell : cells) {
+      if (const auto out = feed(cell.wire)) {
+        ASSERT_EQ(*out, payload) << "mutant " << iter;
+        ++delivered;
+      }
+    }
+    int intact = 0;
+    for (const WireCell& cell : clean) {
+      if (const auto out = feed(cell.wire)) {
+        ASSERT_EQ(*out, payload) << "mutant " << iter;
+        ++intact;
+      }
+    }
+    ASSERT_EQ(intact, 1) << "mutant " << iter;
+  }
+  EXPECT_GT(delivered, 0);
 }
 
 TEST(Cell, WireImageIs53Bytes) {

@@ -12,6 +12,7 @@
 #include "src/base/random.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/tracer.h"
+#include "tests/mutate.h"
 
 namespace tcplat {
 namespace {
@@ -192,28 +193,7 @@ TEST(BinaryTrace, MutatedStreamsDecodeInRangeOrReportAnError) {
   Rng rng(20260517);
   for (int iter = 0; iter < 20000; ++iter) {
     std::string mutant = blob;
-    const uint64_t edits = 1 + rng.NextBelow(4);
-    for (uint64_t e = 0; e < edits; ++e) {
-      const size_t at = rng.NextBelow(mutant.size() + 1);
-      const bool inside = at < mutant.size();
-      switch (rng.NextBelow(5)) {
-        case 0:
-          if (inside) mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.NextBelow(8)));
-          break;
-        case 1:
-          if (inside) mutant[at] = static_cast<char>(rng.NextBelow(256));
-          break;
-        case 2:
-          mutant.resize(at);
-          break;
-        case 3:
-          mutant.insert(at, 1, static_cast<char>(rng.NextBelow(256)));
-          break;
-        default:
-          if (inside) mutant.erase(at, 1);
-          break;
-      }
-    }
+    Mutate(rng, &mutant);
     BinaryTraceReader reader(mutant);
     if (!reader.ok()) {
       EXPECT_TRUE(reader.error()) << "mutant " << iter;

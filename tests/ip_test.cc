@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/random.h"
@@ -289,6 +293,135 @@ TEST_F(IpLoopTest, MissingFragmentHoldsReassembly) {
   sim_.RunToCompletion();
   EXPECT_TRUE(proto_.received.empty());
   EXPECT_EQ(ip_.pending_reassemblies(), 1u);
+}
+
+// One fragment of a kTestProto datagram from kA to itself: `data` at byte
+// `offset` (a multiple of 8).
+std::vector<uint8_t> FragmentPacket(uint16_t id, size_t offset, std::span<const uint8_t> data,
+                                    bool more_fragments) {
+  Ipv4Header h;
+  h.total_length = static_cast<uint16_t>(kIpv4HeaderBytes + data.size());
+  h.id = id;
+  h.more_fragments = more_fragments;
+  h.frag_offset = static_cast<uint16_t>(offset / 8);
+  h.protocol = kTestProto;
+  h.src = kA;
+  h.dst = kA;
+  h.FillChecksum();
+  std::vector<uint8_t> pkt(kIpv4HeaderBytes + data.size());
+  h.Serialize(pkt);
+  std::copy(data.begin(), data.end(), pkt.begin() + kIpv4HeaderBytes);
+  return pkt;
+}
+
+// A fragment that arrives twice is held once: the datagram still completes
+// and its reassembly state is freed.
+TEST_F(IpLoopTest, DuplicateFragmentDoesNotWedgeReassembly) {
+  const auto data = RandomData(3000);
+  SendToSelf(data);
+  ASSERT_EQ(nif_.sent.size(), 3u);
+  Deliver(nif_.sent[0]);
+  Deliver(nif_.sent[0]);
+  Deliver(nif_.sent[1]);
+  Deliver(nif_.sent[2]);
+  sim_.RunToCompletion();
+  ASSERT_EQ(proto_.received.size(), 1u);
+  ASSERT_EQ(proto_.received[0].size(), data.size() + kIpv4HeaderBytes);
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), proto_.received[0].begin() + kIpv4HeaderBytes));
+  EXPECT_EQ(ip_.pending_reassemblies(), 0u);
+}
+
+// Fragments that tile past 65,535 bytes describe a datagram total_length
+// cannot carry: it is discarded with its state, not delivered with a
+// wrapped length.
+TEST_F(IpLoopTest, OverlongDatagramIsDiscarded) {
+  const auto chunk = RandomData(1480);
+  for (size_t i = 0; i < 45; ++i) {
+    Deliver(FragmentPacket(/*id=*/77, i * chunk.size(), chunk, /*more_fragments=*/i + 1 < 45));
+  }
+  sim_.RunToCompletion();
+  EXPECT_TRUE(proto_.received.empty());
+  EXPECT_EQ(ip_.pending_reassemblies(), 0u);
+}
+
+// Seeded fuzzing of reassembly. Each round cuts a random datagram into
+// fragments on 8-byte boundaries, then drops, duplicates and reorders them,
+// adds overlapping fragments cut from the same bytes, and moves some to
+// offsets whose end lies past 65,535. Every delivered datagram must be the
+// original, and none may exceed 65,535 bytes; a round whose fragments all
+// sit in place and cover the datagram must deliver it.
+TEST_F(IpLoopTest, MutatedFragmentStreamsDeliverOnlyTheOriginal) {
+  struct Frag {
+    size_t offset;  // where the fragment claims to sit
+    size_t from;    // where its bytes come from in the datagram
+    size_t len;
+    bool more;
+  };
+  Rng rng(20261021);
+  size_t delivered = 0;
+  for (int round = 0; round < 5000; ++round) {
+    const uint16_t id = static_cast<uint16_t>(round + 1);
+    const size_t n = 1 + rng.NextBelow(4000);
+    const auto data = RandomData(n);
+    auto cut = [&](size_t from) {
+      const size_t len = std::min(n - from, 8 * (1 + rng.NextBelow(185)));
+      return Frag{from, from, len, from + len < n};
+    };
+    std::vector<Frag> frags;
+    for (size_t off = 0; off < n; off += frags.back().len) {
+      frags.push_back(cut(off));
+    }
+    const uint64_t edits = 1 + rng.NextBelow(4);
+    for (uint64_t e = 0; e < edits && !frags.empty(); ++e) {
+      const size_t i = rng.NextBelow(frags.size());
+      const size_t j = rng.NextBelow(frags.size() + 1);
+      switch (rng.NextBelow(5)) {
+        case 0:
+          frags.erase(frags.begin() + static_cast<ptrdiff_t>(i));
+          break;
+        case 1: {
+          const Frag copy = frags[i];
+          frags.insert(frags.begin() + static_cast<ptrdiff_t>(j), copy);
+          break;
+        }
+        case 2:
+          std::swap(frags[i], frags[std::min(j, frags.size() - 1)]);
+          break;
+        case 3: {
+          const Frag overlap = cut(8 * rng.NextBelow((n + 7) / 8));
+          frags.insert(frags.begin() + static_cast<ptrdiff_t>(j), overlap);
+          break;
+        }
+        default:
+          if (frags[i].len >= 8) {
+            frags[i].offset = 65528 - 8 * rng.NextBelow((frags[i].len - 8) / 8 + 1);
+          }
+          break;
+      }
+    }
+
+    const size_t before = proto_.received.size();
+    std::vector<bool> covered(n, false);
+    bool in_place = true;
+    for (const Frag& f : frags) {
+      Deliver(FragmentPacket(id, f.offset, std::span(data).subspan(f.from, f.len), f.more));
+      std::fill_n(covered.begin() + static_cast<ptrdiff_t>(f.from), f.len, true);
+      in_place = in_place && f.offset == f.from;
+    }
+    sim_.RunToCompletion();
+    if (in_place && std::all_of(covered.begin(), covered.end(), [](bool b) { return b; })) {
+      ASSERT_GT(proto_.received.size(), before) << "round " << round << " was not delivered";
+    }
+    for (size_t r = before; r < proto_.received.size(); ++r) {
+      const std::vector<uint8_t>& pkt = proto_.received[r];
+      ASSERT_EQ(pkt.size(), n + kIpv4HeaderBytes) << "round " << round;
+      ASSERT_EQ(proto_.headers[r].total_length, pkt.size()) << "round " << round;
+      ASSERT_TRUE(std::equal(data.begin(), data.end(), pkt.begin() + kIpv4HeaderBytes))
+          << "round " << round;
+      ++delivered;
+    }
+  }
+  EXPECT_GT(delivered, 200u);
 }
 
 class IpFragSizeTest : public IpLoopTest, public ::testing::WithParamInterface<size_t> {};

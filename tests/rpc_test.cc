@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/core/testbed.h"
 #include "src/rpc/rpc.h"
+#include "tests/mutate.h"
 
 namespace tcplat {
 namespace {
@@ -65,6 +68,50 @@ TEST(RpcFramer, BadMagicPoisons) {
   framer.Feed(junk);
   EXPECT_FALSE(framer.Next().has_value());
   EXPECT_TRUE(framer.poisoned());
+}
+
+// Seeded mutation fuzzing of the framer: a stream of framed calls and
+// replies, mutated and fed in random-size slices. Once the framer poisons
+// itself it returns no message, and no message it returns carries more
+// than kMaxRpcPayload bytes or more bytes than the stream held.
+TEST(RpcFramer, MutatedStreamsNeverYieldAfterPoisonOrOversize) {
+  std::vector<uint8_t> stream;
+  for (uint32_t i = 0; i < 6; ++i) {
+    RpcMessage msg;
+    msg.type = i % 2 == 0 ? RpcType::kCall : RpcType::kReply;
+    msg.xid = 100 + i;
+    msg.procedure = kProcEcho;
+    msg.payload.assign(i * 37, static_cast<uint8_t>(i));
+    const auto wire = msg.Serialize();
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+
+  Rng rng(20261019);
+  int poisoned = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::vector<uint8_t> mutant = stream;
+    Mutate(rng, &mutant);
+    RpcFramer framer;
+    size_t payload_bytes = 0;
+    for (size_t off = 0; off < mutant.size();) {
+      const size_t take = std::min<size_t>(mutant.size() - off, 1 + rng.NextBelow(64));
+      framer.Feed({mutant.data() + off, take});
+      off += take;
+      while (true) {
+        const bool was_poisoned = framer.poisoned();
+        const auto msg = framer.Next();
+        if (!msg.has_value()) {
+          break;
+        }
+        ASSERT_FALSE(was_poisoned) << "mutant " << iter << " yielded a message after poison";
+        ASSERT_LE(msg->payload.size(), kMaxRpcPayload) << "mutant " << iter;
+        payload_bytes += msg->payload.size();
+        ASSERT_LE(payload_bytes, mutant.size()) << "mutant " << iter;
+      }
+    }
+    poisoned += framer.poisoned() ? 1 : 0;
+  }
+  EXPECT_GT(poisoned, 0);
 }
 
 // --- end-to-end over the testbed ---

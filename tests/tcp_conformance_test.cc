@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -19,13 +20,19 @@ namespace tcplat {
 namespace {
 
 // Builds a full IP packet carrying one TCP segment with a valid checksum.
+// `raw_options` (a multiple of 4 bytes, for options TcpOptions cannot
+// express) follow th's own options and count in the data offset.
 std::vector<uint8_t> BuildSegment(Ipv4Addr src, Ipv4Addr dst, const TcpHeader& th_in,
-                                  std::span<const uint8_t> payload) {
+                                  std::span<const uint8_t> payload,
+                                  std::span<const uint8_t> raw_options = {}) {
   TcpHeader th = th_in;
-  const size_t hdrlen = th.HeaderLength();
+  const size_t own_len = th.HeaderLength();
+  const size_t hdrlen = own_len + raw_options.size();
   std::vector<uint8_t> tcp_bytes(hdrlen + payload.size());
   th.checksum = 0;
   th.Serialize(tcp_bytes);
+  tcp_bytes[12] = static_cast<uint8_t>((hdrlen / 4) << 4);
+  std::copy(raw_options.begin(), raw_options.end(), tcp_bytes.begin() + own_len);
   if (!payload.empty()) {
     std::memcpy(tcp_bytes.data() + hdrlen, payload.data(), payload.size());
   }
@@ -90,7 +97,7 @@ class Conformance : public ::testing::Test {
 
   Conformance() : tb_(TestbedConfig{}) {
     tb_.server_tcp().set_tap(&tap_);
-    tb_.server_tcp().Listen(kEchoPort);
+    listener_ = tb_.server_tcp().Listen(kEchoPort);
   }
 
   // Advances bounded virtual time (the injected peer never ACKs, so running
@@ -134,6 +141,7 @@ class Conformance : public ::testing::Test {
 
   Testbed tb_;
   SegmentTap tap_;
+  Socket* listener_ = nullptr;
 };
 
 TEST_F(Conformance, SynGetsSynAckWithMssOption) {
@@ -327,6 +335,30 @@ TcpHeader DataHeader(uint32_t seq, uint32_t ack) {
   th.flags.ack = true;
   th.window = 8192;
   return th;
+}
+
+// The receiver strips the header length the segment's data offset gives,
+// so a data segment carrying an option the stack does not parse (NOP, NOP,
+// timestamp) delivers exactly its payload to the application.
+TEST_F(Conformance, UnparsedOptionBytesAreNotPayload) {
+  const uint32_t iss = 90000;
+  const uint32_t server_iss = Handshake(iss);
+  // Timestamp option: kind 8, length 10, TSval 7, TSecr 0.
+  const std::vector<uint8_t> timestamp = {kTcpOptNop, kTcpOptNop, 8, 10, 0, 0, 0, 7, 0, 0, 0, 0};
+  const std::vector<uint8_t> data = {'p', 'a', 'y', 'l', 'o', 'a', 'd'};
+  Inject(tb_, BuildSegment(kFakeClient, kServerAddr, DataHeader(iss + 1, server_iss + 1), data,
+                           timestamp));
+  Step(250);
+  const auto out = TakeOutbound(tap_);
+  ASSERT_GE(out.size(), 1u);
+  EXPECT_EQ(out.back().header.ack, iss + 1 + data.size());
+
+  Socket* conn = listener_->Accept();
+  ASSERT_NE(conn, nullptr);
+  std::vector<uint8_t> got(64);
+  CpuRun run(tb_.server_host().cpu(), tb_.sim().Now());
+  got.resize(conn->Read(got));
+  EXPECT_EQ(got, data);
 }
 
 // The 4.3BSD receiver acks every *other* in-sequence data segment: the

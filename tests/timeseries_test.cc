@@ -2,25 +2,21 @@
 // its producers): timelines are a pure function of the seed — byte-identical
 // across repeat runs — edge samples land exactly on the discontinuities they
 // mark (summing kTcpRtoFire edges reconstructs rexmt_stall_ns to the
-// nanosecond, loss-enter/exit pairs carry the exact peak and deflated
-// window), and reservoir flow sampling keeps the same bottom-K set run to
-// run and prunes every evicted flow. The bench self-checks (bench/congestion
-// --timeline, bench/observability_selfcheck) exercise the same paths at full
-// scale; these tests pin the invariants on cells small enough for the tier-1
+// nanosecond, and loss-enter/exit pairs carry the exact peak and deflated
+// window). The bench self-checks (bench/congestion --timeline,
+// bench/observability_selfcheck) exercise the same paths at full scale;
+// these tests pin the invariants on cells small enough for the tier-1
 // suite.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "src/trace/causal_graph.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
-#include "src/workload/capacity.h"
 #include "src/workload/congestion.h"
 
 namespace tcplat {
@@ -135,49 +131,6 @@ TEST(Timeseries, LossEdgePairsCarryExactPeakAndDeflatedWindow) {
     }
   }
   EXPECT_GT(pairs, 0) << "no loss enter/exit pairs in a lossy cell";
-}
-
-CapacityCell SmallCapacityCell() {
-  CapacityCell cell;
-  cell.flows = 8;
-  cell.clients = 4;
-  cell.servers = 2;
-  cell.size = 200;
-  cell.iterations = 8;
-  cell.warmup = 2;
-  cell.seed = 3;
-  return cell;
-}
-
-// Reservoir flow sampling (bottom-K over seeded per-flow hashes) keeps the
-// same flows and yields the same pruned event stream across repeat runs,
-// and the run's end prunes every flow the reservoir evicted along the way.
-TEST(Timeseries, ReservoirKeptSetAndCsvAreDeterministic) {
-  auto run_reservoir = [] {
-    const CapacityCell cell = SmallCapacityCell();
-    Tracer tracer;
-    tracer.EnableFlowReservoir(3, cell.seed);
-    RunCapacityCell(cell, &tracer);
-    for (const TraceEvent& ev : tracer.events()) {
-      const bool flow_layer = ev.layer == TraceLayer::kTcp || ev.layer == TraceLayer::kSock;
-      if (flow_layer && ev.flow != 0) {
-        EXPECT_EQ(tracer.flows_kept().count(CanonicalFlow(ev.flow)), 1u)
-            << TraceEventKindName(ev.kind) << " event of evicted flow " << ev.flow;
-      }
-    }
-    return std::make_pair(
-        std::vector<uint64_t>(tracer.flows_kept().begin(),
-                              tracer.flows_kept().end()),
-        tracer.ToCsv());
-  };
-
-  const auto first = run_reservoir();
-  EXPECT_EQ(first.first.size(), 3u);
-  ASSERT_FALSE(first.second.empty());
-
-  const auto repeat = run_reservoir();
-  EXPECT_EQ(first.first, repeat.first);
-  EXPECT_EQ(first.second, repeat.second);
 }
 
 }  // namespace

@@ -146,7 +146,6 @@ TEST(TracerSamplingDeathTest, SamplersAfterRecordingStartsDie) {
   const uint8_t h = t.RegisterHost("h");
   t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(1), 1, 1, 100);
   EXPECT_DEATH(t.EnableFlowSampling(FlowSampleConfig{}), "before recording starts");
-  EXPECT_DEATH(t.EnableFlowReservoir(4, 1), "before recording starts");
 }
 
 // Encoding the recorded log as TLBT and decoding it must reproduce the

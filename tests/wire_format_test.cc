@@ -10,6 +10,7 @@
 #include "src/net/byte_order.h"
 #include "src/net/wire.h"
 #include "src/sim/simulator.h"
+#include "tests/mutate.h"
 
 namespace tcplat {
 namespace {
@@ -154,6 +155,102 @@ TEST(TcpOptions, ParseToleratesNopAndTruncation) {
   ASSERT_TRUE(opts.mss.has_value());
   EXPECT_EQ(*opts.mss, 0x23BC);
   EXPECT_FALSE(opts.alt_checksum.has_value());
+}
+
+// A parsed header's length is its data-offset field, whatever options it
+// carries: options the parser does not keep (a timestamp here) or keeps
+// only in part (a fourth SACK block) still occupy header bytes.
+TEST(TcpHeader, ParsedLengthIsTheDataOffset) {
+  TcpHeader plain;
+  plain.flags.ack = true;
+  std::vector<uint8_t> ts(kTcpMinHeaderBytes);
+  plain.Serialize(ts);
+  ts[12] = 8 << 4;  // 32 bytes: NOP, NOP, timestamp (kind 8, length 10)
+  ts.insert(ts.end(), {kTcpOptNop, kTcpOptNop, 8, 10, 0, 0, 0, 1, 0, 0, 0, 0});
+  const auto with_ts = TcpHeader::Parse(ts);
+  ASSERT_TRUE(with_ts.has_value());
+  EXPECT_EQ(with_ts->HeaderLength(), 32u);
+
+  std::vector<uint8_t> sack(kTcpMinHeaderBytes);
+  plain.Serialize(sack);
+  sack[12] = 14 << 4;  // 56 bytes: NOP, NOP, a 34-byte SACK option
+  sack.insert(sack.end(), {kTcpOptNop, kTcpOptNop, kTcpOptSack, 34});
+  for (uint32_t b = 0; b < 4; ++b) {
+    uint8_t block[8];
+    StoreBe32(block, 1000 * (2 * b + 1));
+    StoreBe32(block + 4, 1000 * (2 * b + 2));
+    sack.insert(sack.end(), block, block + 8);
+  }
+  ASSERT_EQ(sack.size(), 56u);
+  const auto with_sack = TcpHeader::Parse(sack);
+  ASSERT_TRUE(with_sack.has_value());
+  EXPECT_EQ(with_sack->options.sack.size(), 4u);
+  EXPECT_EQ(with_sack->HeaderLength(), 56u);
+}
+
+// Seeded mutation fuzzing of the IPv4 and TCP header parsers over two IP
+// packets: a SYN (MSS, SACK-permitted, alternate checksum) and an ACK with
+// three SACK blocks. A TCP header that parses reports its data-offset field
+// as its length and re-serializes into that many bytes without a CHECK
+// failure, and parsing those bytes again yields the same options (SACK cut
+// to the three blocks a header carries). An IPv4 header that parses
+// round-trips its fields.
+TEST(TcpHeader, MutatedHeadersParseToTheirDataOffset) {
+  TcpHeader syn;
+  syn.flags.syn = true;
+  syn.options.mss = 9148;
+  syn.options.sack_permitted = true;
+  syn.options.alt_checksum = kTcpAltChecksumNone;
+  TcpHeader ack;
+  ack.flags.ack = true;
+  ack.options.sack = {{100, 200}, {300, 400}, {500, 600}};
+
+  Rng rng(20261017);
+  int parsed = 0;
+  for (const TcpHeader& seed : {syn, ack}) {
+    Ipv4Header ip;
+    ip.total_length = static_cast<uint16_t>(kIpv4HeaderBytes + seed.HeaderLength());
+    std::vector<uint8_t> packet(kIpv4HeaderBytes + seed.HeaderLength());
+    ip.Serialize(packet);
+    seed.Serialize(std::span<uint8_t>(packet).subspan(kIpv4HeaderBytes));
+
+    for (int iter = 0; iter < 40000; ++iter) {
+      std::vector<uint8_t> mutant = packet;
+      Mutate(rng, &mutant);
+      if (const auto iph = Ipv4Header::Parse(mutant)) {
+        std::vector<uint8_t> again(kIpv4HeaderBytes);
+        iph->Serialize(again);
+        const auto reparsed = Ipv4Header::Parse(again);
+        ASSERT_TRUE(reparsed.has_value()) << "mutant " << iter;
+        EXPECT_EQ(reparsed->total_length, iph->total_length);
+        EXPECT_EQ(reparsed->frag_offset, iph->frag_offset);
+        EXPECT_EQ(reparsed->more_fragments, iph->more_fragments);
+        EXPECT_EQ(reparsed->src, iph->src);
+        EXPECT_EQ(reparsed->dst, iph->dst);
+      }
+      if (mutant.size() < kIpv4HeaderBytes) {
+        continue;
+      }
+      const auto tcp = std::span<const uint8_t>(mutant).subspan(kIpv4HeaderBytes);
+      const auto th = TcpHeader::Parse(tcp);
+      if (!th.has_value()) {
+        continue;
+      }
+      ++parsed;
+      ASSERT_EQ(th->HeaderLength(), static_cast<size_t>(tcp[12] >> 4) * 4) << "mutant " << iter;
+      std::vector<uint8_t> out(th->HeaderLength());
+      th->Serialize(out);
+      const auto again = TcpHeader::Parse(out);
+      ASSERT_TRUE(again.has_value()) << "mutant " << iter;
+      TcpOptions expected = th->options;
+      if (expected.sack.size() > kTcpMaxSackBlocks) {
+        expected.sack.resize(kTcpMaxSackBlocks);
+      }
+      EXPECT_EQ(again->options, expected) << "mutant " << iter;
+      EXPECT_EQ(again->HeaderLength(), th->HeaderLength()) << "mutant " << iter;
+    }
+  }
+  EXPECT_GT(parsed, 10000);
 }
 
 TEST(TcpPseudoHeader, Layout) {
