@@ -26,6 +26,7 @@ AtmSwitch::AtmSwitch(Simulator* sim, double bits_per_second, SimDuration propaga
     : sim_(sim), bits_per_second_(bits_per_second), propagation_(propagation),
       per_cell_latency_(per_cell_latency) {
   TCPLAT_CHECK(sim != nullptr);
+  fabric_lane_ = sim->NewLane();
 }
 
 void AtmSwitch::AttachOutput(int port, CellSink* sink, double bits_per_second) {
@@ -36,6 +37,7 @@ void AtmSwitch::AttachOutput(int port, CellSink* sink, double bits_per_second) {
   out.wire = std::make_unique<Wire>(sim_, rate, propagation_);
   out.wire->set_impairment(output_impairment_);
   out.sink = sink;
+  out.release_lane = sim_->NewLane();
   outputs_[port] = std::move(out);
 }
 
@@ -90,18 +92,18 @@ void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t
   // output fiber after the fabric latency (the wire handles head-of-line
   // queueing when cells from several inputs converge on one output). A
   // buffered cell holds its VC's occupancy slot until its last bit leaves.
-  CellSink* sink = out.sink;
-  Wire* wire = out.wire.get();
+  OutputPort* port = &out;
   const SimTime ready = arrival + per_cell_latency_;
-  sim_->ScheduleAt(ready, [this, wire, sink, ready, vci, buffered,
-                           bytes = std::move(wire_bytes)]() mutable {
+  sim_->ScheduleInLane(fabric_lane_, ready, [this, port, ready, vci, buffered,
+                                             bytes = std::move(wire_bytes)]() mutable {
+    CellSink* sink = port->sink;
     const SimTime done =
-        wire->Transmit(ready, std::move(bytes),
-                       [sink](SimTime t, std::vector<uint8_t> data) {
-                         sink->DeliverCell(t, std::move(data));
-                       });
+        port->wire->Transmit(ready, std::move(bytes),
+                             [sink](SimTime t, std::vector<uint8_t> data) {
+                               sink->DeliverCell(t, std::move(data));
+                             });
     if (buffered) {
-      sim_->ScheduleAt(done, [this, vci] {
+      sim_->ScheduleInLane(port->release_lane, done, [this, vci] {
         VcState& vc = vc_states_[vci];
         --vc.occupancy;
         Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);

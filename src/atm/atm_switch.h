@@ -145,6 +145,9 @@ class AtmSwitch {
   struct OutputPort {
     std::unique_ptr<Wire> wire;
     CellSink* sink = nullptr;
+    // VC-buffer releases, due at the wire's last-bit times, which never
+    // decrease.
+    LaneId release_lane = 0;
   };
 
   void SwitchCell(int in_port, SimTime arrival, std::vector<uint8_t> wire_bytes);
@@ -169,6 +172,8 @@ class AtmSwitch {
   double bits_per_second_;
   SimDuration propagation_;
   SimDuration per_cell_latency_;
+  // Fabric steps, due at arrival + per_cell_latency_, which never decreases.
+  LaneId fabric_lane_;
   std::map<int, std::unique_ptr<InputPort>> inputs_;
   std::map<int, OutputPort> outputs_;
   std::map<uint16_t, int> routes_;

@@ -11,6 +11,7 @@ Wire::Wire(Simulator* sim, double bits_per_second, SimDuration propagation, size
       gap_bytes_(gap_bytes) {
   TCPLAT_CHECK(sim != nullptr);
   TCPLAT_CHECK_GT(bits_per_second, 0.0);
+  lane_ = sim->NewLane();
 }
 
 SimDuration Wire::SerializationDelay(size_t bytes) const {
@@ -57,10 +58,10 @@ SimTime Wire::Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn de
 }
 
 void Wire::ScheduleDelivery(SimTime arrival, std::vector<uint8_t> data, DeliverFn deliver) {
-  sim_->ScheduleAt(arrival,
-                   [arrival, data = std::move(data), deliver = std::move(deliver)]() mutable {
-                     deliver(arrival, std::move(data));
-                   });
+  sim_->ScheduleInLane(lane_, arrival,
+                       [arrival, data = std::move(data), deliver = std::move(deliver)]() mutable {
+                         deliver(arrival, std::move(data));
+                       });
 }
 
 SharedBus::SharedBus(Simulator* sim, double bits_per_second, SimDuration propagation,

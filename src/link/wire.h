@@ -61,7 +61,10 @@ class Wire {
   // Queues `data` for transmission no earlier than `earliest` (and not
   // before previously queued units finish). Returns the time the last bit
   // leaves the sender; the receiver callback fires at that time plus the
-  // propagation delay.
+  // propagation delay. Deliveries go through the wire's own event lane, as
+  // their arrival times never decrease unless an impairment delays one; the
+  // lane belongs to the simulator, so units in flight still arrive after the
+  // wire is destroyed.
   SimTime Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver);
 
   // Time the medium becomes free.
@@ -91,6 +94,7 @@ class Wire {
   SimDuration propagation_;
   size_t gap_bytes_;
   SimTime busy_until_;
+  LaneId lane_;
   CorruptFn corrupt_;
   DropFn drop_;
   LinkImpairment* impairment_ = nullptr;

@@ -14,6 +14,11 @@ namespace {
 constexpr size_t kCompactMinDead = 64;
 }  // namespace
 
+uint64_t EventQueue::NextSeq() {
+  TCPLAT_CHECK_LT(next_seq_, uint64_t{1} << (64 - kSlotBits)) << "event sequence exhausted";
+  return next_seq_++;
+}
+
 EventId EventQueue::ScheduleAt(SimTime when, Callback&& fn) {
   TCPLAT_CHECK(static_cast<bool>(fn));
   uint32_t slot;
@@ -21,12 +26,11 @@ EventId EventQueue::ScheduleAt(SimTime when, Callback&& fn) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    TCPLAT_CHECK_LT(slots_.size(), kSlotMask + 1) << "too many pending events";
+    TCPLAT_CHECK_LT(slots_.size(), kFirstLaneSlot) << "too many pending events";
     slot = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  TCPLAT_CHECK_LT(next_seq_, uint64_t{1} << (64 - kSlotBits)) << "event sequence exhausted";
-  const uint64_t seq = next_seq_++;
+  const uint64_t seq = NextSeq();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.seq = seq;
@@ -43,9 +47,45 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   --live_;
 }
 
+LaneId EventQueue::NewLane() {
+  TCPLAT_CHECK_LT(lanes_.size(), kMaxLanes) << "too many event lanes";
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void EventQueue::ScheduleInLane(LaneId lane_id, SimTime when, Callback&& fn) {
+  TCPLAT_DCHECK(lane_id < lanes_.size());
+  Lane& lane = lanes_[lane_id];
+  if (lane.count > 0 && when.nanos() < lane.tail_time) {
+    ScheduleAt(when, std::move(fn));  // it would overtake the lane's tail
+    return;
+  }
+  TCPLAT_CHECK(static_cast<bool>(fn));
+  if (lane.count == lane.ring.size()) {
+    std::vector<LaneEntry> grown(std::max<size_t>(8, 2 * lane.ring.size()));
+    for (size_t i = 0; i < lane.count; ++i) {
+      grown[i] = std::move(lane.ring[(lane.head + i) & (lane.ring.size() - 1)]);
+    }
+    lane.ring = std::move(grown);
+    lane.head = 0;
+  }
+  const Key key{when.nanos(), (NextSeq() << kSlotBits) | (kFirstLaneSlot + lane_id)};
+  LaneEntry& entry = lane.ring[(lane.head + lane.count) & (lane.ring.size() - 1)];
+  entry.key = key;
+  entry.fn = std::move(fn);
+  lane.tail_time = key.time;
+  if (lane.count++ == 0) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), KeyGreater{});
+    ++live_;
+  }
+}
+
 bool EventQueue::Cancel(EventId id) {
   const Key key{0, id};
-  if (key.seq() == 0 || key.slot() >= slots_.size() || !IsLive(key)) {
+  // A lane's slot index is never below slots_.size(), so no id reaches a
+  // lane event.
+  if (key.seq() == 0 || key.slot() >= slots_.size() || slots_[key.slot()].seq != key.seq()) {
     return false;
   }
   slots_[key.slot()].fn.Reset();  // the captured state dies now, not at pop time
@@ -81,12 +121,46 @@ SimTime EventQueue::NextTime() {
 EventQueue::Dispatched EventQueue::PopNext() {
   DropDeadHead();
   TCPLAT_CHECK(!heap_.empty());
+  const Key key = heap_.front();
+  if (key.slot() >= kFirstLaneSlot) {
+    return PopLaneHead(key);
+  }
   std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
-  const Key key = heap_.back();
   heap_.pop_back();
-  Dispatched out{SimTime::FromNanos(key.time), std::move(slots_[key.slot()].fn)};
-  ReleaseSlot(key.slot());
+  ReleaseSlot(key.slot());  // leaves the callback in place
+  // Built in the return statement, so the callback moves once, straight into
+  // the result (a named local would not get NRVO beside the lane return).
+  return Dispatched{SimTime::FromNanos(key.time), std::move(slots_[key.slot()].fn)};
+}
+
+EventQueue::Dispatched EventQueue::PopLaneHead(const Key& top) {
+  Lane& lane = lanes_[top.slot() - kFirstLaneSlot];
+  Dispatched out{SimTime::FromNanos(top.time), std::move(lane.ring[lane.head].fn)};
+  lane.head = (lane.head + 1) & (lane.ring.size() - 1);
+  if (--lane.count > 0) {
+    ReplaceTop(lane.ring[lane.head].key);
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
+    heap_.pop_back();
+    --live_;
+  }
   return out;
+}
+
+void EventQueue::ReplaceTop(const Key& key) {
+  const size_t n = heap_.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && KeyGreater{}(heap_[child], heap_[child + 1])) {
+      ++child;
+    }
+    if (!KeyGreater{}(key, heap_[child])) {
+      break;
+    }
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = key;
 }
 
 }  // namespace tcplat

@@ -20,6 +20,18 @@
 //    memory is bounded by the peak *live* event count, not by cancellation
 //    traffic.
 //  * Callbacks are stored inline in the slot (see Callback below).
+//
+// FIFO lanes. A source whose events never go back in time (a wire's
+// deliveries, a switch's fabric step, an output port's buffer releases) can
+// schedule into a lane instead: a queue-owned ring of (key, callback) whose
+// times never decrease. Only the lane's head sits in the heap, under the
+// (time, seq) key it got when it was scheduled, so the dispatch order is the
+// one the heap would give with every entry in it. When the head runs, the
+// lane's next entry replaces the heap root with one sift-down. An entry
+// earlier than its lane's tail is scheduled as an ordinary event instead.
+// Lane heads carry a slot index from a reserved range at the top of the slot
+// space, which is how the heap tells them from ordinary events. Lane events
+// cannot be cancelled.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -39,6 +51,9 @@ namespace tcplat {
 // Token identifying a scheduled event so it can be cancelled.
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+// Names a FIFO lane of one EventQueue (see EventQueue::NewLane).
+using LaneId = uint32_t;
 
 class EventQueue {
  public:
@@ -181,7 +196,18 @@ class EventQueue {
   // false.
   bool Cancel(EventId id);
 
+  // Opens a new, empty FIFO lane. Lanes live as long as the queue.
+  LaneId NewLane();
+
+  // Schedules `fn` at `when` (same rules as ScheduleAt) behind the earlier
+  // entries of `lane`. The event runs exactly when ScheduleAt would have run
+  // it; if `when` is earlier than the lane's latest entry it is scheduled as
+  // an ordinary event. Lane events cannot be cancelled.
+  void ScheduleInLane(LaneId lane, SimTime when, Callback&& fn);
+
   bool empty() const { return live_ == 0; }
+  // Pending entries the heap orders: ordinary events plus one per non-empty
+  // lane. Entries behind a lane's head are not counted.
   size_t size() const { return live_; }
 
   // Time of the earliest pending event. Requires !empty().
@@ -196,11 +222,12 @@ class EventQueue {
 
   // --- introspection (tests and the perf self-check) ---
 
-  // Callback slots owned by the queue: pending events plus free slots kept
-  // for reuse. Bounded-memory regression tests assert this stays
-  // proportional to the peak live count.
+  // Callback slots owned by the queue: pending ordinary events plus free
+  // slots kept for reuse (lane entries live in their lanes' rings).
+  // Bounded-memory regression tests assert this stays proportional to the
+  // peak live count.
   size_t allocated_entries() const { return slots_.size(); }
-  // Heap keys: pending events plus cancelled keys not yet compacted away.
+  // Heap keys: size() plus cancelled keys not yet compacted away.
   size_t heap_entries() const { return heap_.size(); }
 
  private:
@@ -208,6 +235,10 @@ class EventQueue {
   // sequence number, so ordering by that word orders by sequence number.
   static constexpr int kSlotBits = 20;
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  // Slot indices from kFirstLaneSlot up name lanes: a heap key with one is
+  // its lane's head. Ordinary events use the slots below.
+  static constexpr uint32_t kMaxLanes = uint32_t{1} << 16;
+  static constexpr uint32_t kFirstLaneSlot = static_cast<uint32_t>(kSlotMask + 1) - kMaxLanes;
 
   struct Key {
     int64_t time;
@@ -230,9 +261,29 @@ class EventQueue {
     Callback fn;
     uint64_t seq = 0;  // sequence number of the pending event; 0 when free
   };
+  struct LaneEntry {
+    Key key{};  // the key the entry takes in the heap once it is the head
+    Callback fn;
+  };
+  struct Lane {
+    std::vector<LaneEntry> ring;  // size is zero or a power of two
+    size_t head = 0;
+    size_t count = 0;
+    int64_t tail_time = 0;  // time of the newest entry, while count > 0
+  };
 
-  bool IsLive(const Key& key) const { return slots_[key.slot()].seq == key.seq(); }
+  // Lane heads are always live: only ordinary events can be cancelled.
+  bool IsLive(const Key& key) const {
+    return key.slot() >= kFirstLaneSlot || slots_[key.slot()].seq == key.seq();
+  }
+  uint64_t NextSeq();
   void ReleaseSlot(uint32_t slot);
+  // Runs the lane head at the heap top: the lane's next entry, if any, takes
+  // the root with its own key.
+  Dispatched PopLaneHead(const Key& top);
+  // Puts `key` at the heap root in place of the current root and sifts it
+  // down.
+  void ReplaceTop(const Key& key);
   // Pops cancelled keys off the heap top.
   void DropDeadHead();
   // Removes all cancelled keys from the heap and restores the heap property.
@@ -242,9 +293,10 @@ class EventQueue {
   std::vector<Key> heap_;  // binary min-heap via std::push_heap/pop_heap
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  size_t live_ = 0;
+  size_t live_ = 0;  // pending ordinary events plus non-empty lanes
   size_t dead_in_heap_ = 0;
   uint64_t next_seq_ = 1;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace tcplat

@@ -16,6 +16,11 @@ EventId Simulator::ScheduleAt(SimTime when, EventQueue::Callback&& fn) {
   return events_.ScheduleAt(when, std::move(fn));
 }
 
+void Simulator::ScheduleInLane(LaneId lane, SimTime when, EventQueue::Callback&& fn) {
+  TCPLAT_CHECK_GE(when.nanos(), now_.nanos()) << "cannot schedule into the past";
+  events_.ScheduleInLane(lane, when, std::move(fn));
+}
+
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t n = 0;
   while (!events_.empty() && events_.NextTime() <= deadline) {

@@ -32,6 +32,13 @@ class Simulator {
 
   bool Cancel(EventId id) { return events_.Cancel(id); }
 
+  // FIFO lanes for sources whose event times never decrease (see
+  // EventQueue::NewLane). ScheduleInLane takes an absolute time (>= Now())
+  // and dispatches exactly as ScheduleAt would; lane events cannot be
+  // cancelled.
+  LaneId NewLane() { return events_.NewLane(); }
+  void ScheduleInLane(LaneId lane, SimTime when, EventQueue::Callback&& fn);
+
   // Runs events until the queue is empty or `deadline` is passed. Events
   // scheduled exactly at the deadline still run. Returns the number of
   // events dispatched.
@@ -45,6 +52,10 @@ class Simulator {
   bool Step();
 
   uint64_t events_dispatched() const { return dispatched_; }
+  // What the event heap orders: pending ordinary events plus one per
+  // non-empty lane. Entries queued behind a lane's head are not counted, so
+  // this is the heap depth, not the number of events still to run; zero
+  // still means nothing is pending.
   size_t pending_events() const { return events_.size(); }
 
  private:

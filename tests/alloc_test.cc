@@ -1,8 +1,9 @@
-// Allocation regression test for the per-cell, per-event hot path: the
+// Allocation regression tests for the per-cell, per-event hot path: the
 // two-host ATM testbed running the paper's 8000-byte echo benchmark must
 // average at most 1.5 operator new calls per dispatched event. Event-queue
-// entries, callbacks and SAR cells allocate nothing; what remains is about
-// one 53-byte wire image per cell plus per-PDU buffers.
+// entries, lane rings, callbacks and SAR cells allocate nothing; what
+// remains is about one 53-byte wire image per cell plus per-PDU buffers. A
+// lane whose ring has grown schedules and dispatches without allocating.
 //
 // Replacing the global operator new makes this its own executable. Under
 // AddressSanitizer, which supplies its own allocator, the test is skipped.
@@ -15,6 +16,7 @@
 
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
+#include "src/sim/simulator.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define TCPLAT_ALLOC_TEST_ENABLED 0
@@ -58,6 +60,48 @@ TEST(Allocations, AtMostOneAndAHalfPerDispatchedEvent) {
   RecordProperty("operator_new_calls", static_cast<int>(news));
   RecordProperty("events", static_cast<int>(events));
   EXPECT_LE(per_event, 1.5) << news << " operator new calls over " << events << " events";
+#endif
+}
+
+// Keeps `in_flight` entries pending in one lane: each run schedules its
+// successor one cell time later, until `remaining` runs out.
+struct LaneChain {
+  Simulator* sim;
+  LaneId lane;
+  uint64_t remaining;
+
+  void Start(int in_flight) {
+    for (int i = 0; i < in_flight; ++i) {
+      sim->ScheduleInLane(lane, sim->Now() + SimDuration::FromNanos(i), [this] { Step(); });
+    }
+  }
+  void Step() {
+    if (remaining > 0) {
+      --remaining;
+      sim->ScheduleInLane(lane, sim->Now() + SimDuration::FromNanos(3029), [this] { Step(); });
+    }
+  }
+};
+
+TEST(Allocations, LaneEventsAllocateNothingOnceTheRingHasGrown) {
+#if !TCPLAT_ALLOC_TEST_ENABLED
+  GTEST_SKIP() << "AddressSanitizer replaces operator new";
+#else
+  constexpr int kInFlight = 100;
+  constexpr uint64_t kEvents = 100000;
+  Simulator sim;
+  LaneChain chain{&sim, sim.NewLane(), 1000};
+  chain.Start(kInFlight);  // grows the ring to its peak
+  sim.RunToCompletion();
+
+  chain.remaining = kEvents - kInFlight;
+  const uint64_t events0 = sim.events_dispatched();
+  const uint64_t news0 = g_operator_new_calls;
+  chain.Start(kInFlight);
+  sim.RunToCompletion();
+  const uint64_t news = g_operator_new_calls - news0;
+  ASSERT_EQ(sim.events_dispatched() - events0, kEvents);
+  EXPECT_EQ(news, 0u) << news << " operator new calls over " << kEvents << " lane events";
 #endif
 }
 

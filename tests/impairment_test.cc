@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
 #include "src/fault/impairment.h"
@@ -223,6 +227,134 @@ TEST(ImpairmentEndToEnd, ZeroImpairmentMatchesCleanRun) {
   EXPECT_EQ(r.link.offered, r.link.delivered);
   EXPECT_EQ(r.rpc.rtt.sum().nanos(), clean.rtt.sum().nanos());
   EXPECT_EQ(r.retransmits, 0u);
+}
+
+// Passes every verdict of a seeded ImpairmentPolicy through and keeps it, so
+// a test can work out when each unit must arrive.
+class RecordingImpairment : public LinkImpairment {
+ public:
+  explicit RecordingImpairment(const ImpairmentConfig& config) : policy_(config) {}
+
+  Verdict OnTransmit(SimTime departure, const std::vector<uint8_t>& data) override {
+    const Verdict verdict = policy_.OnTransmit(departure, data);
+    verdicts_.push_back(verdict);
+    return verdict;
+  }
+
+  const Verdict& last() const { return verdicts_.back(); }
+  const ImpairmentStats& stats() const { return policy_.stats(); }
+
+ private:
+  ImpairmentPolicy policy_;
+  std::vector<Verdict> verdicts_;
+};
+
+// One expected or observed delivery: the unit's number, its copy (1 for an
+// impairment duplicate) and its arrival time.
+struct Arrival {
+  uint32_t unit = 0;
+  int copy = 0;
+  int64_t at_ns = 0;
+  bool operator==(const Arrival&) const = default;
+};
+
+std::vector<uint8_t> NumberedUnit(uint32_t unit) {
+  std::vector<uint8_t> bytes(53, 0);
+  std::memcpy(bytes.data(), &unit, sizeof(unit));
+  return bytes;
+}
+
+uint32_t UnitNumber(const std::vector<uint8_t>& bytes) {
+  uint32_t unit = 0;
+  std::memcpy(&unit, bytes.data(), sizeof(unit));
+  return unit;
+}
+
+// Reorder holds, jitter and duplicate lags put many deliveries earlier than
+// the wire's latest one; those leave the wire's event lane for the ordinary
+// heap, and every delivery must still land at the time its Transmit implies,
+// in (arrival, transmit) order.
+TEST(WireLane, ImpairedWireDeliversEachUnitWhenItsTransmitSays) {
+  Simulator sim;
+  ImpairmentConfig cfg;
+  cfg.duplicate_prob = 0.1;
+  cfg.duplicate_lag = SimDuration::FromMicros(5);
+  cfg.reorder_prob = 0.2;
+  cfg.reorder_hold = SimDuration::FromMicros(10);
+  cfg.jitter_max = SimDuration::FromMicros(4);
+  cfg.seed = 3;
+  RecordingImpairment impairment(cfg);
+  const SimDuration propagation = SimDuration::FromMicros(1);
+  Wire wire(&sim, 140e6, propagation);  // a 53-byte cell takes ~3 us
+  wire.set_impairment(&impairment);
+
+  constexpr uint32_t kUnits = 3000;
+  std::vector<Arrival> expected;  // in schedule order
+  std::vector<Arrival> got;
+  std::vector<int> copies(kUnits, 0);
+  int64_t latest_ns = 0;
+  int overtaken = 0;
+  Rng rng(5);
+  SimTime send_at;
+  for (uint32_t unit = 0; unit < kUnits; ++unit) {
+    // Bursts queue on the wire; gaps let it drain.
+    send_at = send_at + SimDuration::FromNanos(static_cast<int64_t>(rng.NextBelow(6000)));
+    sim.ScheduleAt(send_at, [&, unit] {
+      const SimTime last_bit = wire.Transmit(
+          sim.Now(), NumberedUnit(unit), [&](SimTime t, std::vector<uint8_t> bytes) {
+            EXPECT_EQ(t, sim.Now());
+            const uint32_t n = UnitNumber(bytes);
+            got.push_back({n, copies[n]++, t.nanos()});
+          });
+      const LinkImpairment::Verdict& v = impairment.last();
+      const int64_t arrival = (last_bit + propagation + v.extra_delay).nanos();
+      overtaken += arrival < latest_ns ? 1 : 0;
+      latest_ns = std::max(latest_ns, arrival);
+      expected.push_back({unit, 0, arrival});
+      if (v.duplicate) {
+        expected.push_back({unit, 1, arrival + v.duplicate_lag.nanos()});
+      }
+    });
+  }
+  sim.RunToCompletion();
+
+  // std::stable_sort keeps schedule order among equal arrival times.
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Arrival& a, const Arrival& b) { return a.at_ns < b.at_ns; });
+  EXPECT_EQ(got.size(), kUnits + impairment.stats().duplicated);
+  EXPECT_EQ(got, expected);
+  EXPECT_GT(overtaken, 300);
+  EXPECT_GT(impairment.stats().duplicated, 100u);
+}
+
+// The lane belongs to the simulator, not the wire: units in flight when the
+// wire is destroyed still arrive, the held-back (ordinary) ones included.
+TEST(WireLane, UnitsInFlightArriveAfterTheWireIsDestroyed) {
+  Simulator sim;
+  ImpairmentConfig cfg;
+  cfg.reorder_prob = 0.5;
+  cfg.reorder_hold = SimDuration::FromMicros(10);
+  cfg.seed = 2;
+  RecordingImpairment impairment(cfg);
+  const SimDuration propagation = SimDuration::FromMicros(1);
+  std::vector<Arrival> expected;
+  std::vector<Arrival> got;
+  {
+    Wire wire(&sim, 140e6, propagation);
+    wire.set_impairment(&impairment);
+    for (uint32_t unit = 0; unit < 20; ++unit) {
+      const SimTime last_bit = wire.Transmit(
+          sim.Now(), NumberedUnit(unit), [&](SimTime t, std::vector<uint8_t> bytes) {
+            got.push_back({UnitNumber(bytes), 0, t.nanos()});
+          });
+      expected.push_back({unit, 0, (last_bit + propagation + impairment.last().extra_delay).nanos()});
+    }
+  }
+  EXPECT_GT(impairment.stats().reordered, 3u);
+  sim.RunToCompletion();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Arrival& a, const Arrival& b) { return a.at_ns < b.at_ns; });
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

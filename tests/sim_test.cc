@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -259,6 +261,7 @@ TEST(EventQueue, EveryCallbackIsDestroyedExactlyOnce) {
   std::vector<EventId> ids;
   {
     EventQueue q;
+    const LaneId lane = q.NewLane();
     // Odd times carry a capture too large for the inline buffer.
     for (int t = 1; t <= 6; ++t) {
       const SimTime when = SimTime::FromNanos(t);
@@ -270,18 +273,255 @@ TEST(EventQueue, EveryCallbackIsDestroyedExactlyOnce) {
             q.ScheduleAt(when, [c = DestroyCounter(&destroyed), pad, &ran] { ran += pad[0] + 1; }));
       }
     }
+    // Lane entries at t = 2, 5, 7 and 9, each other one too large to store
+    // inline; t = 3 is earlier than the lane's tail and becomes ordinary.
+    for (int t : {2, 5, 3, 7, 9}) {
+      const SimTime when = SimTime::FromNanos(t);
+      if (t % 4 == 1) {
+        std::array<char, 2 * EventQueue::Callback::kInlineBytes> pad{};
+        q.ScheduleInLane(lane, when,
+                         [c = DestroyCounter(&destroyed), pad, &ran] { ran += pad[0] + 1; });
+      } else {
+        q.ScheduleInLane(lane, when, [c = DestroyCounter(&destroyed), &ran] { ++ran; });
+      }
+    }
     EXPECT_EQ(destroyed, 0);
     EXPECT_TRUE(q.Cancel(ids[1]));
     EXPECT_TRUE(q.Cancel(ids[2]));
     EXPECT_EQ(destroyed, 2);  // cancelled: released at once
     q.PopNext().fn();         // t=1
+    q.PopNext().fn();         // t=2, lane
+    q.PopNext().fn();         // t=3, from the lane's fallback
     q.PopNext().fn();         // t=4
-    EXPECT_EQ(ran, 2);
-    EXPECT_EQ(destroyed, 4);  // run: released after the call
-    EXPECT_EQ(q.size(), 2u);
+    q.PopNext().fn();         // t=5, scheduled before the lane's t=5
+    EXPECT_EQ(ran, 5);
+    EXPECT_EQ(destroyed, 7);  // run: released after the call
+    EXPECT_EQ(q.size(), 2u);  // t=6, and the lane holding t=5, 7 and 9
   }
-  EXPECT_EQ(destroyed, 6);  // still pending: released with the queue
-  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(destroyed, 11);  // still pending, in the lane too: released with the queue
+  EXPECT_EQ(ran, 5);
+}
+
+// Drives an EventQueue with a seeded mix of ordinary events and lane
+// entries, scheduled from outside and from inside callbacks, with
+// cancellations and stale-id cancels, and mirrors what the queue must do.
+class LaneMix {
+ public:
+  static constexpr size_t kLanes = 4;
+  static constexpr size_t kMaxEvents = 6000;
+
+  LaneMix(uint64_t seed, int* destroyed) : rng_(seed), destroyed_(destroyed) {
+    for (size_t i = 0; i < kLanes; ++i) {
+      lanes_.push_back(q_.NewLane());
+    }
+  }
+
+  // Dispatches until the queue drains or `max_dispatches` have run.
+  void Run(size_t max_dispatches) {
+    while (!q_.empty() && dispatched_.size() < max_dispatches) {
+      EventQueue::Dispatched ev = q_.PopNext();
+      ASSERT_GE(ev.time.nanos(), now_);
+      now_ = ev.time.nanos();
+      ev.fn();
+      ASSERT_EQ(q_.size(), ExpectedSize());
+    }
+  }
+
+  // Times are drawn from a window of 16 ns, so many events share a time and
+  // the tie-break by schedule order decides their order. Lane entries mostly
+  // land at or just after their lane's tail, as a wire's deliveries do, and
+  // now and then anywhere in the window, as an impairment delay puts them.
+  void ScheduleOne() {
+    const size_t index = events_.size();
+    int64_t when = now_ + static_cast<int64_t>(rng_.NextBelow(16));
+    Event event;
+    auto fn = [this, index, c = DestroyCounter(destroyed_)] { OnRun(index); };
+    if (rng_.NextBool(0.6)) {
+      const size_t lane = rng_.NextBelow(kLanes);
+      LaneModel& m = lane_model_[lane];
+      if (m.pending > 0 && rng_.NextBool(0.8)) {
+        when = m.tail + static_cast<int64_t>(rng_.NextBelow(4));
+      }
+      event.time = when;
+      if (m.pending > 0 && when < m.tail) {
+        event.kind = Event::kFallback;
+        ++fallbacks_;
+        ++ordinary_pending_;
+      } else {
+        event.kind = Event::kLane;
+        event.lane = lane;
+        m.tail = when;
+        ++m.pending;
+      }
+      events_.push_back(event);
+      q_.ScheduleInLane(lanes_[lane], SimTime::FromNanos(when), std::move(fn));
+    } else {
+      event.kind = Event::kOrdinary;
+      event.time = when;
+      events_.push_back(event);
+      ++ordinary_pending_;
+      ids_.emplace_back(q_.ScheduleAt(SimTime::FromNanos(when), std::move(fn)), index);
+    }
+  }
+
+  // Cancels a random ordinary event by id: a pending one must cancel, and a
+  // stale one (already run or cancelled) must not touch anything.
+  void CancelOne() {
+    if (ids_.empty()) {
+      return;
+    }
+    const auto [id, index] = ids_[rng_.NextBelow(ids_.size())];
+    Event& event = events_[index];
+    const bool pending = !event.ran && !event.cancelled;
+    ASSERT_EQ(q_.Cancel(id), pending) << "event " << index;
+    if (pending) {
+      event.cancelled = true;
+      --ordinary_pending_;
+      ++cancelled_;
+    } else {
+      ++stale_cancels_;
+    }
+  }
+
+  // Every event not cancelled, in (time, schedule order): the order one heap
+  // over all of them dispatches. A run stopped early must have dispatched a
+  // prefix of it, since an event scheduled later always has a larger key.
+  std::vector<size_t> ReferenceOrder() const {
+    std::vector<size_t> order;
+    for (size_t i = 0; i < events_.size(); ++i) {
+      if (!events_[i].cancelled) {
+        order.push_back(i);
+      }
+    }
+    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+      return events_[a].time != events_[b].time ? events_[a].time < events_[b].time : a < b;
+    });
+    return order;
+  }
+
+  const std::vector<size_t>& dispatched() const { return dispatched_; }
+  size_t scheduled() const { return events_.size(); }
+  size_t cancelled() const { return cancelled_; }
+  size_t fallbacks() const { return fallbacks_; }
+  size_t stale_cancels() const { return stale_cancels_; }
+  size_t lane_events() const {
+    return static_cast<size_t>(std::count_if(events_.begin(), events_.end(),
+                                             [](const Event& e) { return e.kind == Event::kLane; }));
+  }
+
+ private:
+  struct Event {
+    enum Kind { kOrdinary, kLane, kFallback };
+    int64_t time = 0;
+    Kind kind = kOrdinary;
+    size_t lane = 0;
+    bool ran = false;
+    bool cancelled = false;
+  };
+  struct LaneModel {
+    size_t pending = 0;
+    int64_t tail = 0;
+  };
+
+  void OnRun(size_t index) {
+    Event& event = events_[index];
+    ASSERT_FALSE(event.ran);
+    ASSERT_FALSE(event.cancelled);
+    ASSERT_EQ(event.time, now_);
+    event.ran = true;
+    dispatched_.push_back(index);
+    if (event.kind == Event::kLane) {
+      --lane_model_[event.lane].pending;
+    } else {
+      --ordinary_pending_;
+    }
+    // 1.5 successors on average, until the run has scheduled kMaxEvents.
+    for (uint64_t n = rng_.NextBelow(4); n > 0 && events_.size() < kMaxEvents; --n) {
+      ScheduleOne();
+    }
+    if (rng_.NextBool(0.3)) {
+      CancelOne();
+    }
+  }
+
+  // Ordinary events (fallbacks included) plus one per non-empty lane.
+  size_t ExpectedSize() const {
+    size_t size = ordinary_pending_;
+    for (const LaneModel& m : lane_model_) {
+      size += m.pending > 0 ? 1 : 0;
+    }
+    return size;
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  int* destroyed_;
+  int64_t now_ = 0;
+  std::vector<LaneId> lanes_;
+  std::array<LaneModel, kLanes> lane_model_{};
+  std::vector<Event> events_;  // index = schedule order
+  std::vector<std::pair<EventId, size_t>> ids_;
+  std::vector<size_t> dispatched_;
+  size_t ordinary_pending_ = 0;
+  size_t cancelled_ = 0;
+  size_t fallbacks_ = 0;
+  size_t stale_cancels_ = 0;
+};
+
+TEST(EventQueue, LanesDispatchAsOneHeapWouldAmongOrdinaryEvents) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    int destroyed = 0;
+    size_t scheduled = 0;
+    {
+      LaneMix mix(seed, &destroyed);
+      for (int i = 0; i < 200; ++i) {
+        mix.ScheduleOne();
+        if (i % 7 == 0) {
+          mix.CancelOne();
+        }
+      }
+      // Odd seeds drain the queue; even seeds stop early and leave events,
+      // lane entries among them, pending when the queue dies.
+      const bool drain = seed % 2 == 1;
+      mix.Run(drain ? SIZE_MAX : 3000);
+      if (HasFatalFailure()) {
+        return;
+      }
+      std::vector<size_t> reference = mix.ReferenceOrder();
+      if (drain) {
+        EXPECT_EQ(mix.dispatched().size(), mix.scheduled() - mix.cancelled());
+      } else {
+        ASSERT_EQ(mix.dispatched().size(), 3000u);
+        reference.resize(mix.dispatched().size());
+      }
+      EXPECT_EQ(mix.dispatched(), reference);
+      EXPECT_GT(mix.lane_events(), 1500u);
+      EXPECT_GT(mix.fallbacks(), 300u);
+      EXPECT_GT(mix.cancelled(), 50u);
+      EXPECT_GT(mix.stale_cancels(), 500u);
+      scheduled = mix.scheduled();
+    }
+    EXPECT_EQ(static_cast<size_t>(destroyed), scheduled);
+  }
+}
+
+TEST(EventQueue, LaneEntryAtTheSameTimeRunsInScheduleOrder) {
+  // A lane entry keeps the sequence number it was scheduled with, so an
+  // ordinary event scheduled after it at the same time runs after it, even
+  // though the entry reached the heap only when the lane's head ran.
+  EventQueue q;
+  const LaneId lane = q.NewLane();
+  std::vector<int> order;
+  q.ScheduleInLane(lane, SimTime::FromNanos(10), [&] { order.push_back(1); });
+  q.ScheduleInLane(lane, SimTime::FromNanos(20), [&] { order.push_back(2); });
+  q.ScheduleAt(SimTime::FromNanos(20), [&] { order.push_back(3); });
+  q.ScheduleInLane(lane, SimTime::FromNanos(20), [&] { order.push_back(4); });
+  EXPECT_EQ(q.size(), 2u);  // the lane's head and the ordinary event
+  while (!q.empty()) {
+    q.PopNext().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {
