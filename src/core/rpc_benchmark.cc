@@ -10,10 +10,14 @@ namespace tcplat {
 namespace {
 
 // Deterministic per-iteration payload so the client can verify the echo
-// end-to-end (the application-level check of §4.2.1).
+// end-to-end (the application-level check of §4.2.1). Byte i is
+// (i * 131 + iteration * 17 + 7) mod 256, which depends only on i mod 256,
+// so the loop steps an 8-bit value and vectorizes in byte lanes.
 void FillPattern(std::vector<uint8_t>& buf, int iteration) {
-  for (size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<uint8_t>((i * 131 + iteration * 17 + 7) & 0xFF);
+  uint8_t value = static_cast<uint8_t>(iteration * 17 + 7);
+  for (uint8_t& b : buf) {
+    b = value;
+    value = static_cast<uint8_t>(value + 131);
   }
 }
 

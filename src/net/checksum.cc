@@ -18,53 +18,81 @@ uint16_t Fold(uint64_t sum) {
 
 uint16_t Swap16(uint16_t v) { return static_cast<uint16_t>((v << 8) | (v >> 8)); }
 
-// Loads a 32-bit big-endian word from a possibly unaligned pointer.
-inline uint32_t LoadWordBe(const uint8_t* p) {
-  uint32_t v;
+// The ones'-complement sum of two 64-bit words: an add whose carry out of
+// bit 63 wraps around into bit 0.
+inline uint64_t AddEndAround(uint64_t a, uint64_t b) {
+  const uint64_t sum = a + b;
+  return sum + (sum < b);
+}
+
+// Loads a native-order word from a possibly unaligned pointer.
+template <typename Word>
+inline Word LoadNative(const uint8_t* p) {
+  Word v;
   std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::little) {
-    v = __builtin_bswap32(v);
-  }
   return v;
 }
 
-// Raw (uncomplemented) big-endian word sum of `data`, odd trailing byte
-// padded with zero, computed with the fast unrolled loop.
-uint64_t FastRawSum(std::span<const uint8_t> data) {
+// The folded (uncomplemented) ones'-complement sum of `data` as big-endian
+// 16-bit words, odd trailing byte padded with zero; 0 only for all-zero data.
+//
+// RFC 1071 §2(B): the sum is byte-order independent, so the loop adds
+// 64-bit native-order words and byte-swaps the 16-bit result once at the
+// end. Four end-around-carry chains keep the adds independent; since
+// 2^64 - 1 is a multiple of 2^16 - 1, folding the 64-bit sum gives the
+// 16-bit one.
+uint16_t FastRawSum(std::span<const uint8_t> data) {
   const uint8_t* p = data.data();
   size_t n = data.size();
-  uint64_t sum = 0;
-
-  // Main loop: 64 bytes (sixteen 32-bit words) per iteration. The 64-bit
-  // accumulator absorbs carries; folding is deferred to the end.
-  while (n >= 64) {
-    // Promote to 64 bits before adding: four 32-bit words can overflow a
-    // 32-bit intermediate and silently drop carries.
-    sum += static_cast<uint64_t>(LoadWordBe(p)) + LoadWordBe(p + 4) + LoadWordBe(p + 8) +
-           LoadWordBe(p + 12);
-    sum += static_cast<uint64_t>(LoadWordBe(p + 16)) + LoadWordBe(p + 20) + LoadWordBe(p + 24) +
-           LoadWordBe(p + 28);
-    sum += static_cast<uint64_t>(LoadWordBe(p + 32)) + LoadWordBe(p + 36) + LoadWordBe(p + 40) +
-           LoadWordBe(p + 44);
-    sum += static_cast<uint64_t>(LoadWordBe(p + 48)) + LoadWordBe(p + 52) + LoadWordBe(p + 56) +
-           LoadWordBe(p + 60);
-    p += 64;
-    n -= 64;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t c = 0;
+  uint64_t d = 0;
+  for (; n >= 32; n -= 32, p += 32) {
+    a = AddEndAround(a, LoadNative<uint64_t>(p));
+    b = AddEndAround(b, LoadNative<uint64_t>(p + 8));
+    c = AddEndAround(c, LoadNative<uint64_t>(p + 16));
+    d = AddEndAround(d, LoadNative<uint64_t>(p + 24));
   }
-  while (n >= 4) {
-    sum += LoadWordBe(p);
+  if (n >= 16) {
+    a = AddEndAround(a, LoadNative<uint64_t>(p));
+    b = AddEndAround(b, LoadNative<uint64_t>(p + 8));
+    p += 16;
+    n -= 16;
+  }
+  if (n >= 8) {
+    c = AddEndAround(c, LoadNative<uint64_t>(p));
+    p += 8;
+    n -= 8;
+  }
+  // Each piece starts at an even offset, so it still adds whole 16-bit
+  // words; only the odd last byte needs its place in one.
+  if (n >= 4) {
+    d = AddEndAround(d, LoadNative<uint32_t>(p));
     p += 4;
     n -= 4;
   }
   if (n >= 2) {
-    sum += static_cast<uint64_t>((static_cast<uint32_t>(p[0]) << 8) | p[1]);
+    d = AddEndAround(d, LoadNative<uint16_t>(p));
     p += 2;
     n -= 2;
   }
   if (n == 1) {
-    sum += static_cast<uint64_t>(p[0]) << 8;
+    constexpr int kOddByteShift = std::endian::native == std::endian::little ? 0 : 8;
+    d = AddEndAround(d, uint64_t{p[0]} << kOddByteShift);
   }
-  return sum;
+  const uint64_t sum = AddEndAround(AddEndAround(a, b), AddEndAround(c, d));
+  // Fold 64 -> 32 -> 16 bits with end-around carry, in a fixed number of
+  // steps: Fold's loop costs more than the adds on short segments.
+  const uint32_t hi = static_cast<uint32_t>(sum >> 32);
+  uint32_t folded = static_cast<uint32_t>(sum) + hi;
+  folded += folded < hi;
+  folded = (folded & 0xFFFF) + (folded >> 16);
+  folded = (folded & 0xFFFF) + (folded >> 16);
+  if constexpr (std::endian::native == std::endian::little) {
+    return Swap16(static_cast<uint16_t>(folded));
+  }
+  return static_cast<uint16_t>(folded);
 }
 
 }  // namespace
@@ -96,7 +124,7 @@ void ChecksumAccumulator::AddPartial(const PartialChecksum& partial) {
 
 PartialChecksum ComputePartial(std::span<const uint8_t> data) {
   PartialChecksum out;
-  out.sum = static_cast<uint32_t>(Fold(FastRawSum(data)));
+  out.sum = FastRawSum(data);
   out.length = data.size();
   return out;
 }
@@ -135,7 +163,7 @@ uint16_t UltrixChecksum(std::span<const uint8_t> data) {
 uint16_t OptimizedChecksum(std::span<const uint8_t> data) {
   // The paper's §4.1 optimization: word accesses + loop unrolling, carries
   // absorbed by a wide accumulator.
-  return static_cast<uint16_t>(~Fold(FastRawSum(data)));
+  return static_cast<uint16_t>(~FastRawSum(data));
 }
 
 uint16_t IntegratedCopyChecksum(std::span<uint8_t> dst, std::span<const uint8_t> src) {

@@ -6,8 +6,12 @@
 //  * ReferenceChecksum      — textbook RFC 1071 loop; used as test oracle.
 //  * UltrixChecksum         — the ULTRIX 4.2A style: one 16-bit halfword per
 //                             iteration, no unrolling.
-//  * OptimizedChecksum      — the paper's §4.1 optimization: 32-bit word
-//                             accesses, 16-way unrolled, deferred carry fold.
+//  * OptimizedChecksum      — the paper's §4.1 optimization (word accesses,
+//                             unrolling, deferred carry fold), at host word
+//                             size: 64-bit native-order words in four
+//                             end-around-carry chains, byte-swapped once at
+//                             the end (RFC 1071 §2(B)). ComputePartial shares
+//                             its loop.
 //  * IntegratedCopyChecksum — the Clark et al. combined copy + checksum
 //                             loop: one pass moves the data and sums it.
 //
@@ -31,7 +35,7 @@ namespace tcplat {
 // A partial ones'-complement sum over some number of bytes. Values are
 // combinable: the sum over A||B equals Combine over the sums of A and B.
 struct PartialChecksum {
-  uint32_t sum = 0;    // folded to <= 0x1FFFF lazily; never complemented
+  uint32_t sum = 0;    // folded to <= 0xFFFF by every producer; never complemented
   uint64_t length = 0; // number of bytes covered
 
   // Appends `next` after `this` (byte-offset parity handled).

@@ -8,9 +8,16 @@
 //  * CRC-32 — IEEE 802.3 frame check sequence for the Ethernet baseline
 //    (reflected, polynomial 0xEDB88320, init/final 0xFFFFFFFF).
 //
-// Both are slice-by-8 table-driven (eight bytes per step, eight independent
-// lookups) with the tables generated at first use; tests verify them against
-// bit-serial reference implementations and known vectors.
+// Each CRC has two kernels that return bit-identical results, and Crc10 and
+// Crc32 pick one with a single CPUID check at first use:
+//  * carry-less multiply (x86-64 PCLMULQDQ): CRC-10 folds 48-byte blocks
+//    (the SAR-PDU) with six independent products and one Barrett reduction;
+//    CRC-32 folds 16 bytes at a time with the standard reflected constants.
+//    Bytes past the last whole block go through the sliced kernel.
+//  * slice-by-8 tables (eight bytes per step, eight independent lookups),
+//    generated at first use: the only kernel on CPUs without PCLMULQDQ.
+// Tests check both kernels against bit-serial reference implementations and
+// known vectors.
 
 #ifndef SRC_NET_CRC_H_
 #define SRC_NET_CRC_H_
@@ -23,13 +30,21 @@ namespace tcplat {
 // Returns the 10-bit CRC of `data` (in the low 10 bits).
 uint16_t Crc10(std::span<const uint8_t> data);
 
-// Bit-serial CRC-10, used as the test oracle.
-uint16_t Crc10Reference(std::span<const uint8_t> data);
-
 // IEEE 802.3 CRC-32 of `data`.
 uint32_t Crc32(std::span<const uint8_t> data);
 
-// Bit-serial CRC-32, used as the test oracle.
+// True when this CPU runs the carry-less kernels (PCLMULQDQ and SSSE3).
+bool HasCarrylessMultiply();
+
+// The kernels Crc10 and Crc32 choose between. The carry-less ones require
+// HasCarrylessMultiply().
+uint16_t Crc10Sliced(std::span<const uint8_t> data);
+uint16_t Crc10Carryless(std::span<const uint8_t> data);
+uint32_t Crc32Sliced(std::span<const uint8_t> data);
+uint32_t Crc32Carryless(std::span<const uint8_t> data);
+
+// Bit-serial CRCs, used as the test oracles.
+uint16_t Crc10Reference(std::span<const uint8_t> data);
 uint32_t Crc32Reference(std::span<const uint8_t> data);
 
 }  // namespace tcplat

@@ -42,12 +42,17 @@ TEST(Checksum, AllZeros) {
 }
 
 TEST(Checksum, AllOnesCarryChains) {
-  // 0xFF bytes exercise the end-around-carry logic heavily.
-  for (size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 1000u}) {
+  // 0xFF bytes exercise the end-around-carry logic heavily: every 64-bit
+  // add carries out.
+  for (size_t n : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u,
+                   1000u, 9000u}) {
     const std::vector<uint8_t> data(n, 0xFF);
     const uint16_t want = ReferenceChecksum(data);
     EXPECT_EQ(UltrixChecksum(data), want) << "n=" << n;
     EXPECT_EQ(OptimizedChecksum(data), want) << "n=" << n;
+    EXPECT_EQ(ComputePartial(data).Finalize(), want) << "n=" << n;
+    std::vector<uint8_t> dst(n);
+    EXPECT_EQ(IntegratedCopyChecksum(dst, data), want) << "n=" << n;
   }
 }
 
@@ -67,15 +72,20 @@ TEST_P(ChecksumSizeTest, AllAlgorithmsAgree) {
 }
 
 TEST_P(ChecksumSizeTest, ComputePartialMatchesReference) {
+  // Start offsets 0-7 put the 64-bit loads at every alignment.
   Rng rng(GetParam() * 31 + 5);
-  const auto buf = RandomBuffer(rng, GetParam());
-  EXPECT_EQ(ComputePartial(buf).Finalize(), ReferenceChecksum(buf));
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t offset = static_cast<size_t>(trial % 8);
+    const auto buf = RandomBuffer(rng, offset + GetParam());
+    const auto data = std::span<const uint8_t>(buf).subspan(offset);
+    EXPECT_EQ(ComputePartial(data).Finalize(), ReferenceChecksum(data)) << "offset " << offset;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChecksumSizeTest,
-                         ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 65,
-                                           100, 127, 128, 129, 200, 500, 1399, 1400, 4000,
-                                           8000, 9000),
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 47, 48,
+                                           49, 63, 64, 65, 100, 127, 128, 129, 200, 500, 1399,
+                                           1400, 4000, 8000, 9000),
                          [](const auto& inst) { return "n" + std::to_string(inst.param); });
 
 // --- partial-checksum algebra ---

@@ -1,13 +1,19 @@
 // Tests for the Ethernet baseline: frame construction with FCS, hardware
 // CRC filtering, destination-MAC filtering with a third station on the bus,
-// minimum-frame padding, and half-duplex serialization timing.
+// minimum-frame padding, half-duplex serialization timing, and seeded
+// fuzzing of the receive path.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/base/random.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
+#include "src/ether/arp.h"
+#include "src/net/byte_order.h"
 #include "src/net/crc.h"
+#include "tests/mutate.h"
 
 namespace tcplat {
 namespace {
@@ -119,6 +125,101 @@ TEST(Ether, MtuEnforced) {
   opt.iterations = 5;
   const RpcResult r = RunRpcBenchmark(tb, opt);
   EXPECT_EQ(r.data_mismatches, 0u);
+}
+
+// Rewrites the last four bytes as the FCS of the rest.
+void RecomputeFcs(std::vector<uint8_t>& frame) {
+  const size_t fcs_off = frame.size() - kEtherCrcBytes;
+  StoreBe32(frame.data() + fcs_off, Crc32({frame.data(), fcs_off}));
+}
+
+// A minimum-size ARP frame from `src` to `dst`.
+std::vector<uint8_t> ArpFrame(const ArpPacket& arp, const MacAddr& dst, const MacAddr& src) {
+  std::vector<uint8_t> frame(kEtherHeaderBytes + kEtherMinPayload + kEtherCrcBytes, 0);
+  EtherHeader eh;
+  eh.dst = dst;
+  eh.src = src;
+  eh.ethertype = kEtherTypeArp;
+  eh.Serialize(frame);
+  const std::vector<uint8_t> payload = arp.Serialize();
+  std::copy(payload.begin(), payload.end(), frame.begin() + kEtherHeaderBytes);
+  RecomputeFcs(frame);
+  return frame;
+}
+
+// Seeded mutation fuzzing of the receive path: the FCS check,
+// EtherHeader::Parse, ArpPacket::Parse and the hand-off to IP. The corpus is
+// every frame of two echo runs (a 4-byte exchange in minimum-size frames and
+// a 1400-byte one in full frames) plus an ARP request and reply. Half the
+// mutants keep the original FCS: if their bytes changed, the adapter's CRC
+// check must stop them before the interface counts a received frame. The
+// other half get a fresh FCS and reach the parsers behind it.
+TEST(Ether, MutatedFramesWithAStaleFcsNeverReachIp) {
+  TestbedConfig cfg;
+  cfg.network = NetworkKind::kEthernet;
+  std::vector<std::vector<uint8_t>> corpus;
+  {
+    Testbed tb(cfg);
+    tb.ether_segment()->set_corrupt_hook(
+        [&corpus](std::vector<uint8_t>& frame) { corpus.push_back(frame); });
+    RpcOptions opt;
+    opt.warmup = 0;
+    opt.iterations = 2;
+    for (size_t size : {4, 1400}) {
+      opt.size = size;
+      RunRpcBenchmark(tb, opt);
+    }
+  }
+
+  Testbed tb(cfg);
+  const MacAddr client_mac = tb.client_ether()->mac();
+  const MacAddr server_mac = tb.server_ether()->mac();
+  ArpPacket who_has;
+  who_has.op = ArpOp::kRequest;
+  who_has.sender_mac = client_mac;
+  who_has.sender_ip = kClientAddr;
+  who_has.target_ip = kServerAddr;
+  corpus.push_back(ArpFrame(who_has, kBroadcastMac, client_mac));
+  ArpPacket reply;
+  reply.op = ArpOp::kReply;
+  reply.sender_mac = server_mac;
+  reply.sender_ip = kServerAddr;
+  reply.target_mac = client_mac;
+  reply.target_ip = kClientAddr;
+  corpus.push_back(ArpFrame(reply, client_mac, server_mac));
+  ASSERT_GT(corpus.size(), 10u);
+
+  const auto frames_received = [&tb] {
+    return tb.client_ether()->stats().frames_received +
+           tb.server_ether()->stats().frames_received;
+  };
+  Rng rng(20261017);
+  int stale_changed = 0;
+  uint64_t fresh_received = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::vector<uint8_t>& original = corpus[rng.NextBelow(corpus.size())];
+    std::vector<uint8_t> mutant = original;
+    Mutate(rng, &mutant);
+    if (mutant.empty()) {
+      continue;  // the bus never carries an empty frame
+    }
+    const bool stale = iter % 2 == 0;
+    if (!stale && mutant.size() >= kEtherCrcBytes) {
+      RecomputeFcs(mutant);
+    }
+    const bool changed = mutant != original;
+    const uint64_t before = frames_received();
+    tb.ether_segment()->Transmit(tb.sim().Now(), std::move(mutant));
+    tb.sim().RunToCompletion();
+    if (stale && changed) {
+      ++stale_changed;
+      ASSERT_EQ(frames_received(), before) << "mutant " << iter << " passed a stale FCS";
+    } else if (!stale) {
+      fresh_received += frames_received() - before;
+    }
+  }
+  EXPECT_GT(stale_changed, 9000);
+  EXPECT_GT(fresh_received, 1000u) << "the recomputed-FCS half must get past the FCS check";
 }
 
 }  // namespace
