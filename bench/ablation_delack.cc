@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdio>
 
+#include "bench/bench_flags.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
@@ -155,7 +156,9 @@ void RunInteractiveMatrix() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   tcplat::RunInteractiveMatrix();
   return 0;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
@@ -65,7 +66,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

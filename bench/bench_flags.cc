@@ -1,6 +1,7 @@
 #include "bench/bench_flags.h"
 
 #include <cctype>
+#include <charconv>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -27,11 +28,12 @@ bool Names(std::string_view accepted, std::string_view flag) {
   return false;
 }
 
-// Parses a count flag's value: a whole decimal number >= 1.
-bool ParseCount(const char* v, long* out) {
-  char* end = nullptr;
-  *out = std::strtol(v, &end, 10);
-  return end != v && *end == '\0' && *out >= 1 && *out <= INT_MAX;
+// Parses a number flag's value: a whole decimal in [lo, hi], digits only
+// (no sign, blank or suffix).
+bool ParseWhole(const char* v, uint64_t lo, uint64_t hi, uint64_t* out) {
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, *out);
+  return ec == std::errc() && ptr == end && *out >= lo && *out <= hi;
 }
 
 // Matches `--name=value` or `--name value`. Returns the value, or nullptr
@@ -59,7 +61,7 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
                  flag.data(), reason, argv[0], accepted);
     return false;
   };
-  long count = 0;
+  uint64_t n = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const std::string_view name = arg.substr(0, arg.find('='));
@@ -71,8 +73,8 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-flows")) {
-      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
-      flags->trace_sample_flows = static_cast<uint32_t>(count);
+      if (!ParseWhole(v, 1, INT_MAX, &n)) return usage(name, "needs a count >= 1");
+      flags->trace_sample_flows = static_cast<uint32_t>(n);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--timeline-csv")) {
@@ -80,7 +82,9 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--timeline-period-us")) {
-      flags->timeline_period_us = std::strtoll(v, nullptr, 10);
+      // Bounded so the period in nanoseconds fits an int64_t.
+      if (!ParseWhole(v, 1, INT64_MAX / 1000, &n)) return usage(name, "needs a count >= 1");
+      flags->timeline_period_us = static_cast<int64_t>(n);
       continue;
     }
     if (std::strcmp(argv[i], "--timeline") == 0) {
@@ -108,14 +112,14 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--seed")) {
-      flags->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseWhole(v, 0, UINT64_MAX, &n)) return usage(name, "needs a whole number");
+      flags->seed = n;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--jobs")) {
-      flags->jobs = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (flags->jobs > 0) {
-        ::setenv("TCPLAT_JOBS", v, /*overwrite=*/1);
-      }
+      // The executor's own TCPLAT_JOBS range (src/exec/executor.cc).
+      if (!ParseWhole(v, 1, 1024, &n)) return usage(name, "needs a count from 1 to 1024");
+      ::setenv("TCPLAT_JOBS", v, /*overwrite=*/1);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--out")) {
@@ -123,12 +127,15 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--size")) {
-      flags->size = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!ParseWhole(v, 1, 1 << 20, &n)) {
+        return usage(name, "needs a byte count from 1 to 1048576");
+      }
+      flags->size = static_cast<size_t>(n);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--flows")) {
-      if (!ParseCount(v, &count)) return usage(name, "needs a count >= 1");
-      flags->flows = static_cast<int>(count);
+      if (!ParseWhole(v, 1, INT_MAX, &n)) return usage(name, "needs a count >= 1");
+      flags->flows = static_cast<int>(n);
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--csv")) {
@@ -137,10 +144,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
     }
     if (const char* v = FlagValue(argc, argv, &i, "--perf")) {
       flags->perf_path = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--congestion")) {
-      flags->congestion_path = v;
       continue;
     }
     if (const char* v = FlagValue(argc, argv, &i, "--baseline-dir")) {

@@ -1,8 +1,9 @@
 // Shared argv parsing for the bench binaries, replacing the per-binary
 // strcmp loops. Each flag takes either `--flag=value` or `--flag value`
 // form; `--trace` may also stand alone (trace to stdout / default sink).
-// A binary's usage string is its list of flags: any flag it does not name
-// is rejected, so a flag cannot be silently ignored.
+// A binary's usage string is its list of flags: any argument it does not
+// name is rejected, so a flag cannot be silently ignored. A binary that
+// takes no flags passes "" and rejects every argument.
 
 #ifndef BENCH_BENCH_FLAGS_H_
 #define BENCH_BENCH_FLAGS_H_
@@ -19,11 +20,9 @@ struct BenchFlags {
   std::string trace_path;  // optional path following --trace
   std::string out_path;    // --out; pre-set the default before parsing
   size_t size = 0;         // --size; pre-set the default before parsing
-  int jobs = 0;            // --jobs; 0 = inherit TCPLAT_JOBS / core count
   int flows = 0;           // --flows (>= 1); pre-set the default before parsing
   std::string csv_path;    // --csv; empty = no CSV export
   std::string perf_path;   // --perf; a fresh BENCH_perf.json to gate on
-  std::string congestion_path;  // --congestion; a fresh BENCH_congestion.json
   std::string baseline_dir;       // --baseline-dir; committed baselines
   bool write_baseline = false;    // --write-baseline: refresh the baselines
   bool selftest = false;          // --selftest: pure-logic self-verification
@@ -40,10 +39,12 @@ struct BenchFlags {
 // Parses argv into `flags` (whose pre-set values are the defaults).
 // `accepted` is the binary's usage string; a flag it does not name as a
 // whole token (`--timeline` does not name `--timeline-csv`), an unknown
-// flag, or a count flag (--flows, --trace-sample-flows) below 1 prints the
-// reason and the usage line and returns false. `--jobs N` also exports
-// TCPLAT_JOBS=N so the global executor pool — which is sized on first use
-// — picks it up; pass it before any parallel work.
+// flag, or a number that is not a whole decimal in its flag's range prints
+// the reason and the usage line and returns false. The ranges: --seed any
+// 64-bit value; --jobs 1 to 1024; --size 1 to 1 MiB; --flows,
+// --trace-sample-flows and --timeline-period-us at least 1. `--jobs N`
+// exports TCPLAT_JOBS=N so the global executor pool — which is sized on
+// first use — picks it up; pass it before any parallel work.
 bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accepted);
 
 }  // namespace tcplat

@@ -129,8 +129,8 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
 // --bin-out: runs one 64-flow cell (--flows overrides the count) with a
 // tracer attached, optionally flow-sampled via --trace-sample-flows, and
 // writes the recorded events as a TLBT stream. The blob is a pure function
-// of the seed, so CI runs this under TCPLAT_JOBS=1 and =4 and `cmp`s the
-// files.
+// of the seed, so the golden manifest (tests/golden/) hashes it at
+// TCPLAT_JOBS=1 and 4.
 int CaptureBinaryTrace(const BenchFlags& flags) {
   CapacityCell cell = BaseCell(flags.seed, flags.quick);
   cell.flows = flags.flows > 0 ? flags.flows : 64;

@@ -18,9 +18,9 @@
 //     as one opaque number.
 //
 // Every printed quantity is simulated, so output is byte-identical across
-// TCPLAT_JOBS settings and repeated runs at a fixed --seed. --out writes a
-// flat BENCH_congestion.json for the regression gate; --csv dumps the
-// per-flow table.
+// TCPLAT_JOBS settings and repeated runs at a fixed --seed; the golden
+// manifest (tests/golden/) pins the quick grid's stdout, --csv per-flow
+// table and --timeline-csv timeline exactly.
 
 #include <algorithm>
 #include <cinttypes>
@@ -171,48 +171,6 @@ std::string ToCsv(const std::vector<CellResult>& results) {
   return out;
 }
 
-// Flat one-level JSON for the regression gate: per-cell goodput/efficiency/
-// fairness (gated on a 0.90x floor) plus deterministic counters and the
-// acceptance booleans (gated exactly).
-std::string ToJson(const std::vector<CellResult>& results, const BenchFlags& flags,
-                   bool orderings_hold, bool gap_shrinks, bool all_completed,
-                   bool sawtooth, bool plateau, bool dead_air) {
-  std::string out = "{\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"flows\": %d,\n  \"seed\": %" PRIu64
-                                  ",\n",
-                flags.quick ? "true" : "false", flags.flows, flags.seed);
-  out += buf;
-  for (const CellResult& r : results) {
-    std::string prefix = std::string("congestion_") + CongestionVariantName(r.cell.variant) +
-                         "_" + DropPolicyName(r.cell.policy) + "_" +
-                         std::to_string(r.cell.buffer_cells);
-    if (r.cell.flows != flags.flows) {
-      prefix += "_f" + std::to_string(r.cell.flows);
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "  \"%s_goodput_mbps\": %.3f,\n  \"%s_efficiency\": %.4f,\n"
-                  "  \"%s_fairness\": %.4f,\n  \"%s_retransmits\": %" PRIu64
-                  ",\n  \"%s_timeouts\": %" PRIu64 ",\n",
-                  prefix.c_str(), r.outcome.aggregate_goodput_mbps, prefix.c_str(),
-                  r.outcome.efficiency, prefix.c_str(), r.outcome.fairness, prefix.c_str(),
-                  r.outcome.retransmits, prefix.c_str(), r.outcome.rexmt_timeouts);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "  \"congestion_sack_epd_beats_reno_tail\": %s,\n"
-                "  \"congestion_gap_shrinks_with_buffer\": %s,\n"
-                "  \"congestion_all_flows_completed\": %s,\n"
-                "  \"congestion_timeline_sawtooth\": %s,\n"
-                "  \"congestion_timeline_epd_plateau\": %s,\n"
-                "  \"congestion_timeline_dead_air_within_5pct\": %s\n}\n",
-                orderings_hold ? "true" : "false", gap_shrinks ? "true" : "false",
-                all_completed ? "true" : "false", sawtooth ? "true" : "false",
-                plateau ? "true" : "false", dead_air ? "true" : "false");
-  out += buf;
-  return out;
-}
-
 // ---- Dynamics timelines -----------------------------------------------------
 //
 // Two extra loss-heavy cells run with the timeseries telemetry plane
@@ -336,11 +294,9 @@ size_t EpdThresholdCells(const CongestionCell& cell) {
   return std::max(cap / 2, cap > kFrameHeadroomCells ? cap - kFrameHeadroomCells : 0);
 }
 
-// Runs the timeline cells, applies the era-signature checks, and reports
-// the acceptance booleans for the regression-gate JSON. Writes the
-// tail-drop cell's timeline CSV to `csv_path` when non-empty.
-bool RunTimelineSection(const BenchFlags& flags, bool* sawtooth, bool* plateau,
-                        bool* dead_air_ok, const std::string& csv_path) {
+// Runs the timeline cells and applies the era-signature checks. Writes the
+// tail-drop cell's timeline CSV to --timeline-csv when given.
+bool RunTimelineSection(const BenchFlags& flags) {
   CongestionCell tail_cell;
   tail_cell.variant = CongestionVariant::kReno;
   tail_cell.policy = DropPolicy::kTailDrop;
@@ -365,8 +321,7 @@ bool RunTimelineSection(const BenchFlags& flags, bool* sawtooth, bool* plateau,
   std::snprintf(what, sizeof(what),
                 "reno+tail cwnd shows >=3 exact halving sawteeth (%d loss-enter corners)",
                 halvings);
-  *sawtooth = halvings >= 3;
-  Check(*sawtooth, what);
+  Check(halvings >= 3, what);
 
   const int64_t tail_max = MaxOccupancy(tail);
   const int64_t epd_max = MaxOccupancy(epd);
@@ -379,8 +334,7 @@ bool RunTimelineSection(const BenchFlags& flags, bool* sawtooth, bool* plateau,
                 "); epd plateaus at its threshold (max %" PRId64 " <= %" PRId64 "+%" PRId64
                 ")",
                 tail_cell.buffer_cells, tail_max, epd_max, threshold, kFrameCells);
-  *plateau = rides && plateaus;
-  Check(*plateau, what);
+  Check(rides && plateaus, what);
 
   int64_t rto_sum_ns = 0;
   bool cwnd_flat = true;
@@ -396,9 +350,9 @@ bool RunTimelineSection(const BenchFlags& flags, bool* sawtooth, bool* plateau,
                 "timeline RTO dead air matches rexmt_stall_ns within 5%% "
                 "(%.2f ms vs %.2f ms) with flat cwnd inside every fired window",
                 static_cast<double>(rto_sum_ns) / 1e6, static_cast<double>(stall_ns) / 1e6);
-  *dead_air_ok = within && cwnd_flat;
-  Check(*dead_air_ok, what);
+  Check(within && cwnd_flat, what);
 
+  const std::string& csv_path = flags.timeline_csv_path;
   if (!csv_path.empty()) {
     if (!WriteTextFile(csv_path, tail.csv)) {
       return false;
@@ -476,8 +430,6 @@ int Run(const BenchFlags& flags) {
   PrintTailBlame(results);
 
   std::printf("\nchecks:\n");
-  bool orderings_hold = true;
-  bool gap_shrinks = true;
   bool all_completed = true;
   char what[200];
 
@@ -512,14 +464,11 @@ int Run(const BenchFlags& flags) {
     std::snprintf(what, sizeof(what),
                   "buf=%zu: sack+epd goodput beats reno+tail (%.2f > %.2f Mb/s)", buf,
                   se->outcome.aggregate_goodput_mbps, rt->outcome.aggregate_goodput_mbps);
-    const bool g = se->outcome.aggregate_goodput_mbps > rt->outcome.aggregate_goodput_mbps;
-    Check(g, what);
+    Check(se->outcome.aggregate_goodput_mbps > rt->outcome.aggregate_goodput_mbps, what);
     std::snprintf(what, sizeof(what),
                   "buf=%zu: sack+epd efficiency beats reno+tail (%.3f > %.3f)", buf,
                   se->outcome.efficiency, rt->outcome.efficiency);
-    const bool e = se->outcome.efficiency > rt->outcome.efficiency;
-    Check(e, what);
-    orderings_hold = orderings_hold && g && e;
+    Check(se->outcome.efficiency > rt->outcome.efficiency, what);
   }
 
   if (reno_tail_lo != nullptr && sack_epd_lo != nullptr && reno_tail_hi != nullptr &&
@@ -531,10 +480,8 @@ int Run(const BenchFlags& flags) {
     std::snprintf(what, sizeof(what),
                   "goodput gap shrinks as buffers grow (%.2f Mb/s at %zu -> %.2f at %zu)",
                   gap_lo, kBuffers.front(), gap_hi, kBuffers.back());
-    gap_shrinks = gap_hi < gap_lo;
-    Check(gap_shrinks, what);
+    Check(gap_hi < gap_lo, what);
   } else {
-    gap_shrinks = false;
     Check(false, "gap-shrink endpoints present");
   }
 
@@ -597,10 +544,7 @@ int Run(const BenchFlags& flags) {
     Check(false, "at least one cell saw a retransmission timeout");
   }
 
-  bool sawtooth = false;
-  bool plateau = false;
-  bool dead_air = false;
-  if (!RunTimelineSection(flags, &sawtooth, &plateau, &dead_air, flags.timeline_csv_path)) {
+  if (!RunTimelineSection(flags)) {
     return 1;
   }
 
@@ -608,18 +552,8 @@ int Run(const BenchFlags& flags) {
     if (!WriteTextFile(flags.csv_path, ToCsv(results))) {
       return 1;
     }
-    // stderr, so stdout stays byte-identical whatever path was asked for
-    // (the CI determinism step cmp's stdout across TCPLAT_JOBS runs whose
-    // --out targets necessarily differ).
+    // stderr, so stdout stays byte-identical whatever path was asked for.
     std::fprintf(stderr, "wrote %s\n", flags.csv_path.c_str());
-  }
-  if (!flags.out_path.empty()) {
-    if (!WriteTextFile(flags.out_path,
-                       ToJson(results, flags, orderings_hold, gap_shrinks, all_completed,
-                              sawtooth, plateau, dead_air))) {
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", flags.out_path.c_str());
   }
   return g_failures == 0 ? 0 : 1;
 }
@@ -632,7 +566,7 @@ int main(int argc, char** argv) {
   flags.flows = 8;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
                                "[--seed N] [--jobs N] [--quick] [--flows N] [--csv PATH] "
-                               "[--out PATH] [--timeline-csv PATH]")) {
+                               "[--timeline-csv PATH]")) {
     return 2;
   }
   return tcplat::Run(flags);

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_flags.h"
 #include "src/core/table.h"
 #include "src/fault/error_experiment.h"
 
@@ -78,7 +79,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

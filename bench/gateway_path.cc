@@ -9,6 +9,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/base/random.h"
 #include "src/core/routed_testbed.h"
 #include "src/core/rpc_benchmark.h"
@@ -161,7 +162,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

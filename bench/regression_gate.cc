@@ -1,16 +1,16 @@
-// Perf regression gate: diffs a fresh BENCH_perf.json / BENCH_trace.json /
-// BENCH_congestion.json against committed baselines (bench/baselines/) and
-// exits non-zero on a regression so CI can fail the build.
+// Perf regression gate: diffs a fresh BENCH_perf.json / BENCH_trace.json
+// against committed baselines (bench/baselines/) and exits non-zero on a
+// regression so CI can fail the build. Outputs that are purely simulated
+// (the tables, grids, captures and CSVs) are pinned exactly by the golden
+// manifest in tests/golden/ instead.
 //
-// One policy table (kPolicies) covers all three files. Each row names keys
-// by prefix and suffix and gives a rule and a bound; the first matching row
+// One policy table (kPolicies) covers both files. Each row names keys by
+// prefix and suffix and gives a rule and a bound; the first matching row
 // wins, and a key no row matches must equal its baseline exactly (simulated
 // facts, counters, hashes and acceptance booleans). The rules:
 //  * ignore: machine facts and raw wall-clock seconds are reported only;
 //  * floor: fresh >= bound x baseline. Wall-clock rates (_per_sec) vary
-//    wildly across CI hardware, so they gate on collapse only (0.10x); the
-//    congestion grid's goodput/efficiency/fairness may drift as the stack
-//    evolves but must not collapse (0.90x);
+//    wildly across CI hardware, so they gate on collapse only (0.10x);
 //  * ceiling: fresh <= bound x baseline, for simulated quantities allowed to
 //    creep but not jump (interactive latencies, TLBT bytes/event, timeline
 //    points/flow; 1.10x). Getting smaller is always fine;
@@ -57,9 +57,6 @@ constexpr Policy kPolicies[] = {
     {"interactive_", "_us", Rule::kCeiling, 1.10},
     {"binary_trace_bytes_per_event", "", Rule::kCeiling, 1.10},
     {"timeseries_points_per_flow", "", Rule::kCeiling, 1.10},
-    {"", "_goodput_mbps", Rule::kFloor, 0.90},
-    {"", "_efficiency", Rule::kFloor, 0.90},
-    {"", "_fairness", Rule::kFloor, 0.90},
 };
 
 int g_failures = 0;
@@ -226,23 +223,9 @@ int SelfTest() {
       {"timeseries_points_per_flow", "113.0"},
   };
 
-  const std::map<std::string, std::string> congestion = {
-      {"quick", "true"},
-      {"flows", "8"},
-      {"congestion_sack_epd_256_goodput_mbps", "3.670"},
-      {"congestion_sack_epd_256_efficiency", "0.9440"},
-      {"congestion_sack_epd_256_fairness", "1.0000"},
-      {"congestion_sack_epd_256_retransmits", "56"},
-      {"congestion_sack_epd_256_timeouts", "0"},
-      {"congestion_sack_epd_beats_reno_tail", "true"},
-      {"congestion_gap_shrinks_with_buffer", "true"},
-      {"congestion_all_flows_completed", "true"},
-  };
-
   std::printf("selftest: identical data must pass\n");
   Gate(perf, perf);
   Gate(trace, trace);
-  Gate(congestion, congestion);
   if (g_failures != 0) {
     std::printf("selftest FAILED: clean comparison reported %d failure(s)\n", g_failures);
     return 1;
@@ -332,32 +315,6 @@ int SelfTest() {
   Gate(ts_broken, trace);
   expected += g_failures == 2 ? 0 : 1;
 
-  // Congestion floors: goodput/efficiency/fairness within 10% of baseline
-  // (or better) pass...
-  std::map<std::string, std::string> cong_drift = congestion;
-  cong_drift["congestion_sack_epd_256_goodput_mbps"] = "3.400";  // -7.4%
-  cong_drift["congestion_sack_epd_256_efficiency"] = "0.9600";   // better
-  g_failures = 0;
-  Gate(cong_drift, congestion);
-  expected += g_failures == 0 ? 0 : 1;
-
-  // ...a goodput collapse past the floor fails...
-  std::map<std::string, std::string> cong_collapse = congestion;
-  cong_collapse["congestion_sack_epd_256_goodput_mbps"] = "1.800";
-  cong_collapse["congestion_sack_epd_256_fairness"] = "0.5000";
-  g_failures = 0;
-  Gate(cong_collapse, congestion);
-  expected += g_failures == 2 ? 0 : 1;
-
-  // ...and a lost ordering or determinism boolean fails exactly, as does a
-  // drifted deterministic counter.
-  std::map<std::string, std::string> cong_broken = congestion;
-  cong_broken["congestion_sack_epd_beats_reno_tail"] = "false";
-  cong_broken["congestion_sack_epd_256_timeouts"] = "12";
-  g_failures = 0;
-  Gate(cong_broken, congestion);
-  expected += g_failures == 2 ? 0 : 1;
-
   // A hardware difference alone must NOT fail.
   std::map<std::string, std::string> other_machine = perf;
   other_machine["hardware_concurrency"] = "128";
@@ -385,19 +342,11 @@ int Run(const BenchFlags& flags) {
   const std::string dir = flags.baseline_dir.empty() ? "bench/baselines" : flags.baseline_dir;
   const std::string perf_baseline_path = dir + "/BENCH_perf.json";
   const std::string trace_baseline_path = dir + "/BENCH_trace.json";
-  const std::string congestion_baseline_path = dir + "/BENCH_congestion.json";
 
   std::string fresh_perf_text;
   std::string fresh_trace_text;
-  std::string fresh_congestion_text;
   if (!ReadFile(flags.perf_path, &fresh_perf_text) ||
       !ReadFile(flags.trace_path, &fresh_trace_text)) {
-    return 2;
-  }
-  // The congestion grid file is optional so pre-existing two-file
-  // invocations keep working; CI passes all three.
-  if (!flags.congestion_path.empty() &&
-      !ReadFile(flags.congestion_path, &fresh_congestion_text)) {
     return 2;
   }
   const std::map<std::string, std::string> fresh_perf = ParseFlatJson(fresh_perf_text);
@@ -406,10 +355,6 @@ int Run(const BenchFlags& flags) {
   if (flags.write_baseline) {
     if (!WriteTextFile(perf_baseline_path, fresh_perf_text) ||
         !WriteTextFile(trace_baseline_path, fresh_trace_text)) {
-      return 2;
-    }
-    if (!flags.congestion_path.empty() &&
-        !WriteTextFile(congestion_baseline_path, fresh_congestion_text)) {
       return 2;
     }
     std::printf("wrote %s and %s\n", perf_baseline_path.c_str(), trace_baseline_path.c_str());
@@ -431,20 +376,6 @@ int Run(const BenchFlags& flags) {
               trace_baseline_path.c_str());
   Gate(fresh_trace, ParseFlatJson(trace_baseline_text));
 
-  if (!flags.congestion_path.empty()) {
-    std::string congestion_baseline_text;
-    if (!ReadFile(congestion_baseline_path, &congestion_baseline_text)) {
-      std::fprintf(stderr,
-                   "regression_gate: no congestion baseline in %s (run --write-baseline)\n",
-                   dir.c_str());
-      return 2;
-    }
-    std::printf("congestion metrics (%s vs %s):\n", flags.congestion_path.c_str(),
-                congestion_baseline_path.c_str());
-    Gate(ParseFlatJson(fresh_congestion_text),
-                   ParseFlatJson(congestion_baseline_text));
-  }
-
   std::printf("%d failure(s), %d warning(s)\n", g_failures, g_warnings);
   return g_failures == 0 ? 0 : 1;
 }
@@ -455,8 +386,8 @@ int Run(const BenchFlags& flags) {
 int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--perf PATH] [--trace PATH] [--congestion PATH] "
-                               "[--baseline-dir DIR] [--write-baseline] [--selftest]")) {
+                               "[--perf PATH] [--trace PATH] [--baseline-dir DIR] "
+                               "[--write-baseline] [--selftest]")) {
     return 2;
   }
   return tcplat::Run(flags);

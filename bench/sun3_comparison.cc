@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "bench/bench_flags.h"
 #include "src/core/paper_data.h"
 #include "src/core/table.h"
 #include "src/cpu/cost_profile.h"
@@ -41,7 +42,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/base/check.h"
 #include "src/base/random.h"
 #include "src/core/paper_data.h"
@@ -85,7 +86,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

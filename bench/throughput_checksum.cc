@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_flags.h"
 #include "src/base/random.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
@@ -131,7 +132,9 @@ void Run() {
 }  // namespace
 }  // namespace tcplat
 
-int main() {
+int main(int argc, char** argv) {
+  tcplat::BenchFlags flags;
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "")) return 2;
   tcplat::Run();
   return 0;
 }

@@ -6,8 +6,9 @@
 //
 //   $ ./bulk_transfer [megabytes]
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "src/base/random.h"
@@ -105,10 +106,21 @@ void RunOne(NetworkKind net, const char* label, size_t bytes) {
                   static_cast<double>(snd.segs_received));
 }
 
+// A whole decimal number of megabytes, 1 to 1024.
+bool ParseMegabytes(const char* arg, size_t* mb) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, *mb);
+  return ec == std::errc() && ptr == end && *mb >= 1 && *mb <= 1024;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t mb = argc > 1 ? static_cast<size_t>(std::atol(argv[1])) : 4;
+  size_t mb = 4;
+  if (argc > 2 || (argc == 2 && !ParseMegabytes(argv[1], &mb))) {
+    std::fprintf(stderr, "usage: %s [megabytes, 1 to 1024]\n", argv[0]);
+    return 2;
+  }
   const size_t bytes = mb * 1024 * 1024;
   std::printf("One-way bulk transfer of %zu MiB (simulated 1994 hardware):\n\n", mb);
   RunOne(NetworkKind::kAtm, "ATM:", bytes);

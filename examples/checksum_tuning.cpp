@@ -30,7 +30,11 @@ double MeasureRtt(ChecksumMode mode, size_t size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("TCP checksum strategies vs message size (round-trip us over ATM)\n\n");
   const std::vector<size_t> sizes = {4,   20,   80,   200,  350,  500,  800,
                                      1100, 1400, 2000, 4000, 6000, 8000};

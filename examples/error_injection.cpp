@@ -28,7 +28,11 @@ void Report(const char* headline, const ErrorExperimentConfig& cfg) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("The end-to-end argument on a simulated ATM link (1400-byte echoes)\n"
               "==================================================================\n\n");
 

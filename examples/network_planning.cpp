@@ -44,7 +44,11 @@ double Rtt(const Deployment& d, size_t size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   std::printf("LAN deployment study: 200-byte RPCs and 4000-byte page transfers\n"
               "(simulated DECstation 5000/200 pair, round-trip microseconds)\n\n");
 

@@ -19,8 +19,18 @@
 using namespace tcplat;
 
 int main(int argc, char** argv) {
-  const bool trace = argc > 1 && std::strcmp(argv[1], "--trace") == 0;
-  const bool stats = argc > 1 && std::strcmp(argv[1], "--stats") == 0;
+  bool trace = false;
+  bool stats = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0) {
+      trace = true;
+    } else if (std::strcmp(argv[i], "--stats") == 0) {
+      stats = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--trace] [--stats]\n", argv[0]);
+      return 2;
+    }
+  }
   // Two DECstation 5000/200s on a private TAXI fiber with FORE TCA-100s.
   TestbedConfig config;
   Testbed testbed(config);

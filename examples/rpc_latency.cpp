@@ -6,8 +6,9 @@
 //   $ ./rpc_latency [size_bytes] [iterations]
 //   $ ./rpc_latency 200 500
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
@@ -89,12 +90,21 @@ RpcResult Measure(NetworkKind net, ChecksumMode checksum, bool prediction, size_
   return RunRpcBenchmark(tb, opt);
 }
 
+// A whole decimal number >= 1 that fits `T`.
+template <typename T>
+bool ParsePositive(const char* arg, T* out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, *out);
+  return ec == std::errc() && ptr == end && *out >= 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t size = argc > 1 ? static_cast<size_t>(std::atol(argv[1])) : 200;
-  const int iterations = argc > 2 ? std::atoi(argv[2]) : 300;
-  if (size == 0 || iterations <= 0) {
+  size_t size = 200;
+  int iterations = 300;
+  if (argc > 3 || (argc > 1 && !ParsePositive(argv[1], &size)) ||
+      (argc > 2 && !ParsePositive(argv[2], &iterations))) {
     std::fprintf(stderr, "usage: %s [size_bytes] [iterations]\n", argv[0]);
     return 1;
   }

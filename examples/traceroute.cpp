@@ -57,7 +57,11 @@ SimTask PingAndTrace(RoutedTestbed* net, IcmpStack* icmp, bool* done) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   RoutedTestbed net;
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gateway_icmp(&net.gateway_ip());

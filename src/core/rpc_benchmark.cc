@@ -116,9 +116,6 @@ void ApplyServerOptions(const FlowSpec* spec, Socket* conn) {
   if (spec->server_delack.has_value()) {
     conn->SetDelackEnabled(*spec->server_delack);
   }
-  if (spec->server_delack_timeout.has_value()) {
-    conn->SetDelackTimeout(*spec->server_delack_timeout);
-  }
 }
 
 // --- request/response (the paper's echo and its interactive shapes) -------

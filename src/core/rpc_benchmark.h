@@ -60,11 +60,10 @@ struct FlowSpec {
   // per-message latency is send-entry to sink-side delivery.
   bool streaming = false;
   SimDuration stream_interval;
-  // Per-flow socket options: TCP_NODELAY on the client socket, delayed-ACK
-  // enable/timer on the server's accepted connection. Unset = stack config.
+  // Per-flow socket options: TCP_NODELAY on the client socket, delayed ACKs
+  // on or off on the server's accepted connection. Unset = stack config.
   std::optional<bool> client_nodelay;
   std::optional<bool> server_delack;
-  std::optional<SimDuration> server_delack_timeout;
 
   // --- congestion-era extensions (all default-off) ---
   // Congestion-control variant for this flow's connection: set on the client

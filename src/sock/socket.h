@@ -111,14 +111,10 @@ class Socket {
   void SetCongestion(CongestionVariant variant) { congestion_ = variant; }
   const std::optional<CongestionVariant>& congestion_option() const { return congestion_; }
 
-  // Per-socket delayed-ACK controls (override the stack-wide defaults when
-  // set): enable/disable the delayed-ACK machinery and its timer value.
+  // Per-socket delayed ACKs on or off (overrides the stack-wide default when
+  // set); the timer value is always the stack's.
   void SetDelackEnabled(bool enabled) { delack_ = enabled; }
   const std::optional<bool>& delack_option() const { return delack_; }
-  void SetDelackTimeout(SimDuration timeout) { delack_timeout_ = timeout; }
-  const std::optional<SimDuration>& delack_timeout_option() const {
-    return delack_timeout_;
-  }
 
   // --- user "system calls" (called from process coroutines) ---
 
@@ -199,7 +195,6 @@ class Socket {
   std::optional<bool> nodelay_;
   std::optional<CongestionVariant> congestion_;
   std::optional<bool> delack_;
-  std::optional<SimDuration> delack_timeout_;
   WaitChannel state_chan_;
   std::deque<Socket*> accept_queue_;
   size_t accept_backlog_ = kDefaultAcceptBacklog;

@@ -1008,10 +1008,6 @@ bool TcpConnection::DelackEnabled() const {
   return socket_->delack_option().value_or(stack_->config().delack);
 }
 
-SimDuration TcpConnection::DelackDelay() const {
-  return socket_->delack_timeout_option().value_or(stack_->config().delack_timeout);
-}
-
 uint32_t TcpConnection::AnnounceWindow() const {
   size_t announce = std::min<size_t>(socket_->rcv().space(), kMaxWindow);
   const size_t clamp = stack_->config().rcv_window_clamp;
@@ -1289,7 +1285,7 @@ void TcpConnection::ArmDelack() {
   if (delack_timer_ != kInvalidEventId) {
     return;
   }
-  delack_timer_ = stack_->host().After(DelackDelay(), [this] {
+  delack_timer_ = stack_->host().After(stack_->config().delack_timeout, [this] {
     delack_timer_ = kInvalidEventId;
     DelackTimeout();
   });

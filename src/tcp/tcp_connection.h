@@ -181,9 +181,8 @@ class TcpConnection : public ProtocolOps {
   // Emits kNagleHold (and counts nagle_holds/sws_holds) when tcp_output
   // decided to leave ready data unsent.
   void TraceHeldData(const SegmentPlan& plan);
-  // Effective per-connection option values (socket override, else config).
+  // Effective delayed-ACK setting (socket override, else config).
   bool DelackEnabled() const;
-  SimDuration DelackDelay() const;
   // Window this end advertises: receive-buffer space, clamped by the
   // rcv_window_clamp scenario knob and the 16-bit field.
   uint32_t AnnounceWindow() const;

@@ -98,8 +98,8 @@ TEST(CongestionCell, SackFlowsNegotiateAndRepairFromTheScoreboard) {
 }
 
 // One canonical cell, rendered through CongestionRow (simulated quantities
-// only): repeated runs must agree to the byte. bench/congestion's CI
-// determinism step checks the same property end-to-end over the whole grid.
+// only): repeated runs must agree to the byte. bench/congestion's golden
+// entry checks the same property end-to-end over the whole grid.
 TEST(CongestionCell, RowsAreByteIdenticalAcrossRepeats) {
   CongestionCell cell = QuickCell();
   cell.variant = CongestionVariant::kSack;

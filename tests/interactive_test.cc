@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "src/fault/impairment.h"
-#include "src/workload/flow_driver.h"
 #include "src/workload/interactive.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -75,24 +73,6 @@ TEST(InteractivePathology, ModeVanishesWithDelackDisabled) {
   EXPECT_EQ(out.samples, 16u);
   EXPECT_LT(out.p99.nanos(), 5 * kMs);
   EXPECT_GE(out.nagle_holds, 16u);
-}
-
-// The per-socket timer option must override the stack config: a 40 ms
-// socket-level delack timer under the default 200 ms config pins p50 near
-// 40 ms.
-TEST(InteractivePathology, PerSocketDelackTimerOverridesConfig) {
-  InteractiveCell cell;
-  cell.iterations = 8;
-  cell.warmup = 2;
-  StarTestbedConfig config;
-  StarTestbed testbed(config);
-  std::vector<FlowSpec> specs = BuildInteractiveFlows(cell, 1, 1);
-  specs[0].server_delack_timeout = SimDuration::FromMillis(40);
-  const WorkloadResult result = RunWorkload(testbed, specs);
-  EXPECT_EQ(result.completed, 1u);
-  ASSERT_GT(result.rtt.count(), 0u);
-  EXPECT_GE(result.rtt.Percentile(50).nanos(), 40 * kMs);
-  EXPECT_LE(result.rtt.Percentile(50).nanos(), 45 * kMs);
 }
 
 InteractiveCell MultiFlowCell(uint64_t seed, InteractiveKnob knob) {
