@@ -145,6 +145,6 @@ int main(int argc, char** argv) {
   std::printf("\nContext: purpose-built lightweight RPC systems of the era achieved\n"
               "~500 us small-message round trips on comparable hardware; the paper\n"
               "asks how close commodity TCP can get, and where the rest goes\n"
-              "(run ./quickstart or bench/table2_* for the breakdown).\n");
+              "(run ./quickstart or bench/paper_report for the breakdown).\n");
   return 0;
 }

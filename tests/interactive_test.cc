@@ -101,8 +101,7 @@ void ExpectSameOutcome(const InteractiveOutcome& a, const InteractiveOutcome& b)
 }
 
 // All three knob cells must produce byte-identical outcomes run to run,
-// across two seeds. (CI re-runs this binary under TCPLAT_JOBS=1 and =4; any
-// wall-clock leak into the results shows up as a diff there too.)
+// across two seeds.
 TEST(InteractiveDeterminism, CellsAreByteIdenticalAcrossRepeatsAndSeeds) {
   for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
     for (const InteractiveKnob knob :
