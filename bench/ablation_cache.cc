@@ -26,7 +26,6 @@ double Rtt(double cache_factor, ChecksumMode mode, size_t size) {
   Testbed tb(cfg);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 100;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

@@ -49,7 +49,6 @@ double Rtt(const CostProfile& prof, ChecksumMode mode, size_t size) {
   Testbed tb(cfg);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 100;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

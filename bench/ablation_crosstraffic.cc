@@ -67,7 +67,6 @@ double MeasureRtt(size_t size, bool with_cross_traffic) {
   }
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 150;
   const RpcResult r = RunRpcBenchmark(tb, opt);
   return r.MeanRtt().micros();
 }

@@ -28,7 +28,6 @@ double EchoRtt(SimDuration delack, size_t size) {
   Testbed tb(cfg);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 100;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

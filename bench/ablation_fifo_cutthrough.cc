@@ -25,7 +25,6 @@ RpcResult Measure(bool cut_through, size_t size) {
   tb.server_adapter()->set_cut_through(cut_through);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 100;
   return RunRpcBenchmark(tb, opt);
 }
 

@@ -36,7 +36,6 @@ void Run() {
         Testbed tb(cfg);
         RpcOptions opt;
         opt.size = sizes[i % kNumSizes];
-        opt.iterations = 100;
         const RpcResult r = RunRpcBenchmark(tb, opt);
         return Cell{r.MeanRtt().micros(), r.SpanMean(SpanId::kTxUser).micros() +
                                               r.SpanMean(SpanId::kTxTcpMcopy).micros()};

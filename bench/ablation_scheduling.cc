@@ -29,7 +29,6 @@ void Run() {
   const std::vector<Row> rows = ParallelMap<Row>(paper::kSizes.size(), [](size_t i) {
     RpcOptions opt;
     opt.size = paper::kSizes[i];
-    opt.iterations = 100;
 
     TestbedConfig cfg;
     Testbed tb(cfg);

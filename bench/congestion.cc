@@ -285,15 +285,6 @@ void DeadAirFromTimeline(const TimelineResult& r, int64_t* rto_sum_ns, bool* cwn
   }
 }
 
-size_t EpdThresholdCells(const CongestionCell& cell) {
-  if (cell.epd_threshold != 0) {
-    return cell.epd_threshold;
-  }
-  constexpr size_t kFrameHeadroomCells = 36;
-  const size_t cap = cell.buffer_cells;
-  return std::max(cap / 2, cap > kFrameHeadroomCells ? cap - kFrameHeadroomCells : 0);
-}
-
 // Runs the timeline cells and applies the era-signature checks. Writes the
 // tail-drop cell's timeline CSV to --timeline-csv when given.
 bool RunTimelineSection(const BenchFlags& flags) {
@@ -325,7 +316,8 @@ bool RunTimelineSection(const BenchFlags& flags) {
 
   const int64_t tail_max = MaxOccupancy(tail);
   const int64_t epd_max = MaxOccupancy(epd);
-  const auto threshold = static_cast<int64_t>(EpdThresholdCells(epd_cell));
+  const auto threshold =
+      static_cast<int64_t>(EpdThreshold(epd_cell.buffer_cells, epd_cell.epd_threshold));
   constexpr int64_t kFrameCells = 36;  // one max-size AAL frame past the BOM test
   const bool rides = tail_max == static_cast<int64_t>(tail_cell.buffer_cells);
   const bool plateaus = epd_max < tail_max && epd_max <= threshold + kFrameCells;

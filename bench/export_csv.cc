@@ -91,7 +91,6 @@ void Run() {
       }
       RpcOptions opt;
       opt.size = size;
-      opt.iterations = 120;
       const RpcResult r = RunRpcBenchmark(tb, opt);
       csv.AddRow({c.net == NetworkKind::kAtm ? "atm" : "ethernet", ModeName(c.mode),
                   c.prediction ? "on" : "off", c.dma ? "on" : "off", std::to_string(size),

@@ -24,7 +24,6 @@ double MeasureRtt(bool dma, ChecksumMode mode, size_t size) {
   tb.server_atm()->set_dma(dma);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 150;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

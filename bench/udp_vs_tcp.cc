@@ -78,7 +78,6 @@ double TcpRtt(size_t size, ChecksumMode mode) {
   Testbed tb(cfg);
   RpcOptions opt;
   opt.size = size;
-  opt.iterations = 150;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

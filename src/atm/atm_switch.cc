@@ -21,12 +21,20 @@ const char* DropPolicyName(DropPolicy p) {
   return "?";
 }
 
+size_t EpdThreshold(size_t buffer_cells, size_t configured) {
+  constexpr size_t kFrameHeadroomCells = 36;
+  if (configured != 0) {
+    return configured;
+  }
+  return std::max(buffer_cells / 2,
+                  buffer_cells > kFrameHeadroomCells ? buffer_cells - kFrameHeadroomCells : 0);
+}
+
 AtmSwitch::AtmSwitch(Simulator* sim, double bits_per_second, SimDuration propagation,
                      SimDuration per_cell_latency)
     : sim_(sim), bits_per_second_(bits_per_second), propagation_(propagation),
       per_cell_latency_(per_cell_latency) {
   TCPLAT_CHECK(sim != nullptr);
-  fabric_lane_ = sim->NewLane();
 }
 
 void AtmSwitch::AttachOutput(int port, CellSink* sink, double bits_per_second) {
@@ -48,20 +56,12 @@ void AtmSwitch::set_output_impairment(LinkImpairment* impairment) {
   }
 }
 
-CellSink* AtmSwitch::input(int port) {
-  auto it = inputs_.find(port);
-  if (it == inputs_.end()) {
-    it = inputs_.emplace(port, std::make_unique<InputPort>(this, port)).first;
-  }
-  return it->second.get();
-}
-
 void AtmSwitch::AddRoute(uint16_t vci, int out_port) {
   TCPLAT_CHECK(outputs_.find(out_port) != outputs_.end()) << "route to unattached port";
   routes_[vci] = out_port;
 }
 
-void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t> wire_bytes) {
+void AtmSwitch::DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) {
   TCPLAT_CHECK_EQ(wire_bytes.size(), kAtmCellBytes);
   const uint16_t vci = LoadBe16(&wire_bytes[1]);
   auto route = routes_.find(vci);
@@ -90,26 +90,22 @@ void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t
 
   // Hardware pipeline: no host CPU involved. The cell re-serializes on the
   // output fiber after the fabric latency (the wire handles head-of-line
-  // queueing when cells from several inputs converge on one output). A
-  // buffered cell holds its VC's occupancy slot until its last bit leaves.
-  OutputPort* port = &out;
-  const SimTime ready = arrival + per_cell_latency_;
-  sim_->ScheduleInLane(fabric_lane_, ready, [this, port, ready, vci, buffered,
-                                             bytes = std::move(wire_bytes)]() mutable {
-    CellSink* sink = port->sink;
-    const SimTime done =
-        port->wire->Transmit(ready, std::move(bytes),
-                             [sink](SimTime t, std::vector<uint8_t> data) {
-                               sink->DeliverCell(t, std::move(data));
-                             });
-    if (buffered) {
-      sim_->ScheduleInLane(port->release_lane, done, [this, vci] {
-        VcState& vc = vc_states_[vci];
-        --vc.occupancy;
-        Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);
-      });
-    }
-  });
+  // queueing when cells from several inputs converge on one output). The
+  // latency is constant, so handing the cell over now, with its start time,
+  // keeps each output's cells in arrival order. A buffered cell holds its
+  // VC's occupancy slot until its last bit leaves.
+  CellSink* sink = out.sink;
+  const SimTime done = out.wire->Transmit(arrival + per_cell_latency_, std::move(wire_bytes),
+                                          [sink](SimTime t, std::vector<uint8_t> data) {
+                                            sink->DeliverCell(t, std::move(data));
+                                          });
+  if (buffered) {
+    sim_->ScheduleInLane(out.release_lane, done, [this, vci] {
+      VcState& vc = vc_states_[vci];
+      --vc.occupancy;
+      Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);
+    });
+  }
 }
 
 AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
@@ -147,27 +143,15 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival,
   if (frame_start) {
     vc.dropping_frame = false;  // a new frame resets any discard-in-progress
     vc.early_discard = false;
-    if (policy == DropPolicy::kEpd) {
-      size_t threshold = vc_config_.epd_threshold;
-      if (threshold == 0) {
-        // Default: one max-size AAL frame of headroom (a 1500-byte MTU
-        // segments into ~35 cells), floored at half the buffer so tiny
-        // buffers still admit something. A threshold much lower than this
-        // just shrinks the effective buffer and trades frame integrity for
-        // extra timeout stalls.
-        constexpr size_t kFrameHeadroomCells = 36;
-        const size_t cap = vc_config_.buffer_cells;
-        threshold = std::max(cap / 2, cap > kFrameHeadroomCells ? cap - kFrameHeadroomCells : 0);
-      }
-      if (vc.occupancy >= static_cast<int64_t>(threshold)) {
-        // Early discard: refuse the whole frame while there is still room,
-        // rather than truncating one mid-stream later.
-        vc.dropping_frame = true;
-        vc.early_discard = true;
-        ++vc.frames_discarded;
-        ++stats_.frames_discarded;
-        SampleEdge(TsMetric::kVcEpdRefusal, vci, arrival, vc.occupancy);
-      }
+    const size_t threshold = EpdThreshold(vc_config_.buffer_cells, vc_config_.epd_threshold);
+    if (policy == DropPolicy::kEpd && vc.occupancy >= static_cast<int64_t>(threshold)) {
+      // Early discard: refuse the whole frame while there is still room,
+      // rather than truncating one mid-stream later.
+      vc.dropping_frame = true;
+      vc.early_discard = true;
+      ++vc.frames_discarded;
+      ++stats_.frames_discarded;
+      SampleEdge(TsMetric::kVcEpdRefusal, vci, arrival, vc.occupancy);
     }
   }
 

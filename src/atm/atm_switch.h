@@ -60,12 +60,19 @@ struct VcBufferConfig {
   // (the seed's infinite-buffer behavior).
   size_t buffer_cells = 0;
   DropPolicy policy = DropPolicy::kTailDrop;
-  // EPD acceptance threshold in cells; 0 picks the default of one max-size
-  // AAL frame (~36 cells) below capacity, floored at buffer_cells / 2.
+  // EPD acceptance threshold in cells; 0 picks EpdThreshold()'s default.
   size_t epd_threshold = 0;
 };
 
-class AtmSwitch {
+// The EPD acceptance threshold, in cells, of a `buffer_cells` VC buffer:
+// `configured` when nonzero, else one max-size AAL frame of headroom below
+// capacity (a 1500-byte MTU segments into ~35 cells), floored at half the
+// buffer so tiny buffers still admit something. A threshold much lower than
+// this just shrinks the effective buffer and trades frame integrity for
+// extra timeout stalls.
+size_t EpdThreshold(size_t buffer_cells, size_t configured);
+
+class AtmSwitch : private CellSink {
  public:
   // `per_cell_latency` models the input-to-output transfer (a few cell
   // times in first-generation switches).
@@ -78,7 +85,9 @@ class AtmSwitch {
   void AttachOutput(int port, CellSink* sink, double bits_per_second = 0);
 
   // The sink to hand to the upstream transmitter for a given input port.
-  CellSink* input(int port);
+  // Every input fiber delivers to the switch itself: routing reads only the
+  // VCI, so the port a cell came in on does not matter.
+  CellSink* input(int /*port*/) { return this; }
 
   // Static VC routing: cells with `vci` leave through `out_port`.
   void AddRoute(uint16_t vci, int out_port);
@@ -130,18 +139,6 @@ class AtmSwitch {
   }
 
  private:
-  class InputPort : public CellSink {
-   public:
-    InputPort(AtmSwitch* parent, int port) : parent_(parent), port_(port) {}
-    void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override {
-      parent_->SwitchCell(port_, arrival, std::move(wire_bytes));
-    }
-
-   private:
-    AtmSwitch* parent_;
-    int port_;
-  };
-
   struct OutputPort {
     std::unique_ptr<Wire> wire;
     CellSink* sink = nullptr;
@@ -150,7 +147,8 @@ class AtmSwitch {
     LaneId release_lane = 0;
   };
 
-  void SwitchCell(int in_port, SimTime arrival, std::vector<uint8_t> wire_bytes);
+  // Switches one cell from any input fiber.
+  void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override;
   // Applies the per-VC buffer policy; false means the cell was discarded.
   bool AdmitCell(uint16_t vci, SimTime arrival, const std::vector<uint8_t>& wire_bytes);
   VcState& EnsureVc(uint16_t vci);
@@ -172,9 +170,6 @@ class AtmSwitch {
   double bits_per_second_;
   SimDuration propagation_;
   SimDuration per_cell_latency_;
-  // Fabric steps, due at arrival + per_cell_latency_, which never decreases.
-  LaneId fabric_lane_;
-  std::map<int, std::unique_ptr<InputPort>> inputs_;
   std::map<int, OutputPort> outputs_;
   std::map<uint16_t, int> routes_;
   CorruptFn fabric_corrupt_;

@@ -22,9 +22,9 @@
 //  * Callbacks are stored inline in the slot (see Callback below).
 //
 // FIFO lanes. A source whose events never go back in time (a wire's
-// deliveries, a switch's fabric step, an output port's buffer releases) can
-// schedule into a lane instead: a queue-owned ring of (key, callback) whose
-// times never decrease. Only the lane's head sits in the heap, under the
+// deliveries, a switch output port's buffer releases) can schedule into a
+// lane instead: a queue-owned ring of (key, callback) whose times never
+// decrease. Only the lane's head sits in the heap, under the
 // (time, seq) key it got when it was scheduled, so the dispatch order is the
 // one the heap would give with every entry in it. When the head runs, the
 // lane's next entry replaces the heap root with one sift-down. An entry

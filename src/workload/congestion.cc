@@ -14,14 +14,6 @@ namespace {
 // the 2-byte header and trailer are paid. The efficiency denominator.
 constexpr uint64_t kCellPayloadBytes = 44;
 
-// Mirrors star_testbed.cc's ordered-pair VC plan (src i -> dst j on VCI
-// 64 + i*N + j) so the cell can read the bottleneck VCs' counters.
-uint16_t BottleneckVci(int client, int flows) {
-  const int n = flows + 1;     // total hosts
-  const int server_idx = flows;  // global index of the single server
-  return static_cast<uint16_t>(64 + client * n + server_idx);
-}
-
 }  // namespace
 
 std::vector<FlowSpec> BuildCongestionFlows(const CongestionCell& cell) {
@@ -133,7 +125,8 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
 
   AtmSwitch* sw = testbed.atm_switch();
   for (int f = 0; f < cell.flows; ++f) {
-    const AtmSwitch::VcState* vc = sw->vc_state(BottleneckVci(f, cell.flows));
+    // The bottleneck VC: client f into the one server, global host `flows`.
+    const AtmSwitch::VcState* vc = sw->vc_state(testbed.PairVci(f, cell.flows));
     if (vc == nullptr) {
       continue;
     }

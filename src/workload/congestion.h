@@ -31,7 +31,7 @@ struct CongestionCell {
   // buffer never congests and the cell would degenerate to the capacity
   // benchmark.
   size_t buffer_cells = 128;
-  size_t epd_threshold = 0;  // 0 = buffer_cells / 2
+  size_t epd_threshold = 0;  // 0 = the switch's default, see EpdThreshold()
   int flows = 8;             // one client host per flow, all into one server
   uint64_t bulk_bytes = 96 * 1024;  // payload each flow pushes
   LinkProfileKind profile = LinkProfileKind::kLocalFiber;

@@ -5,16 +5,6 @@
 #include "src/base/check.h"
 
 namespace tcplat {
-namespace {
-
-// Ordered-pair virtual circuits: src host i sending to dst host j uses VCI
-// 64 + i*N + j. The block below 64 stays clear of the two-host testbed's
-// 42/43 and any well-known VCs.
-uint16_t PairVci(int src, int dst, int n) {
-  return static_cast<uint16_t>(64 + src * n + dst);
-}
-
-}  // namespace
 
 StarTestbed::StarTestbed(StarTestbedConfig config)
     : config_(std::move(config)), sim_(config_.seed) {
@@ -53,7 +43,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
       adapters_.back()->ConnectSink(atm_switch_->input(idx));
       atm_ifs_.push_back(std::make_unique<AtmNetIf>(ips_[static_cast<size_t>(idx)].get(),
                                                     adapters_.back().get(),
-                                                    PairVci(idx, idx, n)));
+                                                    PairVci(idx, idx)));
       atm_ifs_.back()->set_rx_integrated_checksum(integrated);
     }
     for (int src = 0; src < n; ++src) {
@@ -61,7 +51,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
         if (src == dst) {
           continue;
         }
-        const uint16_t vci = PairVci(src, dst, n);
+        const uint16_t vci = PairVci(src, dst);
         const Ipv4Addr dst_addr = dst < config_.clients
                                       ? StarClientAddr(dst)
                                       : StarServerAddr(dst - config_.clients);

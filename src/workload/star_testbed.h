@@ -84,6 +84,13 @@ class StarTestbed final : public WorkloadHosts {
   TcpStack& server_tcp(int j) override { return tcp(config_.clients + j); }
   Ipv4Addr server_addr(int j) const override { return StarServerAddr(j); }
 
+  // The ATM virtual circuit from global host `src` to global host `dst`:
+  // VCI 64 + src*N + dst, one per ordered pair. The block below 64 stays
+  // clear of the two-host testbed's 42/43 and any well-known VCs.
+  uint16_t PairVci(int src, int dst) const {
+    return static_cast<uint16_t>(64 + src * host_count() + dst);
+  }
+
   AtmSwitch* atm_switch() { return atm_switch_.get(); }
   EtherSegment* ether_segment() { return ether_segment_.get(); }
   AtmNetIf* atm_netif(int idx) {

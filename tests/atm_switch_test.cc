@@ -103,5 +103,50 @@ TEST(AtmSwitch, UnroutedVciIsDropped) {
   EXPECT_EQ(sw.stats().no_route, 1u);
 }
 
+TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
+  // The fabric latency is constant, so a cell goes onto its output fiber in
+  // the event that delivers it to the switch: one event per cell (the output
+  // fiber's delivery), plus one VC-buffer release per buffered cell.
+  const SimDuration latency = SimDuration::FromMicros(10);
+  const SimDuration propagation = SimDuration::FromNanos(300);
+  struct TimeSink : CellSink {
+    void DeliverCell(SimTime t, std::vector<uint8_t>) override { arrivals.push_back(t); }
+    std::vector<SimTime> arrivals;
+  };
+  for (const size_t buffer_cells : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE(buffer_cells);
+    Simulator sim;
+    AtmSwitch sw(&sim, kTaxiBitsPerSecond, propagation, latency);
+    TimeSink sink;
+    sw.AttachOutput(0, &sink);
+    sw.AddRoute(7, 0);
+    VcBufferConfig vc;
+    vc.buffer_cells = buffer_cells;
+    sw.ConfigureVcBuffers(vc);
+    const SimDuration cell_time =
+        Wire(&sim, kTaxiBitsPerSecond, propagation).SerializationDelay(kAtmCellBytes);
+
+    std::vector<uint8_t> cell(kAtmCellBytes, 0);
+    cell[2] = 7;
+    for (int k = 0; k < 3; ++k) {
+      sw.input(0)->DeliverCell(sim.Now(), cell);
+    }
+    EXPECT_EQ(sim.RunToCompletion(), buffer_cells == 0 ? 3u : 6u);
+
+    ASSERT_EQ(sink.arrivals.size(), 3u);
+    for (int k = 1; k <= 3; ++k) {
+      EXPECT_EQ(sink.arrivals[static_cast<size_t>(k - 1)],
+                SimTime() + latency + cell_time * k + propagation)
+          << "cell " << k;
+    }
+    if (buffer_cells > 0) {
+      const AtmSwitch::VcState* state = sw.vc_state(7);
+      ASSERT_NE(state, nullptr);
+      EXPECT_EQ(state->occupancy, 0);
+      EXPECT_EQ(state->hiwat, 3);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tcplat
