@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/bench_flags.h"
+#include "src/atm/atm_switch.h"
 #include "src/core/table.h"
 #include "src/exec/executor.h"
 #include "src/trace/timeseries.h"
@@ -318,14 +319,14 @@ bool RunTimelineSection(const BenchFlags& flags) {
   const int64_t epd_max = MaxOccupancy(epd);
   const auto threshold =
       static_cast<int64_t>(EpdThreshold(epd_cell.buffer_cells, epd_cell.epd_threshold));
-  constexpr int64_t kFrameCells = 36;  // one max-size AAL frame past the BOM test
+  const auto frame_cells = static_cast<int64_t>(kFrameHeadroomCells);
   const bool rides = tail_max == static_cast<int64_t>(tail_cell.buffer_cells);
-  const bool plateaus = epd_max < tail_max && epd_max <= threshold + kFrameCells;
+  const bool plateaus = epd_max < tail_max && epd_max <= threshold + frame_cells;
   std::snprintf(what, sizeof(what),
                 "tail occupancy rides the %zu-cell ceiling (max %" PRId64
                 "); epd plateaus at its threshold (max %" PRId64 " <= %" PRId64 "+%" PRId64
                 ")",
-                tail_cell.buffer_cells, tail_max, epd_max, threshold, kFrameCells);
+                tail_cell.buffer_cells, tail_max, epd_max, threshold, frame_cells);
   Check(rides && plateaus, what);
 
   int64_t rto_sum_ns = 0;

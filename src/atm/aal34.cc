@@ -90,8 +90,8 @@ std::vector<AtmCell> SegmentCpcsPdu(std::span<const uint8_t> cpcs, uint16_t vci,
   return cells;
 }
 
-std::vector<uint8_t> SerializeCell(const AtmCell& cell) {
-  std::vector<uint8_t> wire(kAtmCellBytes, 0);
+CellBytes SerializeCell(const AtmCell& cell) {
+  CellBytes wire{};
   // Cell header: GFC/VPI omitted, VCI in bytes 1-2, PT/CLP zero, HEC unused.
   wire[0] = 0;
   StoreBe16(&wire[1], cell.vci);

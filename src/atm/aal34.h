@@ -23,9 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "src/link/wire.h"  // kAtmCellBytes, CellBytes
+
 namespace tcplat {
 
-inline constexpr size_t kAtmCellBytes = 53;
 inline constexpr size_t kAtmCellHeaderBytes = 5;
 inline constexpr size_t kAtmCellPayloadBytes = 48;
 inline constexpr size_t kSarHeaderBytes = 2;
@@ -67,7 +68,7 @@ std::vector<AtmCell> SegmentCpcsPdu(std::span<const uint8_t> cpcs, uint16_t vci,
                                     uint8_t* sn);
 
 // Serializes one cell to its 53-byte wire image (computes CRC-10).
-std::vector<uint8_t> SerializeCell(const AtmCell& cell);
+CellBytes SerializeCell(const AtmCell& cell);
 
 // Parses a 53-byte wire image. `crc_ok` reports the per-cell CRC-10 check
 // (the TCA-100 performs this in hardware). Returns nullopt for malformed

@@ -22,7 +22,6 @@ const char* DropPolicyName(DropPolicy p) {
 }
 
 size_t EpdThreshold(size_t buffer_cells, size_t configured) {
-  constexpr size_t kFrameHeadroomCells = 36;
   if (configured != 0) {
     return configured;
   }
@@ -61,31 +60,26 @@ void AtmSwitch::AddRoute(uint16_t vci, int out_port) {
   routes_[vci] = out_port;
 }
 
-void AtmSwitch::DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) {
-  TCPLAT_CHECK_EQ(wire_bytes.size(), kAtmCellBytes);
-  const uint16_t vci = LoadBe16(&wire_bytes[1]);
+void AtmSwitch::DeliverCell(SimTime arrival, const CellBytes& cell) {
+  const uint16_t vci = LoadBe16(&cell[1]);
   auto route = routes_.find(vci);
   if (route == routes_.end()) {
     ++stats_.no_route;
     if (tracer_ != nullptr) {
       tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kDrop, arrival, vci,
-                            0, wire_bytes.size());
+                            0, cell.size());
     }
     return;
   }
   OutputPort& out = outputs_.at(route->second);
   const bool buffered = vc_config_.buffer_cells > 0;
-  if (buffered && !AdmitCell(vci, arrival, wire_bytes)) {
+  if (buffered && !AdmitCell(vci, arrival, cell)) {
     return;  // discarded by the VC buffer policy
   }
   ++stats_.cells_switched;
   if (tracer_ != nullptr) {
     tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kCellSwitch, arrival,
-                          vci, static_cast<uint64_t>(route->second), wire_bytes.size());
-  }
-
-  if (fabric_corrupt_) {
-    fabric_corrupt_(wire_bytes);
+                          vci, static_cast<uint64_t>(route->second), cell.size());
   }
 
   // Hardware pipeline: no host CPU involved. The cell re-serializes on the
@@ -94,11 +88,15 @@ void AtmSwitch::DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) {
   // latency is constant, so handing the cell over now, with its start time,
   // keeps each output's cells in arrival order. A buffered cell holds its
   // VC's occupancy slot until its last bit leaves.
-  CellSink* sink = out.sink;
-  const SimTime done = out.wire->Transmit(arrival + per_cell_latency_, std::move(wire_bytes),
-                                          [sink](SimTime t, std::vector<uint8_t> data) {
-                                            sink->DeliverCell(t, std::move(data));
-                                          });
+  const SimTime start = arrival + per_cell_latency_;
+  SimTime done;
+  if (fabric_corrupt_) {
+    std::vector<uint8_t> bytes(cell.begin(), cell.end());
+    fabric_corrupt_(bytes);
+    done = out.wire->Transmit(start, ToCellBytes(bytes), out.sink);
+  } else {
+    done = out.wire->Transmit(start, cell, out.sink);
+  }
   if (buffered) {
     sim_->ScheduleInLane(out.release_lane, done, [this, vci] {
       VcState& vc = vc_states_[vci];
@@ -127,12 +125,11 @@ AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
   return it->second;
 }
 
-bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival,
-                          const std::vector<uint8_t>& wire_bytes) {
+bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellBytes& cell) {
   VcState& vc = EnsureVc(vci);
   // The AAL3/4 segment type rides in the top two bits of the SAR header
   // (wire byte 5); it is what lets the switch see frame boundaries.
-  const auto st = static_cast<SegmentType>(wire_bytes[5] >> 6);
+  const auto st = static_cast<SegmentType>(cell[5] >> 6);
   const bool frame_start = st == SegmentType::kBom || st == SegmentType::kSsm;
   const bool frame_end = st == SegmentType::kEom || st == SegmentType::kSsm;
   const DropPolicy policy = vc_config_.policy;
@@ -200,7 +197,7 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival,
     }
     if (tracer_ != nullptr) {
       tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kDrop, arrival, vci,
-                            static_cast<uint64_t>(vc.occupancy), wire_bytes.size());
+                            static_cast<uint64_t>(vc.occupancy), cell.size());
     }
     Sample(TsMetric::kVcDropsCum, vci, arrival, static_cast<int64_t>(vc.cells_dropped));
     return false;

@@ -64,12 +64,16 @@ struct VcBufferConfig {
   size_t epd_threshold = 0;
 };
 
+// One max-size AAL frame, in cells: a 1500-byte MTU segments into ~35. EPD
+// admits the whole of a frame whose BOM finds occupancy below the
+// threshold, so occupancy can rise this far above it.
+inline constexpr size_t kFrameHeadroomCells = 36;
+
 // The EPD acceptance threshold, in cells, of a `buffer_cells` VC buffer:
-// `configured` when nonzero, else one max-size AAL frame of headroom below
-// capacity (a 1500-byte MTU segments into ~35 cells), floored at half the
-// buffer so tiny buffers still admit something. A threshold much lower than
-// this just shrinks the effective buffer and trades frame integrity for
-// extra timeout stalls.
+// `configured` when nonzero, else kFrameHeadroomCells below capacity,
+// floored at half the buffer so tiny buffers still admit something. A
+// threshold much lower than this just shrinks the effective buffer and
+// trades frame integrity for extra timeout stalls.
 size_t EpdThreshold(size_t buffer_cells, size_t configured);
 
 class AtmSwitch : private CellSink {
@@ -95,7 +99,8 @@ class AtmSwitch : private CellSink {
   // §4.2.1 source (1): corruption in the input->output transfer of one
   // port's hardware. Applied after the cell is received (the input fiber
   // was fine) and before it is re-serialized (the output fiber will carry
-  // the damaged cell faithfully).
+  // the damaged cell faithfully). The hook sees a 53-byte vector copy of
+  // the cell and must leave it 53 bytes long (CHECKed).
   void set_fabric_corrupt_hook(CorruptFn hook) { fabric_corrupt_ = std::move(hook); }
 
   // Attaches an impairment policy to every output fiber (present and
@@ -148,9 +153,10 @@ class AtmSwitch : private CellSink {
   };
 
   // Switches one cell from any input fiber.
-  void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override;
+  using CellSink::DeliverCell;
+  void DeliverCell(SimTime arrival, const CellBytes& cell) override;
   // Applies the per-VC buffer policy; false means the cell was discarded.
-  bool AdmitCell(uint16_t vci, SimTime arrival, const std::vector<uint8_t>& wire_bytes);
+  bool AdmitCell(uint16_t vci, SimTime arrival, const CellBytes& cell);
   VcState& EnsureVc(uint16_t vci);
 
   // Timeseries pushes, keyed by VCI (the switch has no Host, so it feeds

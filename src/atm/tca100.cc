@@ -53,24 +53,14 @@ void Tca100::TxCell(const AtmCell& cell) {
   // header words) into the FIFO.
   cpu.Charge(cpu.profile().atm_tx_per_cell);
 
-  std::vector<uint8_t> wire_bytes = SerializeCell(cell);
-  CellSink* sink = sink_;
-  const SimTime done = tx_wire_->Transmit(
-      cpu.cursor(), std::move(wire_bytes),
-      [sink](SimTime arrival, std::vector<uint8_t> data) {
-        sink->DeliverCell(arrival, std::move(data));
-      });
+  const SimTime done = tx_wire_->Transmit(cpu.cursor(), SerializeCell(cell), sink_);
   tx_fifo_drain_.push_back(done);
   ++stats_.cells_sent;
 }
 
 void Tca100::TxCellDma(const AtmCell& cell) {
   TCPLAT_CHECK(sink_ != nullptr) << "adapter not connected";
-  CellSink* sink = sink_;
-  tx_wire_->Transmit(host_->cpu().cursor(), SerializeCell(cell),
-                     [sink](SimTime arrival, std::vector<uint8_t> data) {
-                       sink->DeliverCell(arrival, std::move(data));
-                     });
+  tx_wire_->Transmit(host_->cpu().cursor(), SerializeCell(cell), sink_);
   ++stats_.cells_sent;
 }
 
@@ -78,30 +68,25 @@ void Tca100::FlushTx() {
   if (cut_through_) {
     return;
   }
-  CellSink* sink = sink_;
   const SimTime start = host_->cpu().cursor();
-  for (auto& wire_bytes : staged_tx_) {
-    tx_wire_->Transmit(start, std::move(wire_bytes),
-                       [sink](SimTime arrival, std::vector<uint8_t> data) {
-                         sink->DeliverCell(arrival, std::move(data));
-                       });
+  for (const CellBytes& wire_bytes : staged_tx_) {
+    tx_wire_->Transmit(start, wire_bytes, sink_);
   }
   staged_tx_.clear();
 }
 
-void Tca100::DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) {
+void Tca100::DeliverCell(SimTime arrival, const CellBytes& cell) {
   ++stats_.cells_received;
   if (rx_fifo_.size() >= kTca100RxFifoCells) {
     ++stats_.rx_fifo_drops;
-    host_->TracePacket(TraceLayer::kAtm, TraceEventKind::kCellDrop, 0, 0, wire_bytes.size());
+    host_->TracePacket(TraceLayer::kAtm, TraceEventKind::kCellDrop, 0, 0, cell.size());
     return;
   }
   RxEntry entry;
   entry.arrival = arrival;
-  // The adapter validates the cell CRC-10 in hardware as it lands.
-  auto cell = ParseCell(wire_bytes, &entry.crc_ok);
-  TCPLAT_CHECK(cell.has_value()) << "malformed cell size on wire";
-  entry.cell = std::move(*cell);
+  // The adapter validates the cell CRC-10 in hardware as it lands. A
+  // CellBytes always has the size ParseCell wants.
+  entry.cell = *ParseCell(cell, &entry.crc_ok);
   const bool last_of_pdu =
       entry.cell.st == SegmentType::kEom || entry.cell.st == SegmentType::kSsm;
   rx_fifo_.push_back(std::move(entry));

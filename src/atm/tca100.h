@@ -34,14 +34,6 @@ inline constexpr size_t kTca100TxFifoCells = 36;
 inline constexpr size_t kTca100RxFifoCells = 292;
 inline constexpr double kTaxiBitsPerSecond = 140e6;
 
-// Anything that can accept ATM cells off a fiber: an adapter's receive
-// FIFO, or a switch input port.
-class CellSink {
- public:
-  virtual ~CellSink() = default;
-  virtual void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) = 0;
-};
-
 struct Tca100Stats {
   uint64_t cells_sent = 0;
   uint64_t cells_received = 0;
@@ -66,7 +58,8 @@ class Tca100 : public CellSink {
   void ConnectPeer(Tca100* peer) { ConnectSink(peer); }
 
   // CellSink: a cell arrives at this adapter's receive FIFO.
-  void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override;
+  using CellSink::DeliverCell;
+  void DeliverCell(SimTime arrival, const CellBytes& cell) override;
 
   // Cut-through (the real TCA-100 behavior, default) starts serializing a
   // cell onto the fiber the moment the driver writes it. Store-and-forward
@@ -116,7 +109,7 @@ class Tca100 : public CellSink {
   RingBuffer<SimTime> tx_fifo_drain_;
   RingBuffer<RxEntry> rx_fifo_;
   bool cut_through_ = true;
-  std::vector<std::vector<uint8_t>> staged_tx_;  // store-and-forward mode
+  std::vector<CellBytes> staged_tx_;  // store-and-forward mode
   Tca100Stats stats_;
 };
 

@@ -1,9 +1,14 @@
 // Physical link models.
 //
-// A Wire serializes transmission units (ATM cells, Ethernet frames) at a
-// fixed bit rate with a fixed propagation delay, delivering the actual bytes
-// to the receiver's callback. An optional corruption hook lets the fault
-// module flip bits in flight (§4.2.1 error-source experiments).
+// A Wire serializes transmission units at a fixed bit rate with a fixed
+// propagation delay and delivers the actual bytes. It carries two kinds:
+//  * ATM cells, as a fixed 53-byte CellBytes value handed to a CellSink.
+//    Each delivery is one lane event holding the sink, the arrival time and
+//    the cell; it is stored inline in the event queue and allocates nothing.
+//  * Ethernet frames, as a std::vector handed to a DeliverFn.
+// Optional fate hooks let the fault module corrupt, drop, duplicate or
+// delay units in flight (§4.2.1 error-source experiments). They see every
+// unit as a vector; a cell is copied into one only while a hook is set.
 //
 // Two topologies are provided:
 //  * Duplex  — two independent directions (the point-to-point TAXI fiber
@@ -14,14 +19,38 @@
 #ifndef SRC_LINK_WIRE_H_
 #define SRC_LINK_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
 namespace tcplat {
+
+// One ATM cell as it crosses a fiber: 5 header bytes and the 48-byte SAR-PDU.
+// The cell types live here, below src/atm/, because the wire carries them.
+inline constexpr size_t kAtmCellBytes = 53;
+using CellBytes = std::array<uint8_t, kAtmCellBytes>;
+
+// Copies a cell held as bytes into a CellBytes; CHECKs that it has 53.
+CellBytes ToCellBytes(std::span<const uint8_t> bytes);
+
+// Anything that can accept ATM cells off a fiber: an adapter's receive
+// FIFO, or a switch input port. A sink overrides one of the two forms; each
+// default forwards to the other, so overriding neither recurses.
+class CellSink {
+ public:
+  virtual ~CellSink() = default;
+  // The cell path. The default copies the cell into a vector for the
+  // vector form.
+  virtual void DeliverCell(SimTime arrival, const CellBytes& cell);
+  // The same delivery for a caller holding the cell as a vector, which must
+  // have 53 bytes (CHECKed by the default, which calls the CellBytes form).
+  virtual void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes);
+};
 
 // Invoked at arrival time with the (possibly corrupted) unit bytes.
 using DeliverFn = std::function<void(SimTime arrival, std::vector<uint8_t> data)>;
@@ -66,6 +95,10 @@ class Wire {
   // lane belongs to the simulator, so units in flight still arrive after the
   // wire is destroyed.
   SimTime Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver);
+  // The same for one ATM cell, delivered to `sink`, which must outlive the
+  // cell's arrival. A set fate hook sees the cell as a 53-byte vector and
+  // must leave it 53 bytes long (CHECKed).
+  SimTime Transmit(SimTime earliest, const CellBytes& cell, CellSink* sink);
 
   // Time the medium becomes free.
   SimTime free_at() const { return busy_until_; }
@@ -86,8 +119,18 @@ class Wire {
   uint64_t units_dropped() const { return units_dropped_; }
 
  private:
-  // Schedules the receiver callback at `arrival`.
+  // Occupies the medium for one `bytes`-byte unit from `earliest` (or when
+  // it frees up) and counts the unit. Returns its last-bit time.
+  SimTime Serialize(SimTime earliest, size_t bytes);
+  // Runs the fate hooks on a unit whose last bit leaves at `last_bit_out`:
+  // corrupt, then drop, then the impairment policy. Returns false when the
+  // unit is lost in flight, else the policy's verdict in `*verdict`.
+  bool RunFateHooks(SimTime last_bit_out, std::vector<uint8_t>& data,
+                    LinkImpairment::Verdict* verdict);
+  bool has_fate_hooks() const { return corrupt_ || drop_ || impairment_ != nullptr; }
+  // Schedules one delivery at `arrival` in the wire's lane.
   void ScheduleDelivery(SimTime arrival, std::vector<uint8_t> data, DeliverFn deliver);
+  void ScheduleCell(SimTime arrival, const CellBytes& cell, CellSink* sink);
 
   Simulator* sim_;
   double bits_per_second_;

@@ -60,13 +60,27 @@ class EventQueue {
   // A move-only `void()` callable. Captures of up to kInlineBytes live
   // inside the object; larger ones (or ones whose move may throw) go to the
   // heap. std::function cannot do this job: libstdc++ keeps only 16 bytes
-  // inline, while the per-cell deliveries capture 64, and C++20 has no
-  // std::move_only_function. Built implicitly from any callable, including a
-  // std::function lvalue (which is copied in); an empty std::function or a
-  // null function pointer yields an empty Callback.
+  // inline, while a wire's cell delivery captures 72 (its sink, the arrival
+  // time and the 53-byte cell), and C++20 has no std::move_only_function.
+  // Built implicitly from any callable, including a std::function lvalue
+  // (which is copied in); an empty std::function or a null function pointer
+  // yields an empty Callback.
   class Callback {
    public:
-    static constexpr size_t kInlineBytes = 64;
+    static constexpr size_t kInlineBytes = 72;
+
+    // Whether a callable of type Fn is stored inside the Callback, and
+    // whether moving the Callback moves it as plain bytes. A heap-stored
+    // callable moves as its pointer; an inline trivially copyable one moves
+    // as its bytes.
+    template <typename Fn>
+    static constexpr bool kStoredInline = sizeof(Fn) <= kInlineBytes &&
+                                          alignof(Fn) <= alignof(void*) &&
+                                          std::is_nothrow_move_constructible_v<Fn>;
+    template <typename Fn>
+    static constexpr bool kByteRelocatable =
+        !kStoredInline<Fn> ||
+        (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>);
 
     Callback() = default;
 
@@ -122,11 +136,6 @@ class EventQueue {
     };
 
     template <typename Fn>
-    static constexpr bool kStoredInline = sizeof(Fn) <= kInlineBytes &&
-                                          alignof(Fn) <= alignof(void*) &&
-                                          std::is_nothrow_move_constructible_v<Fn>;
-
-    template <typename Fn>
     static Fn* Target(void* storage) {
       if constexpr (kStoredInline<Fn>) {
         return std::launder(reinterpret_cast<Fn*>(storage));
@@ -153,13 +162,6 @@ class EventQueue {
         delete Target<Fn>(storage);
       }
     }
-
-    // A heap-stored callable moves as its pointer; an inline trivially
-    // copyable one moves as its bytes.
-    template <typename Fn>
-    static constexpr bool kByteRelocatable =
-        !kStoredInline<Fn> ||
-        (std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>);
 
     template <typename Fn>
     static constexpr Ops kOps = {&Invoke<Fn>, kByteRelocatable<Fn> ? nullptr : &Relocate<Fn>,

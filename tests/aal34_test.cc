@@ -235,7 +235,8 @@ TEST(Reassembler, MutatedCellStreamsNeverDeliverADifferentDatagram) {
   uint8_t sn = 0;
   std::vector<WireCell> clean;
   for (const AtmCell& cell : SegmentCpcsPdu(BuildCpcsPdu(payload, 9), 42, 5, &sn)) {
-    clean.push_back({SerializeCell(cell)});
+    const CellBytes wire = SerializeCell(cell);
+    clean.push_back({{wire.begin(), wire.end()}});
   }
 
   Rng rng(20261020);

@@ -85,7 +85,8 @@ TEST(AtmSwitch, UnroutedVciIsDropped) {
   AtmSwitch sw(&sim, kTaxiBitsPerSecond, SimDuration::FromNanos(300),
                SimDuration::FromMicros(10));
   struct NullSink : CellSink {
-    void DeliverCell(SimTime, std::vector<uint8_t>) override { ++cells; }
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime, const CellBytes&) override { ++cells; }
     int cells = 0;
   } sink;
   sw.AttachOutput(0, &sink);
@@ -110,7 +111,8 @@ TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
   const SimDuration latency = SimDuration::FromMicros(10);
   const SimDuration propagation = SimDuration::FromNanos(300);
   struct TimeSink : CellSink {
-    void DeliverCell(SimTime t, std::vector<uint8_t>) override { arrivals.push_back(t); }
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime t, const CellBytes&) override { arrivals.push_back(t); }
     std::vector<SimTime> arrivals;
   };
   for (const size_t buffer_cells : {size_t{0}, size_t{8}}) {
@@ -146,6 +148,60 @@ TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
       EXPECT_EQ(state->hiwat, 3);
     }
   }
+}
+
+// A sink written against the vector form still gets every cell, bytes
+// intact, and the vector form still reaches the switch.
+TEST(AtmSwitch, VectorFormSinkReceivesEveryCell) {
+  struct VectorSink : CellSink {
+    void DeliverCell(SimTime, std::vector<uint8_t> wire_bytes) override {
+      cells.push_back(std::move(wire_bytes));
+    }
+    std::vector<std::vector<uint8_t>> cells;
+  } sink;
+  Simulator sim;
+  AtmSwitch sw(&sim, kTaxiBitsPerSecond, SimDuration::FromNanos(300),
+               SimDuration::FromMicros(10));
+  sw.AttachOutput(0, &sink);
+  sw.AddRoute(7, 0);
+  std::vector<std::vector<uint8_t>> sent;
+  for (uint8_t k = 0; k < 5; ++k) {
+    std::vector<uint8_t> cell(kAtmCellBytes, k);
+    cell[1] = 0;
+    cell[2] = 7;
+    sent.push_back(cell);
+    if (k % 2 == 0) {
+      sw.input(0)->DeliverCell(sim.Now(), ToCellBytes(cell));
+    } else {
+      sw.input(0)->DeliverCell(sim.Now(), cell);
+    }
+  }
+  sim.RunToCompletion();
+  EXPECT_EQ(sink.cells, sent);
+  EXPECT_EQ(sw.stats().cells_switched, 5u);
+}
+
+// Both ways a cell could lose its size are CHECK failures: a short vector
+// handed to a switch input, and a fabric corrupt hook that resizes a cell.
+TEST(AtmSwitchDeathTest, CellOfTheWrongSizeFailsACheck) {
+  struct NullSink : CellSink {
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime, const CellBytes&) override {}
+  } sink;
+  Simulator sim;
+  AtmSwitch sw(&sim, kTaxiBitsPerSecond, SimDuration::FromNanos(300),
+               SimDuration::FromMicros(10));
+  sw.AttachOutput(0, &sink);
+  sw.AddRoute(7, 0);
+  std::vector<uint8_t> cell(kAtmCellBytes, 0);
+  cell[2] = 7;
+
+  std::vector<uint8_t> short_cell(cell.begin(), cell.end() - 1);
+  EXPECT_DEATH(sw.input(0)->DeliverCell(sim.Now(), short_cell),
+               "CHECK failed.*a cell is 53 bytes");
+
+  sw.set_fabric_corrupt_hook([](std::vector<uint8_t>& bytes) { bytes.push_back(0); });
+  EXPECT_DEATH(sw.input(0)->DeliverCell(sim.Now(), cell), "CHECK failed.*a cell is 53 bytes");
 }
 
 }  // namespace

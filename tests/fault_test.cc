@@ -19,7 +19,8 @@ std::vector<uint8_t> MakeCellBytes(uint64_t seed) {
   }
   const auto cpcs = BuildCpcsPdu(payload, 1);
   uint8_t sn = 0;
-  return SerializeCell(SegmentCpcsPdu(cpcs, 42, 1, &sn)[0]);
+  const CellBytes cell = SerializeCell(SegmentCpcsPdu(cpcs, 42, 1, &sn)[0]);
+  return {cell.begin(), cell.end()};
 }
 
 TEST(Injector, CellBitFlipperRespectsProbability) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -355,6 +356,118 @@ TEST(WireLane, UnitsInFlightArriveAfterTheWireIsDestroyed) {
   std::stable_sort(expected.begin(), expected.end(),
                    [](const Arrival& a, const Arrival& b) { return a.at_ns < b.at_ns; });
   EXPECT_EQ(got, expected);
+}
+
+// The same for cells sent by value: the lane event holds the sink, not the
+// wire.
+TEST(WireLane, CellsInFlightArriveAfterTheWireIsDestroyed) {
+  struct CountingSink : CellSink {
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime, const CellBytes& cell) override {
+      units.push_back(UnitNumber({cell.begin(), cell.end()}));
+    }
+    std::vector<uint32_t> units;
+  } sink;
+  Simulator sim;
+  ImpairmentConfig cfg;
+  cfg.reorder_prob = 0.5;
+  cfg.seed = 2;
+  ImpairmentPolicy policy(cfg);
+  {
+    Wire wire(&sim, 140e6, SimDuration::FromMicros(1));
+    wire.set_impairment(&policy);
+    for (uint32_t unit = 0; unit < 20; ++unit) {
+      wire.Transmit(sim.Now(), ToCellBytes(NumberedUnit(unit)), &sink);
+    }
+  }
+  EXPECT_GT(policy.stats().reordered, 3u);
+  sim.RunToCompletion();
+  std::sort(sink.units.begin(), sink.units.end());
+  std::vector<uint32_t> all(20);
+  std::iota(all.begin(), all.end(), 0u);
+  EXPECT_EQ(sink.units, all);
+}
+
+// One delivered cell: its arrival time and its bytes.
+struct TimedBytes {
+  int64_t at_ns = 0;
+  std::vector<uint8_t> bytes;
+  bool operator==(const TimedBytes&) const = default;
+};
+
+// Sends 200 numbered cells, in bursts, over a wire with a seeded impairment
+// policy (drop, duplicate, reorder hold, jitter) and a corrupt hook that
+// damages every third cell. `as_cells` picks the CellBytes overload of
+// Transmit, else the vector one. Returns the arrivals in delivery order.
+std::vector<TimedBytes> ImpairedCellArrivals(bool as_cells) {
+  struct RecordingSink : CellSink {
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime t, const CellBytes& cell) override {
+      got.push_back({t.nanos(), {cell.begin(), cell.end()}});
+    }
+    std::vector<TimedBytes> got;
+  };
+  Simulator sim;
+  ImpairmentConfig cfg;
+  cfg.drop_prob = 0.1;
+  cfg.duplicate_prob = 0.1;
+  cfg.reorder_prob = 0.2;
+  cfg.reorder_hold = SimDuration::FromMicros(10);
+  cfg.jitter_max = SimDuration::FromMicros(4);
+  cfg.seed = 9;
+  ImpairmentPolicy policy(cfg);
+  Wire wire(&sim, 140e6, SimDuration::FromMicros(1));
+  wire.set_impairment(&policy);
+  wire.set_corrupt_hook([](std::vector<uint8_t>& bytes) {
+    if (UnitNumber(bytes) % 3 == 0) {
+      bytes[20] ^= 0x5A;
+    }
+  });
+  RecordingSink sink;
+  Rng rng(5);
+  SimTime send_at;
+  for (uint32_t unit = 0; unit < 200; ++unit) {
+    send_at = send_at + SimDuration::FromNanos(static_cast<int64_t>(rng.NextBelow(6000)));
+    sim.ScheduleAt(send_at, [&, unit] {
+      if (as_cells) {
+        wire.Transmit(sim.Now(), ToCellBytes(NumberedUnit(unit)), &sink);
+      } else {
+        wire.Transmit(sim.Now(), NumberedUnit(unit), [&](SimTime t, std::vector<uint8_t> bytes) {
+          sink.got.push_back({t.nanos(), std::move(bytes)});
+        });
+      }
+    });
+  }
+  sim.RunToCompletion();
+  EXPECT_GT(policy.stats().dropped, 5u);
+  EXPECT_GT(policy.stats().duplicated, 5u);
+  EXPECT_GT(policy.stats().reordered, 10u);
+  EXPECT_EQ(wire.units_dropped(), policy.stats().dropped);
+  return sink.got;
+}
+
+// A cell sent by value meets the fate hooks exactly as a vector unit does:
+// same corruption, same verdicts, same arrival times, same order.
+TEST(WireLane, CellsArriveAsTheSameUnitsSentAsVectorsWould) {
+  const std::vector<TimedBytes> cells = ImpairedCellArrivals(true);
+  const std::vector<TimedBytes> vectors = ImpairedCellArrivals(false);
+  EXPECT_GT(cells.size(), 150u);
+  EXPECT_EQ(cells, vectors);
+  EXPECT_TRUE(std::any_of(cells.begin(), cells.end(),
+                          [](const TimedBytes& c) { return c.bytes[20] == 0x5A; }))
+      << "the corrupt hook reached the cells";
+}
+
+// A fate hook may rewrite a cell's bytes but not its size.
+TEST(WireLaneDeathTest, CorruptHookThatResizesACellFailsACheck) {
+  Simulator sim;
+  Wire wire(&sim, 140e6, SimDuration::FromMicros(1));
+  wire.set_corrupt_hook([](std::vector<uint8_t>& bytes) { bytes.pop_back(); });
+  struct NullSink : CellSink {
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime, const CellBytes&) override {}
+  } sink;
+  EXPECT_DEATH(wire.Transmit(sim.Now(), CellBytes{}, &sink), "CHECK failed.*a cell is 53 bytes");
 }
 
 }  // namespace
