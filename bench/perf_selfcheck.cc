@@ -7,20 +7,24 @@
 //      self-rescheduling chain, and schedule+cancel pairs/sec for the
 //      TCP-timer-like churn pattern that motivated the O(1) cancel path;
 //   2. end-to-end simulator throughput — RPC round-trips/sec and simulated
-//      events/sec for a standard 1400-byte ATM echo run;
+//      events/sec for a standard 1400-byte ATM echo run — and what two
+//      idle hook sets cost that echo: a detached tracer, and timeseries
+//      hooks with no sampler recording;
 //   3. experiment-grid throughput — the paper's 8-size sweep run serially
 //      vs through the parallel executor, with the speedup and a check that
 //      both produce identical measurements.
 //
-// Results go to BENCH_perf.json (override with --out PATH) so successive
-// PRs can track the trend. --quick shrinks iteration counts for the
-// `ctest -L perf` smoke; wall-clock numbers are only meaningful from a
-// Release (-O2) build on an otherwise idle machine.
+// Results go to BENCH_perf.json (override with --out PATH), which
+// bench/regression_gate diffs against bench/baselines/. --quick shrinks
+// iteration counts for the `ctest -L perf` smoke (the two hook probes run
+// at full length in both modes); wall-clock numbers are only meaningful
+// from a Release (-O2) build on an otherwise idle machine.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,9 +34,9 @@
 #include "src/core/testbed.h"
 #include "src/exec/executor.h"
 #include "src/sim/simulator.h"
+#include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
-#include "src/workload/interactive.h"
 
 namespace tcplat {
 namespace {
@@ -85,15 +89,15 @@ double MeasureCancelRate(uint64_t pairs) {
   return static_cast<double>(scheduled) / SecondsSince(t0);
 }
 
-struct RpcRate {
+struct EchoRate {
   double round_trips_per_sec = 0;
   double sim_events_per_sec = 0;
 };
 
 // 2. A full testbed run: protocol stacks, mbuf churn, spans, the lot.
-// `tracer` (optional) is attached before the run — pass one with recording
-// disabled to price the hook sites themselves.
-RpcRate MeasureRpcRate(int iterations, Tracer* tracer = nullptr) {
+// `tracer` (optional) is attached before the run, so the hook probes below
+// can price the hook sites themselves.
+EchoRate MeasureEchoRate(int iterations, Tracer* tracer = nullptr) {
   TestbedConfig cfg;
   Testbed tb(cfg);
   if (tracer != nullptr) {
@@ -105,25 +109,68 @@ RpcRate MeasureRpcRate(int iterations, Tracer* tracer = nullptr) {
   const auto t0 = std::chrono::steady_clock::now();
   RunRpcBenchmark(tb, opt);
   const double wall = SecondsSince(t0);
-  RpcRate out;
+  EchoRate out;
   out.round_trips_per_sec = static_cast<double>(iterations) / wall;
   out.sim_events_per_sec = static_cast<double>(tb.sim().events_dispatched()) / wall;
   return out;
 }
 
+// Round trips per side of one hook-probe round, in quick and full mode
+// alike, so both modes measure the same thing.
+constexpr int kProbeRoundTrips = 2'000;
+
+// The overhead in percent of a hook set, from `rate(hooked)`, the echo
+// event rate without and with it: the median over 9 rounds. Each round
+// runs the two sides back to back, alternating which goes first, and
+// yields one paired overhead. Pairing cancels host drift between rounds,
+// and the median drops a round an outlier hit. (Keeping each side's best
+// rate instead failed the 10% ceiling whenever one side caught a single
+// fast outlier.)
+double PairedOverheadPct(const std::function<double(bool hooked)>& rate) {
+  constexpr int kRounds = 9;
+  std::vector<double> overhead_pct;
+  for (int round = 0; round < kRounds; ++round) {
+    double base = 0;
+    double hooked = 0;
+    if (round % 2 == 0) {
+      base = rate(false);
+      hooked = rate(true);
+    } else {
+      hooked = rate(true);
+      base = rate(false);
+    }
+    overhead_pct.push_back(100.0 * (base - hooked) / base);
+  }
+  const auto mid = overhead_pct.begin() + overhead_pct.size() / 2;
+  std::nth_element(overhead_pct.begin(), mid, overhead_pct.end());
+  return *mid;
+}
+
 // Tracing must cost nothing when off: every hook is a pointer test in
-// Host::TracePacket plus an `enabled_` test in the Tracer. Best-of-3 on
-// each side to shave scheduler noise; the acceptance bar is <= 2%.
-double MeasureTraceDisabledOverheadPct(int iterations) {
-  double base = 0;
-  double hooked = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    base = std::max(base, MeasureRpcRate(iterations).sim_events_per_sec);
+// Host::TracePacket plus an `enabled_` test in the Tracer.
+double MeasureTraceDisabledOverheadPct() {
+  return PairedOverheadPct([](bool hooked) {
     Tracer tracer;
     tracer.set_enabled(false);
-    hooked = std::max(hooked, MeasureRpcRate(iterations, &tracer).sim_events_per_sec);
-  }
-  return 100.0 * (base - hooked) / base;
+    return MeasureEchoRate(kProbeRoundTrips, hooked ? &tracer : nullptr).sim_events_per_sec;
+  });
+}
+
+// The timeseries hooks must cost nothing when no sampler records: both
+// sides attach a full tracer; the hooked side also enables the timeseries
+// plane with a non-positive period, which keeps every producer hook live
+// (TcpConnection, AtmSwitch, RunWorkload all reach TimeseriesSampler::Push)
+// but records no points.
+double MeasureTimeseriesOverheadPct() {
+  return PairedOverheadPct([](bool hooked) {
+    Tracer tracer;
+    if (hooked) {
+      TimeseriesConfig cfg;
+      cfg.period_ns = 0;  // hooks live, sampler records nothing
+      tracer.EnableTimeseries(cfg);
+    }
+    return MeasureEchoRate(kProbeRoundTrips, &tracer).sim_events_per_sec;
+  });
 }
 
 // 2b. Multi-flow workload throughput: one 64-flow capacity cell (the
@@ -153,39 +200,6 @@ CapacityRate MeasureCapacityRate(bool quick) {
   rate.flows_per_sec = static_cast<double>(cell.flows) / wall;
   rate.sim_events_per_sec = static_cast<double>(out.sim_events) / wall;
   return rate;
-}
-
-// 2d. Interactive pathological latencies. These are *simulated* quantities
-// (identical every run, any thread count), recorded so the regression gate
-// can hold a ceiling on them: the delack cell's p50 must stay pinned to the
-// 200 ms timer, and the nodelay/delack-off cells must stay at wire scale —
-// a protocol change that re-arms (or widens) the pathology moves these
-// before any test notices. Iteration count is fixed regardless of --quick
-// so the smoke and the baseline refresh produce the same numbers.
-struct InteractiveLatencies {
-  double delack_p50_us = 0;
-  double delack_p99_us = 0;
-  double nodelay_p99_us = 0;
-  double delackoff_p99_us = 0;
-};
-
-InteractiveLatencies MeasureInteractiveLatencies() {
-  const auto run = [](InteractiveKnob knob) {
-    InteractiveCell cell;
-    cell.knob = knob;
-    cell.iterations = 16;
-    cell.warmup = 2;
-    return RunInteractiveCell(cell);
-  };
-  const InteractiveOutcome delack = run(InteractiveKnob::kPathological);
-  const InteractiveOutcome nodelay = run(InteractiveKnob::kNodelay);
-  const InteractiveOutcome delackoff = run(InteractiveKnob::kDelackOff);
-  InteractiveLatencies out;
-  out.delack_p50_us = delack.p50.micros();
-  out.delack_p99_us = delack.p99.micros();
-  out.nodelay_p99_us = nodelay.p99.micros();
-  out.delackoff_p99_us = delackoff.p99.micros();
-  return out;
 }
 
 // 3. The paper's 8-size sweep, serial vs parallel.
@@ -256,28 +270,24 @@ int Run(bool quick, const std::string& out_path) {
   const double cancel_rate = MeasureCancelRate(cancel_pairs);
   std::printf("schedule+cancel     : %12.0f pairs/sec  (timer churn)\n", cancel_rate);
 
-  const RpcRate rpc = MeasureRpcRate(rpc_iters);
+  const EchoRate rpc = MeasureEchoRate(rpc_iters);
   std::printf("RPC round trips     : %12.0f rt/sec     (1400-byte ATM echo)\n",
               rpc.round_trips_per_sec);
   std::printf("simulated events    : %12.0f events/sec (same run)\n", rpc.sim_events_per_sec);
 
-  const double trace_overhead = MeasureTraceDisabledOverheadPct(rpc_iters);
+  const double trace_overhead = MeasureTraceDisabledOverheadPct();
   std::printf("tracer-off overhead : %12.2f %%         (hooks present, recording off)\n",
               trace_overhead);
+
+  const double timeseries_overhead = MeasureTimeseriesOverheadPct();
+  std::printf("timeseries overhead : %12.2f %%         (hooks live, sampler records nothing)\n",
+              timeseries_overhead);
 
   const CapacityRate capacity = MeasureCapacityRate(quick);
   std::printf("capacity flows      : %12.0f flows/sec  (%d-flow star workload)\n",
               capacity.flows_per_sec, capacity.flows);
   std::printf("capacity events     : %12.0f events/sec (same run)\n",
               capacity.sim_events_per_sec);
-
-  const InteractiveLatencies interactive = MeasureInteractiveLatencies();
-  std::printf("interactive delack  : %12.1f us p50     (two-chunk request, Nagle+delack)\n",
-              interactive.delack_p50_us);
-  std::printf("interactive nodelay : %12.1f us p99     (same request, TCP_NODELAY)\n",
-              interactive.nodelay_p99_us);
-  std::printf("interactive no-dack : %12.1f us p99     (same request, delack off)\n",
-              interactive.delackoff_p99_us);
 
   const GridTiming grid = MeasureGrid(grid_iters, jobs);
   const double speedup = grid.parallel_sec > 0 ? grid.serial_sec / grid.parallel_sec : 0;
@@ -300,13 +310,10 @@ int Run(bool quick, const std::string& out_path) {
                "  \"rpc_round_trips_per_sec\": %.0f,\n"
                "  \"rpc_sim_events_per_sec\": %.0f,\n"
                "  \"trace_disabled_overhead_pct\": %.2f,\n"
+               "  \"timeseries_overhead_pct\": %.2f,\n"
                "  \"capacity_flows\": %d,\n"
                "  \"capacity_flows_per_sec\": %.0f,\n"
                "  \"capacity_sim_events_per_sec\": %.0f,\n"
-               "  \"interactive_delack_p50_us\": %.1f,\n"
-               "  \"interactive_delack_p99_us\": %.1f,\n"
-               "  \"interactive_nodelay_p99_us\": %.1f,\n"
-               "  \"interactive_delackoff_p99_us\": %.1f,\n"
                "  \"grid_configs\": 8,\n"
                "  \"grid_iterations\": %d,\n"
                "  \"grid_jobs\": %u,\n"
@@ -317,11 +324,9 @@ int Run(bool quick, const std::string& out_path) {
                "}\n",
                quick ? "true" : "false", std::thread::hardware_concurrency(), dispatch_rate,
                cancel_rate, rpc.round_trips_per_sec, rpc.sim_events_per_sec, trace_overhead,
-               capacity.flows, capacity.flows_per_sec, capacity.sim_events_per_sec,
-               interactive.delack_p50_us, interactive.delack_p99_us,
-               interactive.nodelay_p99_us, interactive.delackoff_p99_us,
-               grid_iters,
-               grid.jobs, grid.serial_sec, grid.parallel_sec, speedup,
+               timeseries_overhead, capacity.flows, capacity.flows_per_sec,
+               capacity.sim_events_per_sec, grid_iters, grid.jobs, grid.serial_sec,
+               grid.parallel_sec, speedup,
                grid.identical ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -1,19 +1,16 @@
-// Perf regression gate: diffs a fresh BENCH_perf.json / BENCH_trace.json
-// against committed baselines (bench/baselines/) and exits non-zero on a
+// Perf regression gate: diffs a fresh BENCH_perf.json against the committed
+// baseline (bench/baselines/BENCH_perf.json) and exits non-zero on a
 // regression so CI can fail the build. Outputs that are purely simulated
-// (the tables, grids, captures and CSVs) are pinned exactly by the golden
-// manifest in tests/golden/ instead.
+// (the tables, grids, traces, captures and CSVs) are pinned exactly by the
+// golden manifest in tests/golden/ and by the gtests instead.
 //
-// One policy table (kPolicies) covers both files. Each row names keys by
+// One policy table (kPolicies) covers the file. Each row names keys by
 // prefix and suffix and gives a rule and a bound; the first matching row
-// wins, and a key no row matches must equal its baseline exactly (simulated
-// facts, counters, hashes and acceptance booleans). The rules:
+// wins, and a key no row matches must equal its baseline exactly (counts
+// and acceptance booleans). The rules:
 //  * ignore: machine facts and raw wall-clock seconds are reported only;
 //  * floor: fresh >= bound x baseline. Wall-clock rates (_per_sec) vary
 //    wildly across CI hardware, so they gate on collapse only (0.10x);
-//  * ceiling: fresh <= bound x baseline, for simulated quantities allowed to
-//    creep but not jump (interactive latencies, TLBT bytes/event, timeline
-//    points/flow; 1.10x). Getting smaller is always fine;
 //  * absolute ceiling: fresh <= bound, for the wall-clock hook overheads
 //    (detached tracer, timeseries hooks with no recording sampler; 10%).
 //
@@ -36,7 +33,7 @@
 namespace tcplat {
 namespace {
 
-enum class Rule { kIgnore, kFloor, kCeiling, kAbsCeiling };
+enum class Rule { kIgnore, kFloor, kAbsCeiling };
 
 struct Policy {
   const char* prefix;
@@ -54,9 +51,6 @@ constexpr Policy kPolicies[] = {
     {"", "_per_sec", Rule::kFloor, 0.10},
     {"trace_disabled_overhead_pct", "", Rule::kAbsCeiling, 10.0},
     {"timeseries_overhead_pct", "", Rule::kAbsCeiling, 10.0},
-    {"interactive_", "_us", Rule::kCeiling, 1.10},
-    {"binary_trace_bytes_per_event", "", Rule::kCeiling, 1.10},
-    {"timeseries_points_per_flow", "", Rule::kCeiling, 1.10},
 };
 
 int g_failures = 0;
@@ -180,11 +174,6 @@ void Gate(const std::map<std::string, std::string>& fresh,
       std::snprintf(detail, sizeof(detail), "%s vs baseline %s (floor %.3f)", value.c_str(),
                     base_value.c_str(), floor);
       ok = fresh_num >= floor;
-    } else if (policy->rule == Rule::kCeiling) {
-      const double ceiling = base_num * policy->bound;
-      std::snprintf(detail, sizeof(detail), "%s vs baseline %s (ceiling %.3f)", value.c_str(),
-                    base_value.c_str(), ceiling);
-      ok = fresh_num <= ceiling;
     } else {
       std::snprintf(detail, sizeof(detail), "%s (ceiling %.1f)", value.c_str(), policy->bound);
       ok = fresh_num <= policy->bound;
@@ -201,31 +190,17 @@ void Gate(const std::map<std::string, std::string>& fresh,
 // Pure-logic verification: the gate must pass on identical data and fail on
 // a perturbed baseline, with no files involved.
 int SelfTest() {
-  std::map<std::string, std::string> perf = {
+  const std::map<std::string, std::string> perf = {
       {"quick", "true"},
       {"hardware_concurrency", "8"},
       {"rpc_round_trips_per_sec", "100000"},
       {"trace_disabled_overhead_pct", "1.50"},
-      {"grid_results_identical", "true"},
-      {"interactive_delack_p50_us", "202160.9"},
-      {"interactive_nodelay_p99_us", "1938.2"},
-  };
-  const std::map<std::string, std::string> trace = {
-      {"trace_bytes", "12345"},
-      {"trace_events", "678"},
-      {"trace_fnv64", "00deadbeef00cafe"},
-      {"binary_trace_bytes_per_event", "12.790"},
-      {"binary_roundtrip_identical", "true"},
-      {"binary_executor_identical", "true"},
-      {"trace_sampled_flows", "20"},
-      {"sampled_blame_within_tolerance", "true"},
       {"timeseries_overhead_pct", "1.20"},
-      {"timeseries_points_per_flow", "113.0"},
+      {"grid_results_identical", "true"},
   };
 
   std::printf("selftest: identical data must pass\n");
   Gate(perf, perf);
-  Gate(trace, trace);
   if (g_failures != 0) {
     std::printf("selftest FAILED: clean comparison reported %d failure(s)\n", g_failures);
     return 1;
@@ -252,68 +227,19 @@ int SelfTest() {
   Gate(heavy, perf);
   expected += g_failures == 1 ? 0 : 1;
 
-  // Interactive latency ceilings: drift within 10% (or any improvement)
-  // passes...
-  std::map<std::string, std::string> interactive_drift = perf;
-  interactive_drift["interactive_delack_p50_us"] = "210000.0";  // +3.9%
-  interactive_drift["interactive_nodelay_p99_us"] = "900.0";    // faster
-  g_failures = 0;
-  Gate(interactive_drift, perf);
-  expected += g_failures == 0 ? 0 : 1;
-
-  // ...but a widened pathology (the mode re-arming in a "fixed" cell, or
-  // the timer cliff growing) trips the ceiling.
-  std::map<std::string, std::string> interactive_worse = perf;
-  interactive_worse["interactive_delack_p50_us"] = "402000.0";  // 2x the mode
-  interactive_worse["interactive_nodelay_p99_us"] = "202000.0";  // mode re-armed
-  g_failures = 0;
-  Gate(interactive_worse, perf);
-  expected += g_failures == 2 ? 0 : 1;
-
-  std::map<std::string, std::string> drifted = trace;
-  drifted["trace_fnv64"] = "0123456789abcdef";
-  g_failures = 0;
-  Gate(drifted, trace);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // Ceiling metrics: growth within 10% of baseline passes...
-  std::map<std::string, std::string> creep = trace;
-  creep["binary_trace_bytes_per_event"] = "13.900";
-  g_failures = 0;
-  Gate(creep, trace);
-  expected += g_failures == 0 ? 0 : 1;
-
-  // ...growth past it is an encoding regression...
-  std::map<std::string, std::string> bloated = trace;
-  bloated["binary_trace_bytes_per_event"] = "15.100";
-  g_failures = 0;
-  Gate(bloated, trace);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // ...and a lost pipeline property fails exactly.
-  std::map<std::string, std::string> broken = trace;
-  broken["binary_executor_identical"] = "false";
-  broken["trace_sampled_flows"] = "3";
-  g_failures = 0;
-  Gate(broken, trace);
-  expected += g_failures == 2 ? 0 : 1;
-
-  // Timeseries: wall-clock overhead drift under the absolute ceiling
-  // passes, and the deterministic point budget may shrink freely...
-  std::map<std::string, std::string> ts_drift = trace;
+  // Timeseries hooks: overhead drift under the absolute ceiling passes...
+  std::map<std::string, std::string> ts_drift = perf;
   ts_drift["timeseries_overhead_pct"] = "7.80";
-  ts_drift["timeseries_points_per_flow"] = "90.0";
   g_failures = 0;
-  Gate(ts_drift, trace);
+  Gate(ts_drift, perf);
   expected += g_failures == 0 ? 0 : 1;
 
-  // ...but hooks past the ceiling or a bloated point budget fail.
-  std::map<std::string, std::string> ts_broken = trace;
-  ts_broken["timeseries_overhead_pct"] = "25.00";
-  ts_broken["timeseries_points_per_flow"] = "140.0";
+  // ...but hooks past it fail.
+  std::map<std::string, std::string> ts_heavy = perf;
+  ts_heavy["timeseries_overhead_pct"] = "25.00";
   g_failures = 0;
-  Gate(ts_broken, trace);
-  expected += g_failures == 2 ? 0 : 1;
+  Gate(ts_heavy, perf);
+  expected += g_failures == 1 ? 0 : 1;
 
   // A hardware difference alone must NOT fail.
   std::map<std::string, std::string> other_machine = perf;
@@ -335,46 +261,35 @@ int Run(const BenchFlags& flags) {
   if (flags.selftest) {
     return SelfTest();
   }
-  if (flags.perf_path.empty() || flags.trace_path.empty()) {
-    std::fprintf(stderr, "regression_gate: --perf and --trace are required (or --selftest)\n");
+  if (flags.perf_path.empty()) {
+    std::fprintf(stderr, "regression_gate: --perf is required (or --selftest)\n");
     return 2;
   }
   const std::string dir = flags.baseline_dir.empty() ? "bench/baselines" : flags.baseline_dir;
-  const std::string perf_baseline_path = dir + "/BENCH_perf.json";
-  const std::string trace_baseline_path = dir + "/BENCH_trace.json";
+  const std::string baseline_path = dir + "/BENCH_perf.json";
 
-  std::string fresh_perf_text;
-  std::string fresh_trace_text;
-  if (!ReadFile(flags.perf_path, &fresh_perf_text) ||
-      !ReadFile(flags.trace_path, &fresh_trace_text)) {
+  std::string fresh_text;
+  if (!ReadFile(flags.perf_path, &fresh_text)) {
     return 2;
   }
-  const std::map<std::string, std::string> fresh_perf = ParseFlatJson(fresh_perf_text);
-  const std::map<std::string, std::string> fresh_trace = ParseFlatJson(fresh_trace_text);
 
   if (flags.write_baseline) {
-    if (!WriteTextFile(perf_baseline_path, fresh_perf_text) ||
-        !WriteTextFile(trace_baseline_path, fresh_trace_text)) {
+    if (!WriteTextFile(baseline_path, fresh_text)) {
       return 2;
     }
-    std::printf("wrote %s and %s\n", perf_baseline_path.c_str(), trace_baseline_path.c_str());
+    std::printf("wrote %s\n", baseline_path.c_str());
     return 0;
   }
 
-  std::string perf_baseline_text;
-  std::string trace_baseline_text;
-  if (!ReadFile(perf_baseline_path, &perf_baseline_text) ||
-      !ReadFile(trace_baseline_path, &trace_baseline_text)) {
-    std::fprintf(stderr, "regression_gate: no baselines in %s (run --write-baseline first)\n",
+  std::string baseline_text;
+  if (!ReadFile(baseline_path, &baseline_text)) {
+    std::fprintf(stderr, "regression_gate: no baseline in %s (run --write-baseline first)\n",
                  dir.c_str());
     return 2;
   }
 
-  std::printf("perf metrics (%s vs %s):\n", flags.perf_path.c_str(), perf_baseline_path.c_str());
-  Gate(fresh_perf, ParseFlatJson(perf_baseline_text));
-  std::printf("trace metrics (%s vs %s):\n", flags.trace_path.c_str(),
-              trace_baseline_path.c_str());
-  Gate(fresh_trace, ParseFlatJson(trace_baseline_text));
+  std::printf("perf metrics (%s vs %s):\n", flags.perf_path.c_str(), baseline_path.c_str());
+  Gate(ParseFlatJson(fresh_text), ParseFlatJson(baseline_text));
 
   std::printf("%d failure(s), %d warning(s)\n", g_failures, g_warnings);
   return g_failures == 0 ? 0 : 1;
@@ -386,8 +301,8 @@ int Run(const BenchFlags& flags) {
 int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--perf PATH] [--trace PATH] [--baseline-dir DIR] "
-                               "[--write-baseline] [--selftest]")) {
+                               "[--perf PATH] [--baseline-dir DIR] [--write-baseline] "
+                               "[--selftest]")) {
     return 2;
   }
   return tcplat::Run(flags);

@@ -45,7 +45,6 @@ class Cpu {
   Cpu& operator=(const Cpu&) = delete;
 
   const CostProfile& profile() const { return profile_; }
-  void set_profile(CostProfile profile) { profile_ = std::move(profile); }
   Simulator& sim() { return *sim_; }
 
   void set_charge_listener(ChargeListener* listener) { listener_ = listener; }

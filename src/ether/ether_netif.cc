@@ -88,7 +88,7 @@ void EtherNetIf::SendArpRequest(Ipv4Addr target) {
   TransmitFrame(kEtherTypeArp, req.Serialize(), kBroadcastMac);
 
   // If nothing answers, release the queued packets.
-  host_->After(arp_timeout_, [this, target] {
+  host_->After(kArpTimeout, [this, target] {
     const auto dropped = arp_.TakePending(target);
     arp_stats_.timeouts += dropped.size();
   });

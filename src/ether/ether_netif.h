@@ -84,9 +84,6 @@ class EtherNetIf : public NetIf {
   const ArpStats& arp_stats() const { return arp_stats_; }
   Host& host() { return *host_; }
 
-  // How long an unanswered resolution holds its queued packets.
-  void set_arp_timeout(SimDuration timeout) { arp_timeout_ = timeout; }
-
  private:
   friend class EtherSegment;
   void OnFrameArrival(SimTime arrival, std::vector<uint8_t> frame);
@@ -105,7 +102,8 @@ class EtherNetIf : public NetIf {
   MacAddr mac_;
   ArpCache arp_;
   ArpStats arp_stats_;
-  SimDuration arp_timeout_ = SimDuration::FromSeconds(1);
+  // How long an unanswered resolution holds its queued packets.
+  static constexpr SimDuration kArpTimeout = SimDuration::FromSeconds(1);
   EtherNetIfStats stats_;
 };
 

@@ -51,7 +51,6 @@ class SockBuf {
   size_t cc() const { return cc_; }
   size_t hiwat() const { return hiwat_; }
   size_t space() const { return cc_ >= hiwat_ ? 0 : hiwat_ - cc_; }
-  void set_hiwat(size_t hiwat) { hiwat_ = hiwat; }
 
   const Mbuf* chain() const { return chain_.get(); }
 

@@ -6,7 +6,8 @@ namespace tcplat {
 
 std::string SegmentTap::Format(const Record& r) {
   char buf[256];
-  std::string flags = "[" + r.header.flags.ToString() + "]";
+  std::string flags = "[";
+  flags.append(r.header.flags.ToString()).append("]");
   int n = std::snprintf(buf, sizeof(buf), "%.6f %s %s > %s: Flags %s, seq %u",
                         r.time.seconds(), r.outbound ? "OUT" : "IN ",
                         r.src.ToString().c_str(), r.dst.ToString().c_str(), flags.c_str(),

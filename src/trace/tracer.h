@@ -228,7 +228,6 @@ class Tracer {
   // cost is one extra null test here.
 
   void EnableTimeseries(const TimeseriesConfig& config);
-  bool timeseries_enabled() const { return timeseries_ != nullptr; }
   TimeseriesSampler* timeseries() { return timeseries_.get(); }
   const TimeseriesSampler* timeseries() const { return timeseries_.get(); }
 

@@ -27,7 +27,7 @@ TEST(Executor, ResultsComeBackInSubmissionOrder) {
     thunks.emplace_back([i] {
       volatile int sink = 0;
       for (int k = 0; k < (64 - i) * 1000; ++k) {
-        sink += k;
+        sink = sink + k;
       }
       return i;
     });

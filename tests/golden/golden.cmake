@@ -45,16 +45,6 @@ if(NOT CMAKE_SCRIPT_MODE_FILE)
   return()
 endif()
 
-# The commands run at the lowest CPU priority: they only need throughput,
-# and under `ctest -j` they would otherwise crowd the cores that the suite's
-# wall-clock probes measure on. On a 4-core x86-64, observability_selfcheck_smoke
-# failed 3 of 33 `ctest -j4` runs beside them at normal priority and none of
-# 58 at this one.
-find_program(nice_program nice)
-if(nice_program)
-  set(lowest_priority "${nice_program}" -n 19)
-endif()
-
 # Runs entry `name` at TCPLAT_JOBS=`jobs` in BIN_DIR/golden/jobs<N>/<name>/
 # (after the entry it reads from, if any, so that input is fresh) and sets
 # `out_var` to its outputs as "<output> <hash>": the file `stdout` first,
@@ -80,7 +70,7 @@ function(golden_run name jobs out_var)
   file(REMOVE_RECURSE "${work}")
   file(MAKE_DIRECTORY "${work}")
   set(ENV{TCPLAT_JOBS} "${jobs}")
-  execute_process(COMMAND ${lowest_priority} "${exe}" ${argv} WORKING_DIRECTORY "${work}"
+  execute_process(COMMAND "${exe}" ${argv} WORKING_DIRECTORY "${work}"
                   OUTPUT_FILE "${work}/stdout" ERROR_VARIABLE stderr RESULT_VARIABLE rc)
   if(NOT rc STREQUAL "0")
     message(FATAL_ERROR "golden ${name}, TCPLAT_JOBS=${jobs}: "

@@ -25,7 +25,8 @@ constexpr int64_t kMs = 1'000'000;
 // round trip is pinned to the server's delayed-ACK timer: chunk 1 leaves
 // idle, chunk 2 waits behind it, and the server — short of a full request —
 // only acks when the timer fires. p50 must sit just above the timer, for
-// two different timer values (the "latency ≈ timer" signature).
+// two different timer values (the "latency ≈ timer" signature). At the
+// default 200 ms timer, p99 stays within 1.10x of its 202,210.6 us.
 TEST(InteractivePathology, DelackModeTracksTimerValue) {
   for (const int64_t timer_ms : {int64_t{200}, int64_t{60}}) {
     InteractiveCell cell;
@@ -39,6 +40,9 @@ TEST(InteractivePathology, DelackModeTracksTimerValue) {
     EXPECT_EQ(out.samples, 16u);
     EXPECT_GE(out.p50.nanos(), timer_ms * kMs) << "timer " << timer_ms;
     EXPECT_LE(out.p50.nanos(), timer_ms * kMs + 5 * kMs) << "timer " << timer_ms;
+    if (timer_ms == 200) {
+      EXPECT_LE(out.p99.nanos(), 222'431'660);
+    }
     // One held chunk and one timer-released ACK per round trip.
     EXPECT_GE(out.nagle_holds, 16u);
     EXPECT_GE(out.delayed_acks_fired, 16u);
@@ -47,7 +51,8 @@ TEST(InteractivePathology, DelackModeTracksTimerValue) {
 }
 
 // TCP_NODELAY on the client sends chunk 2 immediately: the delack timer
-// never gates the request, and the round trip drops to wire scale.
+// never gates the request, and the round trip drops to wire scale: p99
+// stays within 1.10x of its 1,938.2 us.
 TEST(InteractivePathology, ModeVanishesUnderNodelay) {
   InteractiveCell cell;
   cell.knob = InteractiveKnob::kNodelay;
@@ -56,13 +61,14 @@ TEST(InteractivePathology, ModeVanishesUnderNodelay) {
   const InteractiveOutcome out = RunInteractiveCell(cell);
   EXPECT_EQ(out.completed, 1u);
   EXPECT_EQ(out.samples, 16u);
-  EXPECT_LT(out.p99.nanos(), 5 * kMs);
+  EXPECT_LE(out.p99.nanos(), 2'132'020);
   EXPECT_EQ(out.nagle_holds, 0u);
 }
 
 // Disabling delayed ACKs on the server acks chunk 1 immediately, releasing
 // chunk 2 after one wire round trip: Nagle still holds (nagle_holds moves)
-// but the 200 ms mode is gone and the timer never fires for request data.
+// but the 200 ms mode is gone and the timer never fires for request data:
+// p99 stays within 1.10x of its 2,409.5 us.
 TEST(InteractivePathology, ModeVanishesWithDelackDisabled) {
   InteractiveCell cell;
   cell.knob = InteractiveKnob::kDelackOff;
@@ -71,7 +77,7 @@ TEST(InteractivePathology, ModeVanishesWithDelackDisabled) {
   const InteractiveOutcome out = RunInteractiveCell(cell);
   EXPECT_EQ(out.completed, 1u);
   EXPECT_EQ(out.samples, 16u);
-  EXPECT_LT(out.p99.nanos(), 5 * kMs);
+  EXPECT_LE(out.p99.nanos(), 2'650'450);
   EXPECT_GE(out.nagle_holds, 16u);
 }
 

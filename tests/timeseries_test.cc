@@ -3,8 +3,8 @@
 // across repeat runs — edge samples land exactly on the discontinuities they
 // mark (summing kTcpRtoFire edges reconstructs rexmt_stall_ns to the
 // nanosecond, and loss-enter/exit pairs carry the exact peak and deflated
-// window). The bench self-checks (bench/congestion --timeline,
-// bench/observability_selfcheck) exercise the same paths at full scale;
+// window), and the default-period plane stays under its point budget.
+// bench/congestion --timeline-csv exercises the same paths at full scale;
 // these tests pin the invariants on cells small enough for the tier-1
 // suite.
 
@@ -17,6 +17,7 @@
 
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
+#include "src/workload/capacity.h"
 #include "src/workload/congestion.h"
 
 namespace tcplat {
@@ -131,6 +132,25 @@ TEST(Timeseries, LossEdgePairsCarryExactPeakAndDeflatedWindow) {
     }
   }
   EXPECT_GT(pairs, 0) << "no loss enter/exit pairs in a lossy cell";
+}
+
+// The default-period plane stays frugal: on the 8-flow echo cell (4x2
+// hosts, 200 B, 200 round trips per flow) it records 433.0 points per
+// flow, and may grow to 1.10x that before this fails.
+TEST(Timeseries, DefaultPeriodPointsPerFlowStayUnderBudget) {
+  CapacityCell cell;
+  cell.flows = 8;
+  cell.size = 200;
+  cell.iterations = 200;
+  cell.warmup = 8;
+  cell.seed = 1;
+  Tracer tracer;
+  tracer.EnableTimeseries(TimeseriesConfig{});
+  RunCapacityCell(cell, &tracer);
+  const double points_per_flow =
+      static_cast<double>(tracer.timeseries()->points().size()) / cell.flows;
+  EXPECT_GT(points_per_flow, 0.0);
+  EXPECT_LE(points_per_flow, 476.3);
 }
 
 }  // namespace
