@@ -38,32 +38,41 @@ AtmSwitch::AtmSwitch(Simulator* sim, double bits_per_second, SimDuration propaga
 
 void AtmSwitch::AttachOutput(int port, CellSink* sink, double bits_per_second) {
   TCPLAT_CHECK(sink != nullptr);
-  TCPLAT_CHECK(outputs_.find(port) == outputs_.end()) << "output port in use";
-  OutputPort out;
+  TCPLAT_CHECK_GE(port, 0);
+  if (static_cast<size_t>(port) >= outputs_.size()) {
+    outputs_.resize(static_cast<size_t>(port) + 1);
+  }
+  OutputPort& out = outputs_[static_cast<size_t>(port)];
+  TCPLAT_CHECK(out.sink == nullptr) << "output port in use";
   const double rate = bits_per_second > 0 ? bits_per_second : bits_per_second_;
   out.wire = std::make_unique<Wire>(sim_, rate, propagation_);
   out.wire->set_impairment(output_impairment_);
   out.sink = sink;
-  out.release_lane = sim_->NewLane();
-  outputs_[port] = std::move(out);
 }
 
 void AtmSwitch::set_output_impairment(LinkImpairment* impairment) {
   output_impairment_ = impairment;
-  for (auto& [port, out] : outputs_) {
-    out.wire->set_impairment(impairment);
+  for (OutputPort& out : outputs_) {
+    if (out.wire != nullptr) {
+      out.wire->set_impairment(impairment);
+    }
   }
 }
 
 void AtmSwitch::AddRoute(uint16_t vci, int out_port) {
-  TCPLAT_CHECK(outputs_.find(out_port) != outputs_.end()) << "route to unattached port";
-  routes_[vci] = out_port;
+  TCPLAT_CHECK(out_port >= 0 && static_cast<size_t>(out_port) < outputs_.size() &&
+               outputs_[static_cast<size_t>(out_port)].sink != nullptr)
+      << "route to unattached port";
+  if (vci >= vcs_.size()) {
+    vcs_.resize(size_t{vci} + 1);
+  }
+  vcs_[vci].port = out_port;
 }
 
 void AtmSwitch::DeliverCell(SimTime arrival, const CellBytes& cell) {
   const uint16_t vci = LoadBe16(&cell[1]);
-  auto route = routes_.find(vci);
-  if (route == routes_.end()) {
+  const int port = vci < vcs_.size() ? vcs_[vci].port : -1;
+  if (port < 0) {
     ++stats_.no_route;
     if (tracer_ != nullptr) {
       tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kDrop, arrival, vci,
@@ -71,7 +80,7 @@ void AtmSwitch::DeliverCell(SimTime arrival, const CellBytes& cell) {
     }
     return;
   }
-  OutputPort& out = outputs_.at(route->second);
+  OutputPort& out = outputs_[static_cast<size_t>(port)];
   const bool buffered = vc_config_.buffer_cells > 0;
   if (buffered && !AdmitCell(vci, arrival, cell)) {
     return;  // discarded by the VC buffer policy
@@ -79,7 +88,7 @@ void AtmSwitch::DeliverCell(SimTime arrival, const CellBytes& cell) {
   ++stats_.cells_switched;
   if (tracer_ != nullptr) {
     tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kCellSwitch, arrival,
-                          vci, static_cast<uint64_t>(route->second), cell.size());
+                          vci, static_cast<uint64_t>(port), cell.size());
   }
 
   // Hardware pipeline: no host CPU involved. The cell re-serializes on the
@@ -98,23 +107,84 @@ void AtmSwitch::DeliverCell(SimTime arrival, const CellBytes& cell) {
     done = out.wire->Transmit(start, cell, out.sink);
   }
   if (buffered) {
-    sim_->ScheduleInLane(out.release_lane, done, [this, vci] {
-      VcState& vc = vc_states_[vci];
-      --vc.occupancy;
-      Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);
-    });
+    QueueRelease(port, vci, done);
   }
 }
 
+void AtmSwitch::QueueRelease(int port, uint16_t vci, SimTime done) {
+  OutputPort& out = outputs_[static_cast<size_t>(port)];
+  if (out.next_release == out.releases.size()) {
+    ports_with_releases_.push_back(port);
+  }
+  // The sequence number is drawn where the release event used to be
+  // scheduled, so it breaks ties against other events as that event did.
+  out.releases.push_back({done, sim_->DrawSeq(), vci});
+  if (!release_flush_armed_) {
+    ArmReleaseFlush();
+  }
+}
+
+void AtmSwitch::ApplyDueReleases() {
+  while (!ports_with_releases_.empty()) {
+    // The earliest release across ports: the occupancy samples must go out
+    // in the order the release events ran (the timeline's sort is stable).
+    size_t first = 0;
+    for (size_t i = 1; i < ports_with_releases_.size(); ++i) {
+      const OutputPort& a = outputs_[static_cast<size_t>(ports_with_releases_[i])];
+      const OutputPort& b = outputs_[static_cast<size_t>(ports_with_releases_[first])];
+      const PendingRelease& ra = a.releases[a.next_release];
+      const PendingRelease& rb = b.releases[b.next_release];
+      if (ra.time < rb.time || (ra.time == rb.time && ra.seq < rb.seq)) {
+        first = i;
+      }
+    }
+    OutputPort& out = outputs_[static_cast<size_t>(ports_with_releases_[first])];
+    const PendingRelease r = out.releases[out.next_release];
+    if (!sim_->KeyPassed(r.time, r.seq)) {
+      return;
+    }
+    if (++out.next_release == out.releases.size()) {
+      out.releases.clear();
+      out.next_release = 0;
+      ports_with_releases_[first] = ports_with_releases_.back();
+      ports_with_releases_.pop_back();
+    } else if (2 * out.next_release >= out.releases.size() && out.next_release >= 64) {
+      // Drop the applied prefix once it is half the vector, so a port
+      // that never drains keeps a vector sized to what is pending.
+      out.releases.erase(out.releases.begin(),
+                         out.releases.begin() + static_cast<ptrdiff_t>(out.next_release));
+      out.next_release = 0;
+    }
+    VcState& vc = *vcs_[r.vci].state;
+    --vc.occupancy;
+    Sample(TsMetric::kVcOccupancy, r.vci, r.time, vc.occupancy);
+  }
+}
+
+void AtmSwitch::ArmReleaseFlush() {
+  SimTime latest;
+  for (const int port : ports_with_releases_) {
+    latest = std::max(latest, outputs_[static_cast<size_t>(port)].releases.back().time);
+  }
+  release_flush_armed_ = true;
+  sim_->ScheduleAt(latest, [this] {
+    release_flush_armed_ = false;
+    ApplyDueReleases();
+    if (!ports_with_releases_.empty()) {
+      ArmReleaseFlush();  // releases queued after this event was scheduled
+    }
+  });
+}
+
 AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
-  auto it = vc_states_.find(vci);
-  if (it == vc_states_.end()) {
-    it = vc_states_.emplace(vci, VcState{}).first;
+  std::unique_ptr<VcState>& state = vcs_[vci].state;
+  if (state == nullptr) {
+    state = std::make_unique<VcState>();
     const std::string prefix = "switch.vc" + std::to_string(vci);
-    metrics_.AddGaugeView(prefix + ".occupancy", &it->second.occupancy);
-    metrics_.AddGaugeView(prefix + ".hiwat", &it->second.hiwat);
-    metrics_.AddCounterView(prefix + ".cells_forwarded", &it->second.cells_forwarded);
-    metrics_.AddCounterView(prefix + ".cells_dropped", &it->second.cells_dropped);
+    metrics_.AddGaugeView(prefix + ".occupancy", &state->occupancy);
+    metrics_.AddGaugeView(prefix + ".hiwat", &state->hiwat);
+    metrics_.AddCounterView(prefix + ".cells_forwarded", &state->cells_forwarded);
+    metrics_.AddCounterView(prefix + ".cells_dropped", &state->cells_dropped);
     if (!metrics_.contains("switch.cells_dropped_tail")) {
       metrics_.AddCounterView("switch.cells_dropped_tail", &stats_.cells_dropped_tail);
       metrics_.AddCounterView("switch.cells_dropped_epd", &stats_.cells_dropped_epd);
@@ -122,10 +192,11 @@ AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
       metrics_.AddCounterView("switch.frames_discarded", &stats_.frames_discarded);
     }
   }
-  return it->second;
+  return *state;
 }
 
 bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellBytes& cell) {
+  ApplyDueReleases();
   VcState& vc = EnsureVc(vci);
   // The AAL3/4 segment type rides in the top two bits of the SAR header
   // (wire byte 5); it is what lets the switch see frame boundaries.

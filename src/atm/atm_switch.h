@@ -13,12 +13,19 @@
 // by VCI, delayed by a fixed switching latency, and serialized onto the
 // output port's own fiber (contention between inputs for one output is
 // resolved by the output wire's queue — output buffering).
+//
+// A buffered cell holds its VC's occupancy slot until its last bit leaves
+// the output fiber. Those releases are not events: each output port queues
+// them under the (time, seq) key a release event would have had, and the
+// switch applies every release whose key the clock has passed before it
+// reads occupancy, in key order across ports. One flush event at the latest
+// pending release time applies whatever is left, so a run ends when, and
+// with the gauges and samples, the release events would have left it.
 
 #ifndef SRC_ATM_ATM_SWITCH_H_
 #define SRC_ATM_ATM_SWITCH_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -124,17 +131,22 @@ class AtmSwitch : private CellSink {
     uint64_t cells_dropped = 0;
     uint64_t frames_discarded = 0;
   };
-  // Null when no cell for `vci` has been buffered yet.
-  const VcState* vc_state(uint16_t vci) const {
-    auto it = vc_states_.find(vci);
-    return it == vc_states_.end() ? nullptr : &it->second;
+  // Null when no cell for `vci` has been buffered yet. Shows every release
+  // due by the clock (after RunUntil(t), every one due by t).
+  const VcState* vc_state(uint16_t vci) {
+    ApplyDueReleases();
+    return vci < vcs_.size() ? vcs_[vci].state.get() : nullptr;
   }
 
   const AtmSwitchStats& stats() const { return stats_; }
 
   // Occupancy/high-watermark gauges and drop counters, one entry per VC
-  // ("switch.vc<N>.occupancy", ".hiwat") plus policy-level drop totals.
-  MetricsRegistry& metrics() { return metrics_; }
+  // ("switch.vc<N>.occupancy", ".hiwat") plus policy-level drop totals. The
+  // gauges show every release due by the clock when this is called.
+  MetricsRegistry& metrics() {
+    ApplyDueReleases();
+    return metrics_;
+  }
 
   // The switch has no Host, so it joins a trace as its own participant
   // (`trace_id` from Tracer::RegisterHost). Pass nullptr to detach.
@@ -144,12 +156,27 @@ class AtmSwitch : private CellSink {
   }
 
  private:
+  // A buffered cell's VC-buffer slot, freed at the cell's last-bit time. The
+  // key is the one a release event scheduled in its place would have had.
+  struct PendingRelease {
+    SimTime time;
+    uint64_t seq = 0;
+    uint16_t vci = 0;
+  };
   struct OutputPort {
     std::unique_ptr<Wire> wire;
-    CellSink* sink = nullptr;
-    // VC-buffer releases, due at the wire's last-bit times, which never
-    // decrease.
-    LaneId release_lane = 0;
+    CellSink* sink = nullptr;  // null while the port is unattached
+    // Pending from index `next_release` on, in key order: the wire's
+    // last-bit times never decrease and sequence numbers only grow.
+    std::vector<PendingRelease> releases;
+    size_t next_release = 0;
+  };
+  // One entry per VCI up to the highest routed one.
+  struct Vc {
+    int port = -1;  // output port; -1 when unrouted
+    // Created at the VC's first buffered cell. Heap-held so its address
+    // stays put for the metrics registry's views.
+    std::unique_ptr<VcState> state;
   };
 
   // Switches one cell from any input fiber.
@@ -158,6 +185,14 @@ class AtmSwitch : private CellSink {
   // Applies the per-VC buffer policy; false means the cell was discarded.
   bool AdmitCell(uint16_t vci, SimTime arrival, const CellBytes& cell);
   VcState& EnsureVc(uint16_t vci);
+  // Queues the VC-buffer release of a cell leaving `port` at `done`, and
+  // arms the flush event if none is pending.
+  void QueueRelease(int port, uint16_t vci, SimTime done);
+  // Applies, in key order across ports, every pending release whose key
+  // the clock has passed.
+  void ApplyDueReleases();
+  // Schedules the flush event at the latest pending release time.
+  void ArmReleaseFlush();
 
   // Timeseries pushes, keyed by VCI (the switch has no Host, so it feeds
   // the sampler through its own tracer attachment).
@@ -176,13 +211,14 @@ class AtmSwitch : private CellSink {
   double bits_per_second_;
   SimDuration propagation_;
   SimDuration per_cell_latency_;
-  std::map<int, OutputPort> outputs_;
-  std::map<uint16_t, int> routes_;
+  std::vector<OutputPort> outputs_;  // indexed by port number
+  std::vector<Vc> vcs_;              // indexed by VCI
+  std::vector<int> ports_with_releases_;
+  bool release_flush_armed_ = false;
   CorruptFn fabric_corrupt_;
   LinkImpairment* output_impairment_ = nullptr;
   AtmSwitchStats stats_;
   VcBufferConfig vc_config_;
-  std::map<uint16_t, VcState> vc_states_;  // stable addresses for gauge views
   MetricsRegistry metrics_;
   Tracer* tracer_ = nullptr;
   uint8_t trace_id_ = 0;

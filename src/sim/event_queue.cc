@@ -130,12 +130,12 @@ EventQueue::Dispatched EventQueue::PopNext() {
   ReleaseSlot(key.slot());  // leaves the callback in place
   // Built in the return statement, so the callback moves once, straight into
   // the result (a named local would not get NRVO beside the lane return).
-  return Dispatched{SimTime::FromNanos(key.time), std::move(slots_[key.slot()].fn)};
+  return Dispatched{SimTime::FromNanos(key.time), key.seq(), std::move(slots_[key.slot()].fn)};
 }
 
 EventQueue::Dispatched EventQueue::PopLaneHead(const Key& top) {
   Lane& lane = lanes_[top.slot() - kFirstLaneSlot];
-  Dispatched out{SimTime::FromNanos(top.time), std::move(lane.ring[lane.head].fn)};
+  Dispatched out{SimTime::FromNanos(top.time), top.seq(), std::move(lane.ring[lane.head].fn)};
   lane.head = (lane.head + 1) & (lane.ring.size() - 1);
   if (--lane.count > 0) {
     ReplaceTop(lane.ring[lane.head].key);

@@ -22,16 +22,21 @@
 //  * Callbacks are stored inline in the slot (see Callback below).
 //
 // FIFO lanes. A source whose events never go back in time (a wire's
-// deliveries, a switch output port's buffer releases) can schedule into a
-// lane instead: a queue-owned ring of (key, callback) whose times never
-// decrease. Only the lane's head sits in the heap, under the
-// (time, seq) key it got when it was scheduled, so the dispatch order is the
-// one the heap would give with every entry in it. When the head runs, the
-// lane's next entry replaces the heap root with one sift-down. An entry
-// earlier than its lane's tail is scheduled as an ordinary event instead.
-// Lane heads carry a slot index from a reserved range at the top of the slot
-// space, which is how the heap tells them from ordinary events. Lane events
-// cannot be cancelled.
+// deliveries) can schedule into a lane instead: a queue-owned ring of
+// (key, callback) whose times never decrease. Only the lane's head sits in
+// the heap, under the (time, seq) key it got when it was scheduled, so the
+// dispatch order is the one the heap would give with every entry in it.
+// When the head runs, the lane's next entry replaces the heap root with one
+// sift-down. An entry earlier than its lane's tail is scheduled as an
+// ordinary event instead. Lane heads carry a slot index from a reserved
+// range at the top of the slot space, which is how the heap tells them from
+// ordinary events. Lane events cannot be cancelled.
+//
+// A source that can apply its own updates late (a switch output port's
+// VC-buffer releases) needs no event per update: it draws each update's
+// sequence number with DrawSeq, keeps the (time, seq) keys itself, and
+// applies an update once the running event's key has passed it
+// (Simulator::KeyPassed).
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -207,6 +212,12 @@ class EventQueue {
   // an ordinary event. Lane events cannot be cancelled.
   void ScheduleInLane(LaneId lane, SimTime when, Callback&& fn);
 
+  // Draws the sequence number an event scheduled now would get, without
+  // scheduling one. An event scheduled later sorts after it at equal times.
+  uint64_t DrawSeq() { return NextSeq(); }
+  // The sequence number the next schedule or DrawSeq will take.
+  uint64_t next_seq() const { return next_seq_; }
+
   bool empty() const { return live_ == 0; }
   // Pending entries the heap orders: ordinary events plus one per non-empty
   // lane. Entries behind a lane's head are not counted.
@@ -218,6 +229,7 @@ class EventQueue {
   // Removes and returns the earliest pending event. Requires !empty().
   struct Dispatched {
     SimTime time;
+    uint64_t seq;  // the sequence number it was scheduled under
     Callback fn;
   };
   Dispatched PopNext();

@@ -24,15 +24,14 @@ void Simulator::ScheduleInLane(LaneId lane, SimTime when, EventQueue::Callback&&
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t n = 0;
   while (!events_.empty() && events_.NextTime() <= deadline) {
-    auto ev = events_.PopNext();
-    TCPLAT_CHECK_GE(ev.time.nanos(), now_.nanos());
-    now_ = ev.time;
-    ev.fn();
+    DispatchNext();
     ++n;
-    ++dispatched_;
   }
-  if (events_.empty() || events_.NextTime() > deadline) {
-    if (deadline > now_ && deadline != SimTime::Max()) {
+  if (now_ <= deadline) {
+    // Every event due by the deadline has run, so every key drawn so far
+    // at the new Now() has passed.
+    now_seq_ = events_.next_seq();
+    if (deadline != SimTime::Max()) {
       now_ = deadline;
     }
   }
@@ -51,12 +50,17 @@ bool Simulator::Step() {
   if (events_.empty()) {
     return false;
   }
+  DispatchNext();
+  return true;
+}
+
+void Simulator::DispatchNext() {
   auto ev = events_.PopNext();
   TCPLAT_CHECK_GE(ev.time.nanos(), now_.nanos());
   now_ = ev.time;
+  now_seq_ = ev.seq;
   ev.fn();
   ++dispatched_;
-  return true;
 }
 
 }  // namespace tcplat

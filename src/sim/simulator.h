@@ -39,6 +39,18 @@ class Simulator {
   LaneId NewLane() { return events_.NewLane(); }
   void ScheduleInLane(LaneId lane, SimTime when, EventQueue::Callback&& fn);
 
+  // For a source that applies its own updates late instead of scheduling an
+  // event for each (see EventQueue::DrawSeq). DrawSeq draws the sequence
+  // number an event scheduled now would get. KeyPassed says whether an event
+  // scheduled under (when, seq) would already have run: during a dispatch,
+  // whether the key sorts before the running event's; after Step, before
+  // the event it ran; after RunUntil, which runs everything due by its
+  // deadline, whether `when` is before Now() or the key was drawn at Now().
+  uint64_t DrawSeq() { return events_.DrawSeq(); }
+  bool KeyPassed(SimTime when, uint64_t seq) const {
+    return when < now_ || (when == now_ && seq < now_seq_);
+  }
+
   // Runs events until the queue is empty or `deadline` is passed. Events
   // scheduled exactly at the deadline still run. Returns the number of
   // events dispatched.
@@ -59,7 +71,11 @@ class Simulator {
   size_t pending_events() const { return events_.size(); }
 
  private:
+  // Pops the next event, moves the clock to its key and runs it.
+  void DispatchNext();
+
   SimTime now_;
+  uint64_t now_seq_ = 0;  // with now_, the key KeyPassed compares against
   EventQueue events_;
   Rng rng_;
   uint64_t dispatched_ = 0;

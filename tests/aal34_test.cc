@@ -107,7 +107,9 @@ TEST_P(SarSizeTest, SegmentAndReassembleRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SarSizeTest,
                          ::testing::Values(1, 4, 35, 36, 37, 44, 88, 100, 500, 1400, 4000,
                                            8040, 9188),
-                         [](const auto& inst) { return "n" + std::to_string(inst.param); });
+                         [](const auto& inst) {
+                           return std::string("n").append(std::to_string(inst.param));
+                         });
 
 TEST(Sar, SequenceNumbersWrapModulo16) {
   const auto cpcs = BuildCpcsPdu(RandomPayload(44 * 20), 1);

@@ -6,6 +6,7 @@
 #include "src/core/testbed.h"
 #include "src/fault/error_experiment.h"
 #include "src/fault/injector.h"
+#include "src/trace/tracer.h"
 
 namespace tcplat {
 namespace {
@@ -107,7 +108,9 @@ TEST(AtmSwitch, UnroutedVciIsDropped) {
 TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
   // The fabric latency is constant, so a cell goes onto its output fiber in
   // the event that delivers it to the switch: one event per cell (the output
-  // fiber's delivery), plus one VC-buffer release per buffered cell.
+  // fiber's delivery). VC-buffer releases take no event of their own; with
+  // buffering, the flush event runs at the first cell's last-bit time (the
+  // latest release then pending) and again at the third's.
   const SimDuration latency = SimDuration::FromMicros(10);
   const SimDuration propagation = SimDuration::FromNanos(300);
   struct TimeSink : CellSink {
@@ -133,7 +136,7 @@ TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
     for (int k = 0; k < 3; ++k) {
       sw.input(0)->DeliverCell(sim.Now(), cell);
     }
-    EXPECT_EQ(sim.RunToCompletion(), buffer_cells == 0 ? 3u : 6u);
+    EXPECT_EQ(sim.RunToCompletion(), buffer_cells == 0 ? 3u : 5u);
 
     ASSERT_EQ(sink.arrivals.size(), 3u);
     for (int k = 1; k <= 3; ++k) {
@@ -148,6 +151,160 @@ TEST(AtmSwitch, ForwardsEachCellInItsArrivalEvent) {
       EXPECT_EQ(state->hiwat, 3);
     }
   }
+}
+
+// A switch with one output port, VC 7 and VC 8 routed to it, and per-VC
+// buffers of `buffer_cells`; counts what reaches the port's sink.
+struct BufferedSwitch {
+  static constexpr SimDuration kLatency = SimDuration::FromMicros(10);
+  static constexpr SimDuration kPropagation = SimDuration::FromNanos(300);
+
+  explicit BufferedSwitch(size_t buffer_cells)
+      : sw(&sim, kTaxiBitsPerSecond, kPropagation, kLatency),
+        cell_time(Wire(&sim, kTaxiBitsPerSecond, kPropagation).SerializationDelay(kAtmCellBytes)) {
+    sw.AttachOutput(0, &sink);
+    sw.AddRoute(7, 0);
+    sw.AddRoute(8, 0);
+    VcBufferConfig vc;
+    vc.buffer_cells = buffer_cells;
+    sw.ConfigureVcBuffers(vc);
+  }
+
+  void Send(uint16_t vci) {
+    std::vector<uint8_t> cell(kAtmCellBytes, 0);
+    cell[2] = static_cast<uint8_t>(vci);
+    sw.input(0)->DeliverCell(sim.Now(), cell);
+  }
+
+  // Last-bit time of the k-th cell (1-based) sent at time 0.
+  SimTime LastBit(int k) const { return SimTime() + kLatency + cell_time * k; }
+
+  struct CountSink : CellSink {
+    using CellSink::DeliverCell;
+    void DeliverCell(SimTime, const CellBytes&) override { ++cells; }
+    int cells = 0;
+  };
+
+  Simulator sim;
+  CountSink sink;
+  AtmSwitch sw;
+  SimDuration cell_time;
+};
+
+// A VC-buffer slot frees at its cell's last-bit time, in the event order the
+// release event used to take: a cell arriving at that same nanosecond finds
+// the slot free only if the release was scheduled before its arrival. With
+// a leading cell on VC 8, the release is still pending when the arrival
+// runs; without it, the flush event at that time comes first.
+TEST(AtmSwitch, ReleaseAndArrivalAtTheSameTimeKeepTheirEventOrder) {
+  for (const bool lead : {false, true}) {
+    for (const bool release_first : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "lead " << lead << ", release first " << release_first);
+      BufferedSwitch b(1);
+      const SimTime release = b.LastBit(lead ? 2 : 1);
+      auto arrive = [&b] { b.Send(7); };
+      if (!release_first) {
+        b.sim.ScheduleAt(release, arrive);  // sequenced before the release
+      }
+      if (lead) {
+        b.Send(8);
+      }
+      b.Send(7);
+      if (release_first) {
+        b.sim.ScheduleAt(release, arrive);
+      }
+      b.sim.RunToCompletion();
+
+      const AtmSwitch::VcState* vc7 = b.sw.vc_state(7);
+      ASSERT_NE(vc7, nullptr);
+      EXPECT_EQ(vc7->cells_forwarded, release_first ? 2u : 1u);
+      EXPECT_EQ(vc7->cells_dropped, release_first ? 0u : 1u);
+      EXPECT_EQ(vc7->occupancy, 0);
+      EXPECT_EQ(vc7->hiwat, 1);
+      EXPECT_EQ(b.sink.cells, (lead ? 1 : 0) + (release_first ? 2 : 1));
+    }
+  }
+}
+
+// Releases due at the same nanosecond on two ports push their occupancy
+// samples in the order their events had, not port by port: the timeline's
+// sort is stable on (time, host), so that push order is what it prints.
+// VC 9's cell on port 1 and VC 8's on port 0, behind VC 7's, both leave at
+// LastBit(2), and VC 9's release was drawn first.
+TEST(AtmSwitch, ReleasesAtTheSameTimeOnTwoPortsSampleInEventOrder) {
+  BufferedSwitch b(8);
+  b.sw.AttachOutput(1, &b.sink);
+  b.sw.AddRoute(9, 1);
+  Tracer tracer;
+  TimeseriesConfig every_change;
+  every_change.period_ns = 1;
+  tracer.EnableTimeseries(every_change);
+  b.sw.AttachTracer(&tracer, tracer.RegisterHost("switch"));
+  b.Send(7);  // port 0, last bit at LastBit(1)
+  b.sim.RunUntil(SimTime() + b.cell_time);
+  b.Send(9);  // port 1, idle: LastBit(2)
+  b.Send(8);  // port 0, behind VC 7's cell: LastBit(2)
+  b.sim.RunToCompletion();
+
+  std::vector<uint64_t> released_at_last_bit_2;
+  for (const TimeseriesPoint& p : tracer.SortedTimeseriesPoints()) {
+    if (p.ts_ns == b.LastBit(2).nanos() &&
+        p.metric == static_cast<uint8_t>(TsMetric::kVcOccupancy)) {
+      EXPECT_EQ(p.value, 0);
+      released_at_last_bit_2.push_back(p.key);
+    }
+  }
+  EXPECT_EQ(released_at_last_bit_2, (std::vector<uint64_t>{9, 8}));
+}
+
+// vc_state() read between runs shows every release due by the clock: after
+// RunUntil(t), each cell whose last bit left by t has freed its slot.
+TEST(AtmSwitch, VcStateAfterRunUntilShowsEveryReleaseDueByTheDeadline) {
+  BufferedSwitch b(8);
+  for (int k = 0; k < 3; ++k) {
+    b.Send(7);
+  }
+  ASSERT_NE(b.sw.vc_state(7), nullptr);
+  EXPECT_EQ(b.sw.vc_state(7)->occupancy, 3);
+  b.sim.RunUntil(b.LastBit(2) - SimDuration::FromNanos(1));
+  EXPECT_EQ(b.sw.vc_state(7)->occupancy, 2);
+  b.sim.RunUntil(b.LastBit(2));
+  EXPECT_EQ(b.sw.vc_state(7)->occupancy, 1);
+  b.sim.RunUntil(b.LastBit(3));
+  EXPECT_EQ(b.sw.vc_state(7)->occupancy, 0);
+  EXPECT_EQ(b.sw.vc_state(7)->hiwat, 3);
+}
+
+// A buffered cell dropped in flight by an output impairment still holds its
+// slot until its last bit leaves, and nothing else happens at that time:
+// the run must still end there, with the VC's occupancy gauge back at 0.
+TEST(AtmSwitch, RunEndsAtTheLastReleaseWhenTheLastCellIsLostInFlight) {
+  struct DropThird : LinkImpairment {
+    Verdict OnTransmit(SimTime, const std::vector<uint8_t>&) override {
+      Verdict v;
+      v.drop = ++transmits == 3;
+      return v;
+    }
+    int transmits = 0;
+  } drop_third;
+  BufferedSwitch b(8);
+  b.sw.set_output_impairment(&drop_third);
+  for (int k = 0; k < 3; ++k) {
+    b.Send(7);
+  }
+  // Held from before the run, so the snapshot shows what the run left.
+  const MetricsRegistry& metrics = b.sw.metrics();
+  b.sim.RunToCompletion();
+
+  EXPECT_EQ(b.sink.cells, 2);
+  EXPECT_EQ(b.sim.Now(), b.LastBit(3));
+  int64_t occupancy = -1;
+  for (const MetricsRegistry::Sample& m : metrics.Snapshot()) {
+    if (m.name == "switch.vc7.occupancy") {
+      occupancy = m.value;
+    }
+  }
+  EXPECT_EQ(occupancy, 0);
 }
 
 // A sink written against the vector form still gets every cell, bytes

@@ -86,7 +86,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ChecksumSizeTest,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 47, 48,
                                            49, 63, 64, 65, 100, 127, 128, 129, 200, 500, 1399,
                                            1400, 4000, 8000, 9000),
-                         [](const auto& inst) { return "n" + std::to_string(inst.param); });
+                         [](const auto& inst) {
+                           return std::string("n").append(std::to_string(inst.param));
+                         });
 
 // --- partial-checksum algebra ---
 

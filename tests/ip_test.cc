@@ -441,7 +441,9 @@ TEST_P(IpFragSizeTest, RoundTripsThroughFragmentation) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IpFragSizeTest,
                          ::testing::Values(100, 1480, 1481, 2960, 2961, 5000, 8000),
-                         [](const auto& inst) { return "n" + std::to_string(inst.param); });
+                         [](const auto& inst) {
+                           return std::string("n").append(std::to_string(inst.param));
+                         });
 
 }  // namespace
 }  // namespace tcplat

@@ -287,7 +287,7 @@ TEST(Robustness, ManySimultaneousConnections) {
   };
   tb.server_host().Spawn("multi-server", Procs::Server(&tb, kConns, &state));
   for (int i = 0; i < kConns; ++i) {
-    tb.client_host().Spawn("c" + std::to_string(i), Procs::Client(&tb, i));
+    tb.client_host().Spawn(std::string("c").append(std::to_string(i)), Procs::Client(&tb, i));
   }
   tb.sim().RunToCompletion();
   EXPECT_EQ(state.completed, kConns);

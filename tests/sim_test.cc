@@ -583,6 +583,37 @@ TEST(Simulator, ZeroDelayRunsAfterCurrentEvent) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+// A key from DrawSeq has passed once an event scheduled under it would have
+// run: before the running event's key, before the key of the event Step
+// ran, and at or before RunUntil's deadline if drawn before it returned.
+TEST(Simulator, KeyPassedComparesWithTheRunningEventsKey) {
+  Simulator sim;
+  const SimTime t = SimTime::FromNanos(5);
+  const uint64_t before = sim.DrawSeq();
+  bool ran = false;
+  sim.ScheduleAt(t, [&] {
+    EXPECT_TRUE(sim.KeyPassed(t, before));
+    EXPECT_FALSE(sim.KeyPassed(t, sim.DrawSeq()));
+    EXPECT_TRUE(sim.KeyPassed(t - SimDuration::FromNanos(1), sim.DrawSeq()));
+    ran = true;
+  });
+  const uint64_t after = sim.DrawSeq();
+  sim.ScheduleAt(t, [] {});
+  EXPECT_FALSE(sim.KeyPassed(SimTime(), before));
+
+  ASSERT_TRUE(sim.Step());  // the first event at t only
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(sim.KeyPassed(t, before));
+  EXPECT_FALSE(sim.KeyPassed(t, after));
+
+  const uint64_t last = sim.DrawSeq();  // after every event at t
+  sim.RunUntil(t);
+  EXPECT_TRUE(sim.KeyPassed(t, after));
+  EXPECT_TRUE(sim.KeyPassed(t, last));
+  EXPECT_FALSE(sim.KeyPassed(t, sim.DrawSeq()));
+  EXPECT_FALSE(sim.KeyPassed(t + SimDuration::FromNanos(1), 0));
+}
+
 TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
   Simulator sim;
   sim.Schedule(SimDuration::FromMicros(5), [] {});

@@ -193,7 +193,9 @@ TEST_P(TcpEchoSizeTest, DataIntegrityOverEthernet) {
 INSTANTIATE_TEST_SUITE_P(Sizes, TcpEchoSizeTest,
                          ::testing::Values(1, 4, 20, 107, 108, 109, 1023, 1024, 1025, 4095,
                                            4096, 4097, 8000, 8192, 20000),
-                         [](const auto& inst) { return "n" + std::to_string(inst.param); });
+                         [](const auto& inst) {
+                           return std::string("n").append(std::to_string(inst.param));
+                         });
 
 TEST_F(TcpTest, UnidirectionalBulkDeliversInOrder) {
   Testbed tb{TestbedConfig{}};
