@@ -142,22 +142,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->csv_path = v;
       continue;
     }
-    if (const char* v = FlagValue(argc, argv, &i, "--perf")) {
-      flags->perf_path = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--baseline-dir")) {
-      flags->baseline_dir = v;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--write-baseline") == 0) {
-      flags->write_baseline = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--selftest") == 0) {
-      flags->selftest = true;
-      continue;
-    }
     return usage(name, "is malformed or missing its value");
   }
   return true;

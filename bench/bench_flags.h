@@ -22,10 +22,6 @@ struct BenchFlags {
   size_t size = 0;         // --size; pre-set the default before parsing
   int flows = 0;           // --flows (>= 1); pre-set the default before parsing
   std::string csv_path;    // --csv; empty = no CSV export
-  std::string perf_path;   // --perf; a fresh BENCH_perf.json to gate on
-  std::string baseline_dir;       // --baseline-dir; committed baselines
-  bool write_baseline = false;    // --write-baseline: refresh the baselines
-  bool selftest = false;          // --selftest: pure-logic self-verification
   // Flow sampling and binary captures (src/trace/binary_trace.h).
   uint32_t trace_sample_flows = 0;      // --trace-sample-flows N (>= 1): keep 1-in-N flows
   std::string bin_out_path;             // --bin-out PATH: write a TLBT capture

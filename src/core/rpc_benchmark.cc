@@ -644,7 +644,6 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
 
   WorkloadResult result;
   result.flows = std::move(state.results);
-  result.per_client.resize(static_cast<size_t>(hosts.clients()));
   for (size_t f = 0; f < specs.size(); ++f) {
     FlowResult& flow = result.flows[f];
     if (specs[f].streaming || specs[f].keystrokes > 0) {
@@ -672,7 +671,6 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
       TCPLAT_CHECK(state.server_done[f]) << "flow " << f << " server did not finish";
     }
     result.rtt.Merge(flow.rtt);
-    result.per_client[static_cast<size_t>(specs[f].client)].Merge(flow.rtt);
     result.completed += flow.completed ? 1 : 0;
     result.aborted += flow.aborted ? 1 : 0;
     result.data_mismatches += flow.data_mismatches;

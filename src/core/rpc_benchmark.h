@@ -120,7 +120,6 @@ struct WorkloadOptions {
 struct WorkloadResult {
   std::vector<FlowResult> flows;
   LatencyStats rtt;  // all flows' measured round trips merged
-  std::vector<LatencyStats> per_client;  // merged by client host index
   uint64_t completed = 0;
   uint64_t aborted = 0;
   uint64_t data_mismatches = 0;

@@ -38,7 +38,7 @@ inline constexpr double kEtherBitsPerSecond = 10e6;
 
 class EtherNetIf;
 
-// One shared 10 Mbit/s medium.
+// One shared 10 Mbit/s medium: every station contends for its one Wire.
 class EtherSegment {
  public:
   EtherSegment(Simulator* sim, SimDuration propagation);
@@ -56,7 +56,7 @@ class EtherSegment {
   uint64_t frames_dropped() const { return bus_.units_dropped(); }
 
  private:
-  SharedBus bus_;
+  Wire bus_;
   std::vector<EtherNetIf*> stations_;
 };
 

@@ -3,7 +3,7 @@
 // The paper's §4.2.1 argument for eliminating the TCP checksum rests on the
 // local ATM link being nearly error-free; the testbed never exercises the
 // regime where TCP's recovery machinery earns its keep. An ImpairmentPolicy
-// makes that regime reachable: attached to a Wire (or SharedBus, DuplexLink
+// makes that regime reachable: attached to a Wire (or EtherSegment, DuplexLink
 // direction, or ATM switch output) it applies deterministic, seeded cell or
 // frame loss — uniform or Gilbert-Elliott bursty — plus duplication,
 // reorder-by-delay, and uniform jitter. Every decision comes from the

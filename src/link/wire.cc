@@ -122,12 +122,4 @@ void Wire::ScheduleCell(SimTime arrival, const CellBytes& cell, CellSink* sink) 
   sim_->ScheduleInLane(lane_, arrival, std::move(deliver));
 }
 
-SharedBus::SharedBus(Simulator* sim, double bits_per_second, SimDuration propagation,
-                     size_t gap_bytes)
-    : wire_(sim, bits_per_second, propagation, gap_bytes) {}
-
-SimTime SharedBus::Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver) {
-  return wire_.Transmit(earliest, std::move(data), std::move(deliver));
-}
-
 }  // namespace tcplat

@@ -10,11 +10,11 @@
 // delay units in flight (§4.2.1 error-source experiments). They see every
 // unit as a vector; a cell is copied into one only while a hook is set.
 //
-// Two topologies are provided:
-//  * Duplex  — two independent directions (the point-to-point TAXI fiber
-//              between the FORE adapters).
-//  * SharedBus — one half-duplex medium with an enforced inter-unit gap
-//              (the 10 Mbit/s Ethernet baseline).
+// Two topologies are built from it:
+//  * DuplexLink — two independent directions (the point-to-point TAXI
+//                 fiber between the FORE adapters).
+//  * one Wire shared by every station, with an enforced inter-unit gap
+//    (the 10 Mbit/s Ethernet baseline, EtherSegment in src/ether/).
 
 #ifndef SRC_LINK_WIRE_H_
 #define SRC_LINK_WIRE_H_
@@ -158,26 +158,6 @@ class DuplexLink {
 
  private:
   Wire dirs_[2];
-};
-
-// A half-duplex shared medium (Ethernet). All stations contend for one
-// serializer; collisions are not modeled (the paper's workload is a strict
-// request/response alternation on an otherwise idle private segment).
-class SharedBus {
- public:
-  SharedBus(Simulator* sim, double bits_per_second, SimDuration propagation, size_t gap_bytes);
-
-  SimTime Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver);
-  SimTime free_at() const { return wire_.free_at(); }
-  SimDuration SerializationDelay(size_t bytes) const { return wire_.SerializationDelay(bytes); }
-  void set_corrupt_hook(CorruptFn hook) { wire_.set_corrupt_hook(std::move(hook)); }
-  void set_drop_hook(DropFn hook) { wire_.set_drop_hook(std::move(hook)); }
-  void set_impairment(LinkImpairment* impairment) { wire_.set_impairment(impairment); }
-  uint64_t units_sent() const { return wire_.units_sent(); }
-  uint64_t units_dropped() const { return wire_.units_dropped(); }
-
- private:
-  Wire wire_;
 };
 
 }  // namespace tcplat
