@@ -69,7 +69,7 @@ struct CellResult {
 int64_t SegmentTrunkNs(const CongestionCell& cell) {
   const uint64_t cpcs_bytes = cell.mss_clamp + 40 + 8;
   const uint64_t cells = (cpcs_bytes + 43) / 44;
-  return static_cast<int64_t>(static_cast<double>(cells * 53 * 8) * 1e9 / cell.trunk_bps);
+  return static_cast<int64_t>(static_cast<double>(cells * 53 * 8) * 1e9 / kCongestionTrunkBps);
 }
 
 CellResult RunCell(const CongestionCell& cell) {
@@ -317,8 +317,7 @@ bool RunTimelineSection(const BenchFlags& flags) {
 
   const int64_t tail_max = MaxOccupancy(tail);
   const int64_t epd_max = MaxOccupancy(epd);
-  const auto threshold =
-      static_cast<int64_t>(EpdThreshold(epd_cell.buffer_cells, epd_cell.epd_threshold));
+  const auto threshold = static_cast<int64_t>(EpdThreshold(epd_cell.buffer_cells));
   const auto frame_cells = static_cast<int64_t>(kFrameHeadroomCells);
   const bool rides = tail_max == static_cast<int64_t>(tail_cell.buffer_cells);
   const bool plateaus = epd_max < tail_max && epd_max <= threshold + frame_cells;

@@ -186,7 +186,7 @@ InteractiveBlame RunInteractiveScenario(const char* scenario, InteractiveKnob kn
   result.linked_journeys = graph.linked_count();
 
   AttributionOptions options;
-  options.message_bytes = cell.response_size;  // 200 bytes each way
+  options.message_bytes = kInteractiveResponseBytes;  // 200 bytes each way
   options.warmup_windows = cell.warmup;
   const AttributionResult attribution = AttributeRtts(tracer, graph, options);
   result.windows = attribution.windows.size();
@@ -252,7 +252,7 @@ std::string ToCsv(const std::vector<CellBlame>& results,
                    r.cell.size, r.blame);
   }
   for (const InteractiveBlame& r : interactive) {
-    AppendBlameCsv(&out, r.scenario, "on", r.cell.flows, r.cell.response_size, r.blame);
+    AppendBlameCsv(&out, r.scenario, "on", r.cell.flows, kInteractiveResponseBytes, r.blame);
   }
   return out;
 }
@@ -291,7 +291,7 @@ std::string ToJson(const std::vector<CellBlame>& results,
                   "     \"p50_rtt_ns\": %" PRId64 ", \"p99_rtt_ns\": %" PRId64
                   ", \"explained_pct\": %.2f,\n     \"ack_wait_delta_ns\": %" PRId64
                   ",\n     \"stages\": {",
-                  r.scenario, r.cell.flows, r.cell.response_size, r.windows, r.blame.lo_rtt_ns,
+                  r.scenario, r.cell.flows, kInteractiveResponseBytes, r.windows, r.blame.lo_rtt_ns,
                   r.blame.hi_rtt_ns, r.blame.explained_pct,
                   r.ack_wait_hi_ns - r.ack_wait_lo_ns);
     out += buf;

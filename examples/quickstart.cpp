@@ -4,7 +4,7 @@
 //
 //   $ ./quickstart            # the measurement
 //   $ ./quickstart --trace    # plus a tcpdump-style capture of one echo
-//   $ ./quickstart --stats    # plus netstat-style per-layer counters
+//   $ ./quickstart --stats    # plus each host's per-layer counters as CSV
 //
 // See examples/rpc_latency.cpp for the configurable version.
 
@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "src/core/rpc_benchmark.h"
-#include "src/core/stats_report.h"
 #include "src/core/testbed.h"
 #include "src/tcp/segment_tap.h"
 
@@ -73,7 +72,9 @@ int main(int argc, char** argv) {
   }
 
   if (stats) {
-    std::printf("\n%s", DumpTestbedReport(testbed).c_str());
+    for (Host* host : {&testbed.client_host(), &testbed.server_host()}) {
+      std::printf("\n%s counters:\n%s", host->name().c_str(), host->metrics().ToCsv().c_str());
+    }
   }
 
   if (trace) {

@@ -21,10 +21,7 @@ const char* DropPolicyName(DropPolicy p) {
   return "?";
 }
 
-size_t EpdThreshold(size_t buffer_cells, size_t configured) {
-  if (configured != 0) {
-    return configured;
-  }
+size_t EpdThreshold(size_t buffer_cells) {
   return std::max(buffer_cells / 2,
                   buffer_cells > kFrameHeadroomCells ? buffer_cells - kFrameHeadroomCells : 0);
 }
@@ -211,7 +208,7 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellBytes& cell) 
   if (frame_start) {
     vc.dropping_frame = false;  // a new frame resets any discard-in-progress
     vc.early_discard = false;
-    const size_t threshold = EpdThreshold(vc_config_.buffer_cells, vc_config_.epd_threshold);
+    const size_t threshold = EpdThreshold(vc_config_.buffer_cells);
     if (policy == DropPolicy::kEpd && vc.occupancy >= static_cast<int64_t>(threshold)) {
       // Early discard: refuse the whole frame while there is still room,
       // rather than truncating one mid-stream later.

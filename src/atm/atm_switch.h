@@ -67,8 +67,6 @@ struct VcBufferConfig {
   // (the seed's infinite-buffer behavior).
   size_t buffer_cells = 0;
   DropPolicy policy = DropPolicy::kTailDrop;
-  // EPD acceptance threshold in cells; 0 picks EpdThreshold()'s default.
-  size_t epd_threshold = 0;
 };
 
 // One max-size AAL frame, in cells: a 1500-byte MTU segments into ~35. EPD
@@ -77,11 +75,11 @@ struct VcBufferConfig {
 inline constexpr size_t kFrameHeadroomCells = 36;
 
 // The EPD acceptance threshold, in cells, of a `buffer_cells` VC buffer:
-// `configured` when nonzero, else kFrameHeadroomCells below capacity,
-// floored at half the buffer so tiny buffers still admit something. A
-// threshold much lower than this just shrinks the effective buffer and
-// trades frame integrity for extra timeout stalls.
-size_t EpdThreshold(size_t buffer_cells, size_t configured);
+// kFrameHeadroomCells below capacity, floored at half the buffer so tiny
+// buffers still admit something. A threshold much lower than this just
+// shrinks the effective buffer and trades frame integrity for extra
+// timeout stalls.
+size_t EpdThreshold(size_t buffer_cells);
 
 class AtmSwitch : private CellSink {
  public:

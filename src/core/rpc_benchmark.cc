@@ -31,10 +31,6 @@ struct RunState {
   // open), written by the flow's client coroutine; max_concurrent is swept
   // from these after the run.
   std::vector<std::vector<std::pair<int64_t, int64_t>>> intervals;
-  // Streaming mode: per-message send-entry (client coroutine) and sink-side
-  // delivery (server coroutine) timestamps, paired after the run.
-  std::vector<std::vector<int64_t>> stream_send_ts;
-  std::vector<std::vector<int64_t>> stream_recv_ts;
 };
 
 void BeginInterval(RunState* state, size_t flow, SimTime t0) {
@@ -102,13 +98,13 @@ Socket* ConnectFlow(RunState* state, const FlowSpec* spec, uint16_t port) {
 }
 
 // Ends a tolerate_errors flow whose connection died: marks it aborted and
-// closes its open round-trip intervals at `now`.
+// closes its open round-trip interval, if any, at `now`.
 void AbortFlow(RunState* state, size_t flow, SimTime now) {
   state->results[flow].aborted = true;
   state->client_done[flow] = true;
-  auto& intervals = state->intervals[flow];
-  for (auto it = intervals.rbegin(); it != intervals.rend() && it->second < 0; ++it) {
-    it->second = now.nanos();
+  const auto& intervals = state->intervals[flow];
+  if (!intervals.empty() && intervals.back().second < 0) {
+    EndInterval(state, flow, now);
   }
 }
 
@@ -170,8 +166,8 @@ SimTask EchoServerProc(RunState* state, const FlowSpec* spec, size_t flow, uint1
   }
 }
 
-// Keeps up to pipeline_depth requests in flight; each round trip runs from
-// its request's first write to its response's last byte.
+// Writes each request, reads its whole response, and records the round
+// trip from the request's first write to the response's last byte.
 SimTask EchoClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint16_t port) {
   Host& host = state->hosts->client_host(spec->client);
   FlowResult& result = state->results[flow];
@@ -198,39 +194,31 @@ SimTask EchoClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint1
   std::vector<uint8_t> out(spec->request_bytes());
   std::vector<uint8_t> in(spec->response_bytes());
   const int total = spec->warmup + spec->iterations;
-  const int depth = std::max(spec->pipeline_depth, 1);
-  // With one request in flight, `out` still holds the request an echo must
-  // return.
-  const bool verify = spec->verify_data && depth == 1 && spec->response_size == 0;
-  int issued = 0;
-  int completed = 0;
-  while (completed < total) {
-    while (issued < total && issued - completed < depth) {
-      if (issued == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
-        // Start of the measured region: clear the layer accumulators, the
-        // way the paper re-initializes its kernel counters.
-        state->hosts->ResetTrackers();
-      }
-      FillPattern(out, issued);
-      BeginInterval(state, flow, host.CurrentTime());
-      size_t off = 0;
-      for (size_t chunk : chunks) {
-        size_t sent = 0;
-        while (sent < chunk) {
-          const size_t n = sock->Write({out.data() + off + sent, chunk - sent});
-          sent += n;
-          if (n == 0) {
-            if (sock->has_error() && spec->tolerate_errors) {
-              AbortFlow(state, flow, host.CurrentTime());
-              co_return;
-            }
-            TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " error during send";
-            co_await sock->WaitWritable();
+  for (int iter = 0; iter < total; ++iter) {
+    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
+      // Start of the measured region: clear the layer accumulators, the
+      // way the paper re-initializes its kernel counters.
+      state->hosts->ResetTrackers();
+    }
+    FillPattern(out, iter);
+    const SimTime t0 = host.CurrentTime();
+    BeginInterval(state, flow, t0);
+    size_t off = 0;
+    for (size_t chunk : chunks) {
+      size_t sent = 0;
+      while (sent < chunk) {
+        const size_t n = sock->Write({out.data() + off + sent, chunk - sent});
+        sent += n;
+        if (n == 0) {
+          if (sock->has_error() && spec->tolerate_errors) {
+            AbortFlow(state, flow, host.CurrentTime());
+            co_return;
           }
+          TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " error during send";
+          co_await sock->WaitWritable();
         }
-        off += chunk;
       }
-      ++issued;
+      off += chunk;
     }
     size_t got = 0;
     while (got < in.size()) {
@@ -247,96 +235,15 @@ SimTask EchoClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint1
       }
     }
     const SimTime t1 = host.CurrentTime();
-    // Responses complete in issue order; close the oldest open interval.
-    auto& iv = state->intervals[flow][static_cast<size_t>(completed)];
-    iv.second = t1.nanos();
-    if (completed >= spec->warmup) {
-      result.rtt.Add(t1.QuantizeToClockTick() -
-                     SimTime::FromNanos(iv.first).QuantizeToClockTick());
-      if (verify && std::memcmp(in.data(), out.data(), out.size()) != 0) {
+    EndInterval(state, flow, t1);
+    if (iter >= spec->warmup) {
+      result.rtt.Add(t1.QuantizeToClockTick() - t0.QuantizeToClockTick());
+      if (spec->response_size == 0 && std::memcmp(in.data(), out.data(), out.size()) != 0) {
         ++result.data_mismatches;
       }
     }
-    ++completed;
-    if (spec->think_time.nanos() > 0 && completed < total) {
+    if (spec->think_time.nanos() > 0 && iter + 1 < total) {
       co_await host.SleepFor(spec->think_time);
-    }
-  }
-  sock->Close();
-  result.completed = true;
-  state->client_done[flow] = true;
-  co_return;
-}
-
-// --- streaming (steady small appends, sink-side latency) -------------------
-
-SimTask StreamSinkProc(RunState* state, const FlowSpec* spec, size_t flow, uint16_t port) {
-  Socket* listener = ListenFlow(state, spec, port);
-  while (true) {
-    Socket* conn = listener->Accept();
-    if (conn != nullptr) {
-      ApplyServerOptions(spec, conn);
-      Host& host = state->hosts->server_host(spec->server);
-      std::vector<uint8_t> buf(std::max<size_t>(spec->size, 1));
-      uint64_t cum = 0;
-      uint64_t boundary = spec->size;
-      while (true) {
-        const size_t n = conn->Read({buf.data(), buf.size()});
-        cum += n;
-        while (cum >= boundary) {
-          state->stream_recv_ts[flow].push_back(host.CurrentTime().nanos());
-          boundary += spec->size;
-        }
-        if (n == 0) {
-          if (conn->eof() || conn->has_error()) {
-            state->server_done[flow] = true;
-            co_return;
-          }
-          co_await conn->WaitReadable();
-        }
-      }
-    }
-    co_await listener->WaitAcceptable();
-  }
-}
-
-SimTask StreamClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint16_t port) {
-  Host& host = state->hosts->client_host(spec->client);
-  FlowResult& result = state->results[flow];
-  if (spec->start_delay.nanos() > 0) {
-    co_await host.SleepFor(spec->start_delay);
-  }
-  Socket* sock = ConnectFlow(state, spec, port);
-  if (spec->client_nodelay.has_value()) {
-    sock->SetNodelay(*spec->client_nodelay);
-  }
-  while (!sock->connected() && !sock->has_error()) {
-    co_await sock->WaitConnected();
-  }
-  TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " failed to connect";
-
-  std::vector<uint8_t> out(spec->size);
-  const int total = spec->warmup + spec->iterations;
-  for (int iter = 0; iter < total; ++iter) {
-    if (iter == spec->warmup && flow == 0 && state->options->reset_trackers_at_warmup) {
-      state->hosts->ResetTrackers();
-    }
-    FillPattern(out, iter);
-    const SimTime t0 = host.CurrentTime();
-    BeginInterval(state, flow, t0);
-    state->stream_send_ts[flow].push_back(t0.nanos());
-    size_t sent = 0;
-    while (sent < out.size()) {
-      const size_t n = sock->Write({out.data() + sent, out.size() - sent});
-      sent += n;
-      if (n == 0) {
-        TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " error during append";
-        co_await sock->WaitWritable();
-      }
-    }
-    EndInterval(state, flow, host.CurrentTime());
-    if (spec->stream_interval.nanos() > 0 && iter + 1 < total) {
-      co_await host.SleepFor(spec->stream_interval);
     }
   }
   sock->Close();
@@ -466,110 +373,6 @@ SimTask BulkClientProc(RunState* state, const FlowSpec* spec, size_t flow, uint1
   co_return;
 }
 
-// --- keystroke echo (telnet shape: 1-byte writes on a human clock) ----------
-
-SimTask KeystrokeEchoProc(RunState* state, const FlowSpec* spec, size_t flow, uint16_t port) {
-  Socket* listener = ListenFlow(state, spec, port);
-  while (true) {
-    Socket* conn = listener->Accept();
-    if (conn != nullptr) {
-      ApplyServerOptions(spec, conn);
-      std::vector<uint8_t> buf(64);
-      while (true) {
-        const size_t n = conn->Read({buf.data(), buf.size()});
-        if (n > 0) {
-          size_t echoed = 0;
-          while (echoed < n) {
-            const size_t m = conn->Write({buf.data() + echoed, n - echoed});
-            echoed += m;
-            if (m == 0) {
-              if (conn->has_error()) {
-                state->server_done[flow] = true;
-                co_return;
-              }
-              co_await conn->WaitWritable();
-            }
-          }
-        } else {
-          if (conn->eof() || conn->has_error()) {
-            state->server_done[flow] = true;
-            co_return;
-          }
-          co_await conn->WaitReadable();
-        }
-      }
-    }
-    co_await listener->WaitAcceptable();
-  }
-}
-
-// Runs beside the keystroke sender on the same host, stamping each echoed
-// byte's arrival; the sender is open-loop and never blocks on the echo.
-SimTask KeystrokeReaderProc(RunState* state, const FlowSpec* spec, size_t flow, Socket* sock) {
-  Host& host = state->hosts->client_host(spec->client);
-  FlowResult& result = state->results[flow];
-  std::vector<uint8_t> buf(64);
-  uint64_t got = 0;
-  const uint64_t total = static_cast<uint64_t>(spec->keystrokes);
-  while (got < total) {
-    const size_t n = sock->Read({buf.data(), buf.size()});
-    if (n > 0) {
-      // Every byte of this read became readable at the same instant (one
-      // segment arrival); stamping them identically is exact, not sloppy.
-      const int64_t now = host.CurrentTime().nanos();
-      for (size_t i = 0; i < n; ++i) {
-        state->stream_recv_ts[flow].push_back(now);
-      }
-      got += n;
-    } else {
-      if (sock->eof() || sock->has_error()) {
-        result.aborted = true;
-        state->client_done[flow] = true;
-        co_return;
-      }
-      co_await sock->WaitReadable();
-    }
-  }
-  sock->Close();
-  result.completed = true;
-  state->client_done[flow] = true;
-  co_return;
-}
-
-SimTask KeystrokeClientProc(RunState* state, const FlowSpec* spec, size_t flow,
-                            uint16_t port) {
-  Host& host = state->hosts->client_host(spec->client);
-  if (spec->start_delay.nanos() > 0) {
-    co_await host.SleepFor(spec->start_delay);
-  }
-  Socket* sock = ConnectFlow(state, spec, port);
-  if (spec->client_nodelay.has_value()) {
-    sock->SetNodelay(*spec->client_nodelay);
-  }
-  while (!sock->connected() && !sock->has_error()) {
-    co_await sock->WaitConnected();
-  }
-  TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " failed to connect";
-
-  host.Spawn("keystroke-reader", KeystrokeReaderProc(state, spec, flow, sock));
-
-  for (int k = 0; k < spec->keystrokes; ++k) {
-    uint8_t ch = static_cast<uint8_t>('a' + (k % 26));
-    const SimTime t0 = host.CurrentTime();
-    BeginInterval(state, flow, t0);
-    state->stream_send_ts[flow].push_back(t0.nanos());
-    while (sock->Write({&ch, 1}) == 0) {
-      TCPLAT_CHECK(!sock->has_error()) << "flow " << flow << " error mid-typing";
-      co_await sock->WaitWritable();
-    }
-    EndInterval(state, flow, host.CurrentTime());
-    if (spec->keystroke_interval.nanos() > 0 && k + 1 < spec->keystrokes) {
-      co_await host.SleepFor(spec->keystroke_interval);
-    }
-  }
-  co_return;  // the reader closes the socket and marks the flow done
-}
-
 }  // namespace
 
 WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& specs,
@@ -592,12 +395,8 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
   state.server_done.assign(specs.size(), 0);
   state.client_done.assign(specs.size(), 0);
   state.intervals.resize(specs.size());
-  state.stream_send_ts.resize(specs.size());
-  state.stream_recv_ts.resize(specs.size());
   for (size_t f = 0; f < specs.size(); ++f) {
-    state.results[f].iterations = specs[f].keystrokes > 0
-                                      ? static_cast<uint64_t>(specs[f].keystrokes)
-                                      : static_cast<uint64_t>(specs[f].iterations);
+    state.results[f].iterations = static_cast<uint64_t>(specs[f].iterations);
   }
 
   // Reset protocol statistics so each run reports its own numbers.
@@ -617,10 +416,6 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
     Host& server = hosts.server_host(spec->server);
     if (spec->bulk_bytes > 0) {
       server.Spawn("bulk-sink", BulkSinkProc(&state, spec, f, port));
-    } else if (spec->keystrokes > 0) {
-      server.Spawn("keystroke-echo", KeystrokeEchoProc(&state, spec, f, port));
-    } else if (spec->streaming) {
-      server.Spawn("stream-sink", StreamSinkProc(&state, spec, f, port));
     } else {
       server.Spawn("echo-server", EchoServerProc(&state, spec, f, port));
     }
@@ -631,10 +426,6 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
     Host& client = hosts.client_host(spec->client);
     if (spec->bulk_bytes > 0) {
       client.Spawn("bulk-client", BulkClientProc(&state, spec, f, port));
-    } else if (spec->keystrokes > 0) {
-      client.Spawn("keystroke-client", KeystrokeClientProc(&state, spec, f, port));
-    } else if (spec->streaming) {
-      client.Spawn("stream-client", StreamClientProc(&state, spec, f, port));
     } else {
       client.Spawn("echo-client", EchoClientProc(&state, spec, f, port));
     }
@@ -646,19 +437,6 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
   result.flows = std::move(state.results);
   for (size_t f = 0; f < specs.size(); ++f) {
     FlowResult& flow = result.flows[f];
-    if (specs[f].streaming || specs[f].keystrokes > 0) {
-      // Pair each measured append's (or keystroke's) send entry with its
-      // delivery-side stamp; recorded on separate coroutines, joined only
-      // after the run.
-      const auto& send_ts = state.stream_send_ts[f];
-      const auto& recv_ts = state.stream_recv_ts[f];
-      for (size_t i = static_cast<size_t>(std::max(specs[f].warmup, 0));
-           i < send_ts.size() && i < recv_ts.size(); ++i) {
-        flow.rtt.Add(SimTime::FromNanos(recv_ts[i]).QuantizeToClockTick() -
-                     SimTime::FromNanos(send_ts[i]).QuantizeToClockTick());
-      }
-      flow.completed = flow.completed && recv_ts.size() == send_ts.size();
-    }
     if (specs[f].tolerate_errors) {
       // A one-sided death can leave the peer parked on a wait channel with
       // no events pending; that is an aborted flow, not a harness bug.
@@ -684,7 +462,6 @@ RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options) {
   spec.size = options.size;
   spec.iterations = options.iterations;
   spec.warmup = options.warmup;
-  spec.verify_data = options.verify_data;
   spec.tolerate_errors = options.tolerate_errors;
   WorkloadResult run = RunWorkload(testbed, {spec});
   FlowResult& flow = run.flows[0];

@@ -7,8 +7,7 @@
 // two-host Testbed, or the K x M StarTestbed of src/workload/. Flows take
 // optional start offsets (open-loop arrivals), think times (closed-loop
 // load) and request/response shapes, and the driver also carries the
-// streaming, bulk and keystroke traffic shapes. RunRpcBenchmark is its
-// one-flow run on the Testbed.
+// one-way bulk push. RunRpcBenchmark is its one-flow run on the Testbed.
 //
 // Every flow gets a dedicated server port (kEchoPort + flow index), so a
 // listener always knows its flow's message sizes — the protocol is
@@ -38,10 +37,6 @@ struct FlowSpec {
   int warmup = 32;       // untimed round trips first
   SimDuration start_delay;  // open-loop arrival offset before connecting
   SimDuration think_time;   // closed-loop pause after each round trip
-  // With one request in flight and an echoed response, count the measured
-  // round trips whose response differs from the request (the
-  // application-level check of §4.2.1).
-  bool verify_data = true;
   // A connection error normally aborts the run (CHECK failure). With this
   // set the flow instead ends `aborted` with whatever RTTs completed.
   bool tolerate_errors = false;
@@ -51,15 +46,10 @@ struct FlowSpec {
   // small-write shape that arms the Nagle × delayed-ACK pathology. Empty =
   // one `size`-byte write.
   std::vector<size_t> request_chunks;
-  // Server reply per request; 0 = echo the request back.
+  // Server reply per request; 0 = echo the request back, and count the
+  // measured round trips whose echo differs from the request (the
+  // application-level check of §4.2.1).
   size_t response_size = 0;
-  // Requests the client keeps in flight before waiting for a response.
-  int pipeline_depth = 1;
-  // Streaming mode: the client appends `size` bytes every `stream_interval`
-  // (jittertrap-style steady small appends) and the server only sinks them;
-  // per-message latency is send-entry to sink-side delivery.
-  bool streaming = false;
-  SimDuration stream_interval;
   // Per-flow socket options: TCP_NODELAY on the client socket, delayed ACKs
   // on or off on the server's accepted connection. Unset = stack config.
   std::optional<bool> client_nodelay;
@@ -75,12 +65,6 @@ struct FlowSpec {
   // completion token. Goodput is bulk_bytes over first-write to token
   // arrival. `size`/`iterations`/`warmup` are ignored.
   uint64_t bulk_bytes = 0;
-  // Keystroke mode: the client sends `keystrokes` 1-byte writes, one every
-  // `keystroke_interval` (open loop — the next keystroke is not gated on the
-  // previous echo), against an echo server; each echo's latency lands in
-  // `rtt`. The telnet shape: pure Nagle/delayed-ACK territory.
-  int keystrokes = 0;
-  SimDuration keystroke_interval = SimDuration::FromMillis(200);
 
   size_t request_bytes() const {
     return request_chunks.empty()
@@ -139,7 +123,6 @@ struct RpcOptions {
   int iterations = 200;  // measured round trips (paper: 40000; the simulator
                          // is deterministic, so a few hundred converge)
   int warmup = 32;       // untimed round trips first (opens cwnd, warms PCBs)
-  bool verify_data = true;
   // As FlowSpec::tolerate_errors: impairment sweeps can push TCP past
   // max_rexmt, and the run then returns with `aborted` raised.
   bool tolerate_errors = false;

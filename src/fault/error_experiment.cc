@@ -58,7 +58,6 @@ ErrorExperimentResult RunErrorExperiment(const ErrorExperimentConfig& config) {
   rpc.size = config.size;
   rpc.iterations = config.iterations;
   rpc.warmup = 8;
-  rpc.verify_data = true;
   const RpcResult run = RunRpcBenchmark(tb, rpc);
 
   ErrorExperimentResult out;

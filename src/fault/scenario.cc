@@ -100,7 +100,6 @@ LossScenarioResult RunLossScenario(const LossScenarioConfig& config) {
   rpc.size = config.size;
   rpc.iterations = config.iterations;
   rpc.warmup = config.warmup;
-  rpc.verify_data = true;
   rpc.tolerate_errors = true;
 
   LossScenarioResult out;

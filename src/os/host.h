@@ -85,13 +85,7 @@ class Host {
   // Registers this host with `tracer` and mirrors span tracking plus every
   // TracePacket call into it. Pass nullptr to detach.
   void AttachTracer(Tracer* tracer);
-  Tracer* tracer() const {
-#ifdef TCPLAT_NO_TRACE_HOOKS
-    return nullptr;  // folds every hook site to dead code
-#else
-    return tracer_;
-#endif
-  }
+  Tracer* tracer() const { return tracer_; }
   uint8_t trace_id() const { return trace_id_; }
 
   // The one-line hook used by the protocol layers: a single pointer test

@@ -1009,12 +1009,7 @@ bool TcpConnection::DelackEnabled() const {
 }
 
 uint32_t TcpConnection::AnnounceWindow() const {
-  size_t announce = std::min<size_t>(socket_->rcv().space(), kMaxWindow);
-  const size_t clamp = stack_->config().rcv_window_clamp;
-  if (clamp > 0) {
-    announce = std::min(announce, clamp);
-  }
-  return static_cast<uint32_t>(announce);
+  return static_cast<uint32_t>(std::min<size_t>(socket_->rcv().space(), kMaxWindow));
 }
 
 void TcpConnection::AttachSackBlocks(TcpOptions* options) const {

@@ -65,10 +65,6 @@ struct TcpConfig {
   // the Nagle × delayed-ACK interactive pathology ablation.
   bool delack = true;
   SimDuration delack_timeout = SimDuration::FromMillis(200);
-  // Artificial cap on the window this end advertises (0 = off). Used by the
-  // silly-window-syndrome scenario to force tiny window advertisements and
-  // exercise the sender-side SWS avoidance rule.
-  size_t rcv_window_clamp = 0;
   // Loss-recovery era (overridable per socket). kLegacy reproduces the
   // seed's fast-retransmit-without-recovery behavior exactly.
   CongestionVariant congestion = CongestionVariant::kLegacy;
@@ -183,8 +179,8 @@ class TcpConnection : public ProtocolOps {
   void TraceHeldData(const SegmentPlan& plan);
   // Effective delayed-ACK setting (socket override, else config).
   bool DelackEnabled() const;
-  // Window this end advertises: receive-buffer space, clamped by the
-  // rcv_window_clamp scenario knob and the 16-bit field.
+  // Window this end advertises: receive-buffer space, clamped to the
+  // 16-bit field.
   uint32_t AnnounceWindow() const;
 
   // Timers.

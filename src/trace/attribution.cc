@@ -278,55 +278,6 @@ AttributionResult AttributeRtts(const Tracer& tracer, const CausalGraph& graph,
   return result;
 }
 
-SpanWindowPartition PartitionSpans(const Tracer& tracer, uint8_t host,
-                                   const std::vector<RttWindow>& windows) {
-  SpanWindowPartition part;
-  part.per_window.assign(windows.size(), {});
-
-  // Bucket lookup by the event's end timestamp: first window (in start
-  // order) containing it, else the residual.
-  std::vector<size_t> order(windows.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    return windows[x].start_ns < windows[y].start_ns;
-  });
-  auto bucket = [&](int64_t ts) -> std::array<int64_t, static_cast<size_t>(SpanId::kCount)>& {
-    for (size_t k = order.size(); k-- > 0;) {
-      const RttWindow& w = windows[order[k]];
-      if (w.start_ns > ts) {
-        continue;
-      }
-      if (w.end_ns >= ts) {
-        return part.per_window[order[k]];
-      }
-    }
-    return part.residual;
-  };
-
-  for (const TraceEvent& ev : tracer.events()) {
-    if (ev.host != host) {
-      continue;
-    }
-    switch (ev.kind) {
-      case TraceEventKind::kSpanReset:
-        for (auto& totals : part.per_window) {
-          totals.fill(0);
-        }
-        part.residual.fill(0);
-        break;
-      case TraceEventKind::kSpanEnd:
-        bucket(ev.ts_ns)[static_cast<size_t>(ev.span)] += ev.self_ns;
-        break;
-      case TraceEventKind::kSpanInterval:
-        bucket(ev.ts_ns)[static_cast<size_t>(ev.span)] += ev.dur_ns;
-        break;
-      default:
-        break;
-    }
-  }
-  return part;
-}
-
 BlameReport BuildBlame(const std::vector<RttWindow>& windows, double p_lo, double p_hi) {
   BlameReport report;
   report.p_lo = p_lo;

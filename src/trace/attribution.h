@@ -12,10 +12,6 @@
 //    back. Stages are consecutive gaps between chain anchors, so they sum
 //    to the measured RTT *exactly* — any time the chain cannot anchor is
 //    reported as kUnattributed, never silently dropped.
-//  * PartitionSpans() splits a host's per-span (Table 2/3 row) self-time
-//    totals across those windows. It is a partition of the same events
-//    Tracer::SpanSelfTotalsNanos() sums, so per span:
-//    residual + Σ windows == SpanSelfTotalsNanos to the nanosecond.
 //  * BuildBlame() picks the p_lo and p_hi round trips (same nearest-rank
 //    rule as LatencyStats::Percentile) and reports the stage-by-stage
 //    difference: which layer the p99−p50 gap lives in.
@@ -90,17 +86,6 @@ struct AttributionResult {
 // sit above the listen ports in this simulator).
 AttributionResult AttributeRtts(const Tracer& tracer, const CausalGraph& graph,
                                 const AttributionOptions& options);
-
-// Per-span totals for `host` partitioned into the given windows (bucketed
-// by each span event's end timestamp) plus a residual bucket for time
-// outside every window. Counts the same post-kSpanReset events as
-// Tracer::SpanSelfTotalsNanos, so per span the buckets sum to it exactly.
-struct SpanWindowPartition {
-  std::vector<std::array<int64_t, static_cast<size_t>(SpanId::kCount)>> per_window;
-  std::array<int64_t, static_cast<size_t>(SpanId::kCount)> residual{};
-};
-SpanWindowPartition PartitionSpans(const Tracer& tracer, uint8_t host,
-                                   const std::vector<RttWindow>& windows);
 
 // Stage-by-stage comparison of the p_lo and p_hi round trips (nearest-rank
 // percentile selection over rtt_ns, ties broken by end_ns then flow —

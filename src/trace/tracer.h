@@ -15,8 +15,7 @@
 //    executes inside the src/exec/ parallel grid runner, because a Tracer is
 //    owned by one Testbed and shares nothing global.
 //  * Zero-cost when disabled. Hook sites go through Host::TracePacket,
-//    which is a single pointer test when no tracer is attached and compiles
-//    away entirely under -DTCPLAT_NO_TRACE_HOOKS.
+//    which is a single pointer test when no tracer is attached.
 //  * Exact. Span-end events carry the charge-attributed self time
 //    accumulated by SpanTracker for that instance, so per-layer sums over a
 //    trace reproduce the tracker's totals to the nanosecond.

@@ -65,7 +65,6 @@ std::vector<FlowSpec> BuildSpecs(const CapacityCell& cell, int clients, int serv
   closed.size = cell.size;
   closed.iterations = cell.iterations;
   closed.warmup = cell.warmup;
-  closed.think_time = cell.think_time;
   return BuildClosedLoop(closed);
 }
 

@@ -27,7 +27,6 @@ struct CapacityCell {
   bool header_prediction = true;
   ChecksumMode checksum = ChecksumMode::kStandard;
   LoadDiscipline discipline = LoadDiscipline::kClosedLoop;
-  SimDuration think_time;         // closed-loop only
   SimDuration mean_interarrival;  // open-loop only (zero = 500 us default)
   uint64_t seed = 1;
 };

@@ -54,8 +54,7 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
   config.propagation = GetLinkProfile(cell.profile).propagation;
   config.vc_buffers.buffer_cells = cell.buffer_cells;
   config.vc_buffers.policy = cell.policy;
-  config.vc_buffers.epd_threshold = cell.epd_threshold;
-  config.server_trunk_bps = cell.trunk_bps;
+  config.server_trunk_bps = kCongestionTrunkBps;
   config.tcp.sndbuf = cell.sndbuf;
   config.tcp.rcvbuf = cell.rcvbuf;
   config.tcp.mss_clamp = cell.mss_clamp;

@@ -24,6 +24,12 @@
 
 namespace tcplat {
 
+// Rate of the switch output port feeding the server, bits/second. The trunk
+// must be slower than the aggregate the clients can generate (and than what
+// the server's protocol CPU can absorb) so the shared per-VC buffers at the
+// switch — not host CPU or adapter FIFOs — take the overload.
+inline constexpr double kCongestionTrunkBps = 6e6;
+
 struct CongestionCell {
   CongestionVariant variant = CongestionVariant::kReno;
   DropPolicy policy = DropPolicy::kTailDrop;
@@ -31,17 +37,9 @@ struct CongestionCell {
   // buffer never congests and the cell would degenerate to the capacity
   // benchmark.
   size_t buffer_cells = 128;
-  size_t epd_threshold = 0;  // 0 = the switch's default, see EpdThreshold()
-  int flows = 8;             // one client host per flow, all into one server
+  int flows = 8;  // one client host per flow, all into one server
   uint64_t bulk_bytes = 96 * 1024;  // payload each flow pushes
   LinkProfileKind profile = LinkProfileKind::kLocalFiber;
-  // Rate of the switch output port feeding the server, bits/second. The
-  // trunk must be slower than the aggregate the clients can generate (and
-  // than what the server's protocol CPU can absorb) so the shared per-VC
-  // buffers at the switch — not host CPU or adapter FIFOs — take the
-  // overload. 0 = full TAXI rate, which degenerates to the CPU-bound
-  // capacity study.
-  double trunk_bps = 6e6;
   // Socket buffers sized to keep many flows window-limited rather than
   // sender-starved; the MSS clamp keeps segments Ethernet-sized so one
   // segment spans several cells (what makes frame-level discard matter).

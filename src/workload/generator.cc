@@ -20,7 +20,6 @@ std::vector<FlowSpec> BuildClosedLoop(const ClosedLoopConfig& config) {
     spec.size = config.size;
     spec.iterations = config.iterations;
     spec.warmup = config.warmup;
-    spec.think_time = config.think_time;
     specs.push_back(spec);
   }
   return specs;

@@ -2,8 +2,8 @@
 //
 // Two arrival disciplines:
 //  * Closed-loop — a fixed population of flows, each running its echo loop
-//    back-to-back with an optional think time. Offered load self-limits to
-//    the system's completion rate (the classic interactive-users model).
+//    back-to-back. Offered load self-limits to the system's completion rate
+//    (the classic interactive-users model).
 //  * Open-loop — flows arrive by a deterministic seeded Poisson process
 //    (exponential interarrivals from src/base/random); offered load is set
 //    by the arrival rate regardless of how the system keeps up.
@@ -27,7 +27,6 @@ struct ClosedLoopConfig {
   size_t size = 4;
   int iterations = 200;
   int warmup = 32;
-  SimDuration think_time;
 };
 
 // Fixed-population flows, round-robining flow i onto client i%K and server

@@ -23,7 +23,6 @@ const char* InteractiveKnobName(InteractiveKnob knob) {
 std::vector<FlowSpec> BuildInteractiveFlows(const InteractiveCell& cell, int clients,
                                             int servers) {
   TCPLAT_CHECK_GT(cell.flows, 0);
-  TCPLAT_CHECK(!cell.request_chunks.empty());
   std::vector<FlowSpec> specs;
   specs.reserve(static_cast<size_t>(cell.flows));
   for (int f = 0; f < cell.flows; ++f) {
@@ -32,28 +31,13 @@ std::vector<FlowSpec> BuildInteractiveFlows(const InteractiveCell& cell, int cli
     spec.server = f % servers;
     spec.iterations = cell.iterations;
     spec.warmup = cell.warmup;
-    spec.think_time = cell.think_time;
-    if (cell.keystrokes > 0) {
-      spec.keystrokes = cell.keystrokes;
-      spec.keystroke_interval = cell.keystroke_interval;
-      spec.size = 1;
-    } else if (cell.streaming) {
-      spec.streaming = true;
-      spec.size = cell.request_chunks[0];
-      spec.stream_interval = cell.stream_interval;
-    } else {
-      spec.request_chunks = cell.request_chunks;
-      spec.response_size = cell.response_size;
-      spec.pipeline_depth = cell.pipeline_depth;
-    }
-    if (f < cell.clean_flows && !cell.streaming && cell.keystrokes == 0) {
+    spec.think_time = kInteractiveThinkTime;
+    spec.request_chunks = {kInteractiveChunkBytes, kInteractiveChunkBytes};
+    spec.response_size = kInteractiveResponseBytes;
+    if (f < cell.clean_flows) {
       // Well-behaved control population: the whole request in one write,
       // sent immediately. These flows dominate p50 in mixed cells.
-      size_t total = 0;
-      for (const size_t chunk : cell.request_chunks) {
-        total += chunk;
-      }
-      spec.request_chunks = {total};
+      spec.request_chunks = {2 * kInteractiveChunkBytes};
       spec.client_nodelay = true;
     }
     switch (cell.knob) {
@@ -65,9 +49,6 @@ std::vector<FlowSpec> BuildInteractiveFlows(const InteractiveCell& cell, int cli
       case InteractiveKnob::kDelackOff:
         spec.server_delack = false;
         break;
-    }
-    if (cell.impairment.active()) {
-      spec.tolerate_errors = true;
     }
     specs.push_back(spec);
   }
@@ -81,7 +62,6 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell) {
 InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* tracer) {
   TCPLAT_CHECK_GT(cell.flows, 0);
   StarTestbedConfig config;
-  config.network = cell.network;
   config.clients = std::min(cell.clients, cell.flows);
   config.servers = std::min(cell.servers, cell.flows);
   config.seed = cell.seed;
@@ -92,25 +72,10 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);
   }
-  if (cell.server_rcv_clamp > 0) {
-    // Clamp only the server side: the echoed response still flows through
-    // the client's full window, so the scenario converges on the
-    // delayed-ACK clock instead of wedging both directions.
-    for (int j = 0; j < config.servers; ++j) {
-      testbed.server_tcp(j).config().rcv_window_clamp = cell.server_rcv_clamp;
-    }
-  }
-  ImpairmentPolicy policy(cell.impairment);
-  if (cell.impairment.active()) {
-    testbed.atm_switch()->set_output_impairment(&policy);
-  }
 
   const std::vector<FlowSpec> specs =
       BuildInteractiveFlows(cell, config.clients, config.servers);
   const WorkloadResult result = RunWorkload(testbed, specs);
-  if (cell.impairment.active()) {
-    testbed.atm_switch()->set_output_impairment(nullptr);
-  }
 
   InteractiveOutcome out;
   out.samples = result.rtt.count();
@@ -130,7 +95,6 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
     out.rexmt_timeouts += stats.rexmt_timeouts;
     out.fast_retransmits += stats.fast_retransmits;
   }
-  out.drops_injected = policy.stats().dropped;
   out.sim_elapsed = testbed.EndTime() - SimTime();
   out.sim_events = testbed.EventsDispatched();
   return out;
@@ -143,18 +107,14 @@ std::vector<std::string> InteractiveHeader() {
 
 std::vector<std::string> InteractiveRow(const InteractiveCell& cell,
                                         const InteractiveOutcome& out) {
-  std::string req;
-  for (size_t i = 0; i < cell.request_chunks.size(); ++i) {
-    if (i > 0) req += "+";
-    req += std::to_string(cell.request_chunks[i]);
-  }
+  const std::string chunk = std::to_string(kInteractiveChunkBytes);
   const int64_t timer_ns =
       cell.delack_timeout.nanos() > 0 ? cell.delack_timeout.nanos() : TcpConfig().delack_timeout.nanos();
   return {
       InteractiveKnobName(cell.knob),
       std::to_string(cell.flows),
-      req,
-      std::to_string(cell.response_size),
+      chunk + "+" + chunk,
+      std::to_string(kInteractiveResponseBytes),
       TextTable::Num(static_cast<double>(timer_ns) / 1e6, 0) + " ms",
       std::to_string(out.samples),
       TextTable::Us(static_cast<double>(out.p50.nanos()) / 1e3, 1),

@@ -12,13 +12,9 @@
 // timer on the server, makes the mode vanish; that appear/vanish pair is
 // what the self-verifying blame tests pin.
 //
-// Two scripted variants ride along:
-//  * Silly-window scenario: the server's announced window is artificially
-//    clamped so chunk 2 is held *window-limited* (tcp.sws_holds) rather
-//    than Nagle-limited; the control cell (clamp off) must count zero.
-//  * Retransmit storm: Gilbert-Elliott burst loss on every switch output
-//    under many small flows; the run must complete with a bounded
-//    retransmit count (no ACK-clock collapse).
+// Every cell runs on ATM, writes each request as two 100-byte chunks,
+// answers it with 200 bytes and pauses 500 us between round trips; the
+// cell varies the population, the knob and the delayed-ACK timer.
 
 #ifndef SRC_WORKLOAD_INTERACTIVE_H_
 #define SRC_WORKLOAD_INTERACTIVE_H_
@@ -26,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/fault/impairment.h"
 #include "src/workload/flow_driver.h"
 #include "src/workload/star_testbed.h"
 
@@ -38,19 +33,19 @@ enum class InteractiveKnob { kPathological, kNodelay, kDelackOff };
 
 const char* InteractiveKnobName(InteractiveKnob knob);
 
+// The request shape, one write per chunk: the canonical two-chunk small
+// write that arms the pathology. The server answers each request with
+// kInteractiveResponseBytes.
+inline constexpr size_t kInteractiveChunkBytes = 100;
+inline constexpr size_t kInteractiveResponseBytes = 200;
+inline constexpr SimDuration kInteractiveThinkTime = SimDuration::FromMicros(500);
+
 struct InteractiveCell {
-  NetworkKind network = NetworkKind::kAtm;
   int clients = 1;
   int servers = 1;
   int flows = 1;
-  // Request shape: one write per chunk. {100, 100} is the canonical
-  // two-chunk small write that arms the pathology.
-  std::vector<size_t> request_chunks = {100, 100};
-  size_t response_size = 200;
   int iterations = 24;
   int warmup = 4;
-  int pipeline_depth = 1;
-  SimDuration think_time = SimDuration::FromMicros(500);
   InteractiveKnob knob = InteractiveKnob::kPathological;
   // Mixed-population cells (bench/tail_blame): the first clean_flows flows
   // run well-behaved — one write per request and TCP_NODELAY — so they own
@@ -60,25 +55,6 @@ struct InteractiveCell {
   // Delayed-ACK timer for every stack; zero keeps the config default
   // (200 ms, the 4.3BSD fast-timeout bound).
   SimDuration delack_timeout;
-  // Silly-window scenario: clamp the *server* stacks' announced receive
-  // window to this many bytes (0 = off). With a clamp below the request
-  // size, chunk 2's hold is window-limited and counts as tcp.sws_holds.
-  size_t server_rcv_clamp = 0;
-  // Retransmit-storm scenario: applied to every switch output port when
-  // active() (burst loss via the Gilbert-Elliott knobs). Flows run with
-  // tolerate_errors so a connection death is an aborted flow, not a crash.
-  ImpairmentConfig impairment;
-  // Streaming variant (jittertrap-style): each flow appends
-  // request_chunks[0] bytes every stream_interval instead of running
-  // request/response; latency is send-entry to sink-side delivery.
-  bool streaming = false;
-  SimDuration stream_interval;
-  // Keystroke variant (telnet shape): each flow types this many 1-byte
-  // writes on an open loop, one every keystroke_interval, against a
-  // per-byte echo server; latency is keystroke entry to echo arrival.
-  // Overrides the request/response and streaming shapes when > 0.
-  int keystrokes = 0;
-  SimDuration keystroke_interval = SimDuration::FromMillis(150);
   uint64_t seed = 1;
 };
 
@@ -96,8 +72,6 @@ struct InteractiveOutcome {
   uint64_t retransmits = 0;
   uint64_t rexmt_timeouts = 0;
   uint64_t fast_retransmits = 0;
-  // Drops the impairment policy injected (storm scenario; 0 otherwise).
-  uint64_t drops_injected = 0;
   SimDuration sim_elapsed;
   uint64_t sim_events = 0;
 };
@@ -108,9 +82,9 @@ std::vector<FlowSpec> BuildInteractiveFlows(const InteractiveCell& cell, int cli
                                             int servers);
 
 // Builds a fresh star testbed, applies the cell's knobs (per-flow socket
-// options, delack timer, window clamp, impairment), runs every flow to
-// completion and reduces the stats. The tracer overload attaches `tracer`
-// to every host and the switch first.
+// options, delack timer), runs every flow to completion and reduces the
+// stats. The tracer overload attaches `tracer` to every host and the
+// switch first.
 InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell);
 InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* tracer);
 

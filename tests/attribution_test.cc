@@ -1,8 +1,8 @@
 // Critical-path attribution contract tests.
 //
 //  * A traced 1x1 star run decomposes every round trip into stages that
-//    telescope exactly to the RTT, the percentile picks match LatencyStats,
-//    and PartitionSpans reproduces SpanSelfTotalsNanos to the nanosecond.
+//    telescope exactly to the RTT, and the percentile picks match
+//    LatencyStats.
 //  * An impaired run's trace holds exactly one impair.drop event per
 //    injected drop, and its CSV and blame reports are byte-identical serial
 //    vs 4 workers.
@@ -90,56 +90,6 @@ TEST(Attribution, OneFlowStagesTelescopeAndMatchLatencyStats) {
     EXPECT_LE(std::abs(blame.hi_rtt_ns - outcome.p99.nanos()), 40) << "size " << size;
     EXPECT_EQ(blame.explained_pct, 100.0);
   }
-}
-
-// PartitionSpans is a partition of the exact event set SpanSelfTotalsNanos
-// sums, so residual + per-window contributions must equal it to 0 ns for
-// every span on every host.
-TEST(Attribution, SpanPartitionReproducesSpanTotalsExactly) {
-  const CapacityCell cell = OneFlowCell(1400);
-  Tracer tracer;
-  RunCapacityCell(cell, &tracer);
-
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const AttributionResult result = AttributeRtts(tracer, graph, options);
-  ASSERT_FALSE(result.windows.empty());
-
-  for (uint8_t host = 0; host < tracer.host_names().size(); ++host) {
-    const auto totals = tracer.SpanSelfTotalsNanos(host);
-    const SpanWindowPartition partition = PartitionSpans(tracer, host, result.windows);
-    ASSERT_EQ(partition.per_window.size(), result.windows.size());
-    for (size_t s = 0; s < static_cast<size_t>(SpanId::kCount); ++s) {
-      int64_t sum = partition.residual[s];
-      for (const auto& per_window : partition.per_window) {
-        sum += per_window[s];
-      }
-      EXPECT_EQ(sum, totals[s]) << tracer.host_names()[host] << " span " << s;
-    }
-  }
-}
-
-TEST(Attribution, MeasuredSpanTimeLandsInsideTheWindows) {
-  const CapacityCell cell = OneFlowCell(1400);
-  Tracer tracer;
-  RunCapacityCell(cell, &tracer);
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const AttributionResult result = AttributeRtts(tracer, graph, options);
-
-  // The client's TCP output work happens while a round trip is open, so a
-  // healthy share of it must land inside windows rather than the residual.
-  const SpanWindowPartition partition = PartitionSpans(tracer, 0, result.windows);
-  const size_t tx_tcp = static_cast<size_t>(SpanId::kTxTcpSegment);
-  int64_t in_windows = 0;
-  for (const auto& per_window : partition.per_window) {
-    in_windows += per_window[tx_tcp];
-  }
-  EXPECT_GT(in_windows, 0);
 }
 
 // --- Impaired runs -------------------------------------------------------

@@ -43,7 +43,7 @@ TEST(CongestionCell, AllFlowsCompleteWithSaneAggregates) {
   }
   // The aggregate cannot exceed the trunk feeding the server.
   EXPECT_GT(out.aggregate_goodput_mbps, 0.0);
-  EXPECT_LT(out.aggregate_goodput_mbps * 1e6, cell.trunk_bps);
+  EXPECT_LT(out.aggregate_goodput_mbps * 1e6, kCongestionTrunkBps);
   EXPECT_GT(out.efficiency, 0.0);
   EXPECT_LE(out.efficiency, 1.0);
   EXPECT_GT(out.fairness, 0.0);

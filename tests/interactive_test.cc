@@ -3,11 +3,12 @@
 // collapses to the receiver's delayed-ACK timer (chunk 2 waits for the
 // timer-released ACK); the mode tracks the timer value, and vanishes when
 // either leg is removed (TCP_NODELAY on the sender, or delack disabled on
-// the receiver). The silly-window and retransmit-storm scenarios are
-// self-verifying: sws_holds moves only under an artificial window clamp,
-// and burst loss never snowballs retransmits past a small multiple of the
-// injected drops. Every cell is byte-identical across repeat runs and
-// deterministic per seed.
+// the receiver). The silly-window and retransmit-storm scenarios run the
+// same flows on a star testbed they set up themselves, and are
+// self-verifying: sws_holds moves only under a server receive buffer
+// smaller than the request, and burst loss never snowballs retransmits
+// past a small multiple of the injected drops. Every cell is
+// byte-identical across repeat runs and deterministic per seed.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "src/fault/impairment.h"
 #include "src/workload/interactive.h"
+#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -120,175 +122,114 @@ TEST(InteractiveDeterminism, CellsAreByteIdenticalAcrossRepeatsAndSeeds) {
   }
 }
 
-// Silly-window scenario: clamping the server's announced window below the
-// request size makes chunk 2's hold *window-limited* — tcp.sws_holds must
-// move, once per round trip — while the unclamped control counts zero
-// (its holds are pure Nagle). Both converge on the delayed-ACK clock.
-TEST(InteractiveScenarios, SillyWindowHoldsCountOnlyUnderClamp) {
-  InteractiveCell clamped;
-  clamped.iterations = 6;
-  clamped.warmup = 1;
-  clamped.server_rcv_clamp = 150;
-  const InteractiveOutcome clamped_out = RunInteractiveCell(clamped);
-  EXPECT_EQ(clamped_out.completed, 1u);
-  EXPECT_GE(clamped_out.sws_holds, 6u);
+// What the two scenarios read after a run: every stack's hold and
+// retransmit counters summed, plus the run's shape.
+struct ScenarioOutcome {
+  uint64_t completed = 0;
+  uint64_t aborted = 0;
+  uint64_t nagle_holds = 0;
+  uint64_t sws_holds = 0;
+  uint64_t retransmits = 0;
+  uint64_t drops_injected = 0;  // by the storm's impairment policy
+  SimDuration p99;
+  uint64_t sim_events = 0;
+};
 
-  InteractiveCell control = clamped;
-  control.server_rcv_clamp = 0;
-  const InteractiveOutcome control_out = RunInteractiveCell(control);
-  EXPECT_EQ(control_out.completed, 1u);
-  EXPECT_EQ(control_out.sws_holds, 0u);
-  EXPECT_GE(control_out.nagle_holds, 6u);
+ScenarioOutcome RunScenario(StarTestbed& testbed, const std::vector<FlowSpec>& specs) {
+  const WorkloadResult result = RunWorkload(testbed, specs);
+  ScenarioOutcome out;
+  out.completed = result.completed;
+  out.aborted = result.aborted;
+  out.p99 = result.rtt.Percentile(99);
+  for (int idx = 0; idx < testbed.host_count(); ++idx) {
+    const TcpStats& stats = testbed.tcp(idx).stats();
+    out.nagle_holds += stats.nagle_holds;
+    out.sws_holds += stats.sws_holds;
+    out.retransmits += stats.retransmits;
+  }
+  out.sim_events = testbed.EventsDispatched();
+  return out;
 }
 
-InteractiveCell StormCell() {
+// One pathological flow on a 1x1 star whose server stack gets a
+// `rcvbuf`-byte receive buffer.
+ScenarioOutcome RunSillyWindowFlow(size_t rcvbuf) {
+  InteractiveCell cell;
+  cell.iterations = 6;
+  cell.warmup = 1;
+  StarTestbed testbed(StarTestbedConfig{});
+  testbed.server_tcp(0).config().rcvbuf = rcvbuf;
+  return RunScenario(testbed, BuildInteractiveFlows(cell, 1, 1));
+}
+
+// Silly-window scenario: a 150-byte server receive buffer, below the
+// 200-byte request, makes chunk 2's hold *window-limited* — tcp.sws_holds
+// must move, once per round trip — while the default 8,192-byte buffer
+// counts zero (its holds are pure Nagle). The small buffer's hold ends at
+// the window update the server sends once its read of chunk 1 frees half
+// the buffer; the control's waits for the delayed-ACK timer.
+TEST(InteractiveScenarios, SillyWindowHoldsCountOnlyUnderSmallReceiveBuffer) {
+  const ScenarioOutcome small = RunSillyWindowFlow(150);
+  EXPECT_EQ(small.completed, 1u);
+  EXPECT_GE(small.sws_holds, 6u);
+
+  const ScenarioOutcome control = RunSillyWindowFlow(TcpConfig().rcvbuf);
+  EXPECT_EQ(control.completed, 1u);
+  EXPECT_EQ(control.sws_holds, 0u);
+  EXPECT_GE(control.nagle_holds, 6u);
+}
+
+// Eight wire-speed (TCP_NODELAY) flows on a 4x2 star, with Gilbert-Elliott
+// burst loss on every switch output port. The flows tolerate errors, so a
+// connection death is an aborted flow, not a crash.
+ScenarioOutcome RunStorm() {
   InteractiveCell cell;
   cell.flows = 8;
   cell.clients = 4;
   cell.servers = 2;
   cell.iterations = 12;
   cell.warmup = 2;
-  cell.knob = InteractiveKnob::kNodelay;  // wire-speed flows; loss dominates
-  cell.impairment.ge_good_to_bad = 0.02;
-  cell.impairment.ge_bad_to_good = 0.25;
-  cell.impairment.ge_bad_loss = 0.3;
-  cell.impairment.seed = 23;
-  return cell;
+  cell.knob = InteractiveKnob::kNodelay;
+  ImpairmentConfig impairment;
+  impairment.ge_good_to_bad = 0.02;
+  impairment.ge_bad_to_good = 0.25;
+  impairment.ge_bad_loss = 0.3;
+  impairment.seed = 23;
+
+  StarTestbedConfig config;
+  config.clients = cell.clients;
+  config.servers = cell.servers;
+  StarTestbed testbed(config);
+  ImpairmentPolicy policy(impairment);
+  testbed.atm_switch()->set_output_impairment(&policy);
+  std::vector<FlowSpec> specs = BuildInteractiveFlows(cell, cell.clients, cell.servers);
+  for (FlowSpec& spec : specs) {
+    spec.tolerate_errors = true;
+  }
+  ScenarioOutcome out = RunScenario(testbed, specs);
+  testbed.atm_switch()->set_output_impairment(nullptr);
+  out.drops_injected = policy.stats().dropped;
+  return out;
 }
 
-// Retransmit storm: Gilbert-Elliott burst loss on every switch output
-// under eight small flows. The run must complete, and recovery must stay
+// Retransmit storm: the run must complete, and recovery must stay
 // proportional to the injected loss — a retransmit count far above the
 // drop count would mean timer-driven retransmissions snowballing (the
 // storm the fixture guards against). Identical reruns pin determinism of
 // the fault seed.
 TEST(InteractiveScenarios, RetransmitStormStaysBoundedAndDeterministic) {
-  const InteractiveOutcome a = RunInteractiveCell(StormCell());
+  const ScenarioOutcome a = RunStorm();
   EXPECT_GT(a.drops_injected, 0u);
   EXPECT_EQ(a.completed + a.aborted, 8u);
   EXPECT_GE(a.completed, 7u);
   EXPECT_GE(a.retransmits, 1u);
   EXPECT_LE(a.retransmits, a.drops_injected * 3 + 8);
 
-  const InteractiveOutcome b = RunInteractiveCell(StormCell());
+  const ScenarioOutcome b = RunStorm();
   EXPECT_EQ(a.retransmits, b.retransmits);
   EXPECT_EQ(a.drops_injected, b.drops_injected);
   EXPECT_EQ(a.p99.nanos(), b.p99.nanos());
   EXPECT_EQ(a.sim_events, b.sim_events);
-}
-
-// Streaming variant (steady 100-byte appends every 2 ms): with Nagle on,
-// only the first append leaves immediately — the rest batch up until the
-// sink's delayed-ACK timer releases them, so delivery latency rides the
-// timer (p99 ≈ timer, p50 ≈ timer/2 for a 10 ms clock against a 2 ms
-// append cadence). With TCP_NODELAY each append is delivered at wire
-// latency and the timer never fires against held data.
-TEST(InteractiveScenarios, StreamingAppendsGatedByDelackUnlessNodelay) {
-  InteractiveCell cell;
-  cell.streaming = true;
-  cell.request_chunks = {100};
-  cell.stream_interval = SimDuration::FromMillis(2);
-  cell.iterations = 40;
-  cell.warmup = 2;
-  cell.delack_timeout = SimDuration::FromMillis(10);
-  const InteractiveOutcome gated = RunInteractiveCell(cell);
-  EXPECT_EQ(gated.completed, 1u);
-  EXPECT_EQ(gated.samples, 40u);
-  EXPECT_GE(gated.p50.nanos(), 2 * kMs);
-  EXPECT_GE(gated.p99.nanos(), 8 * kMs);
-  EXPECT_LE(gated.p99.nanos(), 15 * kMs);
-  EXPECT_GE(gated.delayed_acks_fired, 5u);
-
-  InteractiveCell nodelay = cell;
-  nodelay.knob = InteractiveKnob::kNodelay;
-  const InteractiveOutcome fast = RunInteractiveCell(nodelay);
-  EXPECT_EQ(fast.completed, 1u);
-  EXPECT_EQ(fast.samples, 40u);
-  EXPECT_LT(fast.p50.nanos(), 1 * kMs);
-}
-
-// Pipelined clients keep several requests in flight; the run must still
-// complete with every response accounted for, and deeper pipelines must
-// not deadlock against Nagle (responses keep the ACK clock running).
-TEST(InteractiveScenarios, PipelinedRequestsComplete) {
-  InteractiveCell cell;
-  cell.pipeline_depth = 3;
-  cell.knob = InteractiveKnob::kNodelay;
-  cell.iterations = 12;
-  cell.warmup = 2;
-  const InteractiveOutcome out = RunInteractiveCell(cell);
-  EXPECT_EQ(out.completed, 1u);
-  EXPECT_EQ(out.samples, 12u);
-  EXPECT_LT(out.p99.nanos(), 5 * kMs);
-}
-
-// --- keystroke/echo (telnet shape) -----------------------------------------
-
-// A human typing one character every 150 ms against a per-byte echo server:
-// each keystroke finds the connection idle, so Nagle lets it out at once
-// and the echo returns at wire scale — two orders of magnitude below the
-// typing clock. This is the satellite-era telnet baseline the paper's
-// interactive discussion assumes.
-TEST(InteractiveKeystroke, SlowTypingEchoesAtWireScale) {
-  InteractiveCell cell;
-  cell.keystrokes = 24;
-  cell.warmup = 4;
-  const InteractiveOutcome out = RunInteractiveCell(cell);
-  EXPECT_EQ(out.completed, 1u);
-  EXPECT_EQ(out.samples, 20u);
-  // Two orders of magnitude under the 150 ms typing clock.
-  EXPECT_LT(out.p99.nanos(), 5 * kMs);
-  EXPECT_GT(out.p50.nanos(), 0);
-}
-
-// Paste-speed typing (no inter-key gap): byte 1 leaves alone, bytes 2..N
-// pile up behind the client's Nagle rule until its ACK returns, then travel
-// as one coalesced segment — so the echoes coalesce too and the burst
-// clears at wire scale. TCP_NODELAY on the *client* does not rescue the
-// burst: it moves the holds to the echo direction, where the server's
-// Nagle rule collides with the client's delayed ACK and the tail collapses
-// to the 200 ms timer. Shrinking the timer shrinks the tail in lockstep —
-// the latency ≈ timer signature, now in the echo path.
-TEST(InteractiveKeystroke, BurstTypingShiftsNagleHoldsToTheEchoUnderNodelay) {
-  InteractiveCell cell;
-  cell.keystrokes = 32;
-  cell.warmup = 0;
-  cell.keystroke_interval = SimDuration();
-  const InteractiveOutcome nagle = RunInteractiveCell(cell);
-  EXPECT_EQ(nagle.completed, 1u);
-  EXPECT_EQ(nagle.samples, 32u);
-  EXPECT_GE(nagle.nagle_holds, 31u);  // every byte behind the first is held
-  EXPECT_LT(nagle.p99.nanos(), 10 * kMs);
-
-  InteractiveCell nodelay = cell;
-  nodelay.knob = InteractiveKnob::kNodelay;
-  const InteractiveOutcome echo_held = RunInteractiveCell(nodelay);
-  EXPECT_EQ(echo_held.completed, 1u);
-  EXPECT_EQ(echo_held.samples, 32u);
-  // Far fewer holds (echo side only), but each one now waits on the
-  // client's delayed-ACK timer instead of a wire-scale ACK.
-  EXPECT_LT(echo_held.nagle_holds, nagle.nagle_holds);
-  EXPECT_GE(echo_held.p99.nanos(), 150 * kMs);
-  EXPECT_LE(echo_held.p99.nanos(), 260 * kMs);
-
-  InteractiveCell short_timer = nodelay;
-  short_timer.delack_timeout = SimDuration::FromMillis(20);
-  const InteractiveOutcome tracked = RunInteractiveCell(short_timer);
-  EXPECT_EQ(tracked.completed, 1u);
-  EXPECT_GE(tracked.p99.nanos(), 10 * kMs);
-  EXPECT_LE(tracked.p99.nanos(), 40 * kMs);
-}
-
-// Keystroke cells obey the same determinism contract as every other cell:
-// byte-identical rows across repeats.
-TEST(InteractiveKeystroke, CellsAreByteIdenticalAcrossRepeats) {
-  InteractiveCell cell;
-  cell.keystrokes = 16;
-  cell.warmup = 2;
-  cell.flows = 2;
-  cell.clients = 2;
-  const std::vector<std::string> first = InteractiveRow(cell, RunInteractiveCell(cell));
-  EXPECT_EQ(first, InteractiveRow(cell, RunInteractiveCell(cell)));
 }
 
 }  // namespace

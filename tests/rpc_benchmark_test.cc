@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/rpc_benchmark.h"
-#include "src/core/stats_report.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
 
@@ -82,39 +81,6 @@ TEST(RpcBenchmark, SpanRowsRoughlyPartitionTheRoundTrip) {
   const double rtt = r.MeanRtt().micros();
   EXPECT_GT(2 * row_sum_us, 0.80 * rtt);
   EXPECT_LT(2 * row_sum_us, 1.05 * rtt);
-}
-
-TEST(StatsReport, RendersNonZeroRowsOnly) {
-  TcpStats s;
-  s.segs_sent = 42;
-  s.checksum_errors = 0;
-  const std::string out = DumpTcpStats(s);
-  EXPECT_NE(out.find("segments sent"), std::string::npos);
-  EXPECT_NE(out.find("42"), std::string::npos);
-  EXPECT_EQ(out.find("bad checksum"), std::string::npos) << "zero rows are omitted";
-}
-
-TEST(StatsReport, TestbedReportCoversBothHosts) {
-  TestbedConfig cfg;
-  Testbed tb(cfg);
-  RpcOptions opt;
-  opt.size = 100;
-  opt.iterations = 10;
-  RunRpcBenchmark(tb, opt);
-  const std::string report = DumpTestbedReport(tb);
-  EXPECT_NE(report.find("=== client ==="), std::string::npos);
-  EXPECT_NE(report.find("=== server ==="), std::string::npos);
-  EXPECT_NE(report.find("tcp:"), std::string::npos);
-  EXPECT_NE(report.find("connections established"), std::string::npos);
-  EXPECT_EQ(report.find("leak?"), std::string::npos) << "clean run leaks nothing";
-}
-
-TEST(StatsReport, MbufLeakFlagged) {
-  MbufStats s;
-  s.small_allocs = 5;
-  s.frees = 3;
-  s.in_use = 2;
-  EXPECT_NE(DumpMbufStats(s).find("leak?"), std::string::npos);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

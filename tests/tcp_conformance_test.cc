@@ -156,6 +156,18 @@ TEST_F(Conformance, SynGetsSynAckWithMssOption) {
   EXPECT_EQ(*out[0].header.options.mss, kAtmMtu - kIpv4HeaderBytes - kTcpMinHeaderBytes);
 }
 
+// The window field is 16 bits: a receive buffer above 65,535 bytes is
+// announced as 65,535, not truncated to its low 16 bits.
+TEST_F(Conformance, SynAckWindowClampsToSixteenBits) {
+  tb_.server_tcp().config().rcvbuf = 131072;
+  Inject(tb_, BuildSegment(kFakeClient, kServerAddr, Syn(1000), {}));
+  Step(10);
+  auto out = TakeOutbound(tap_);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].header.flags.syn);
+  EXPECT_EQ(out[0].header.window, 65535u);
+}
+
 TEST_F(Conformance, AckToListenerDrawsRst) {
   TcpHeader stray;
   stray.src_port = 44444;
