@@ -1,7 +1,11 @@
 #include "src/core/rpc_benchmark.h"
 
 #include <algorithm>
+#include <compare>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <queue>
 
 #include "src/base/check.h"
 #include "src/os/task.h"
@@ -21,60 +25,67 @@ void FillPattern(std::vector<uint8_t>& buf, int iteration) {
   }
 }
 
+// One end of a round trip. The concurrency sweep counts endpoints in this
+// order: by time, then leaves before enters (so a flow whose next round trip
+// starts the instant its last one ended never counts twice, keeping the
+// closed-loop invariant max <= population), then by flow.
+struct Endpoint {
+  int64_t t;
+  bool enter;
+  size_t flow;
+
+  auto operator<=>(const Endpoint&) const = default;
+};
+
 struct RunState {
   WorkloadHosts* hosts = nullptr;
   const WorkloadOptions* options = nullptr;
   std::vector<FlowResult> results;
   std::vector<uint8_t> server_done;
   std::vector<uint8_t> client_done;
-  // Per-flow [enter, leave] round-trip intervals (nanos; leave = -1 while
-  // open), written by the flow's client coroutine; max_concurrent is swept
-  // from these after the run.
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> intervals;
+  std::vector<uint8_t> in_round_trip;  // per flow: inside a round trip now
+  // max_concurrent, swept online: endpoints wait here until the clock
+  // passes them, then count in Endpoint order. `settled` is the last one
+  // counted.
+  std::priority_queue<Endpoint, std::vector<Endpoint>, std::greater<>> pending;
+  Endpoint settled{std::numeric_limits<int64_t>::min(), false, 0};
+  size_t concurrent = 0;
+  size_t max_concurrent = 0;
 };
 
+// Counts every pending endpoint earlier than `before`.
+void Settle(RunState* state, int64_t before) {
+  while (!state->pending.empty() && state->pending.top().t < before) {
+    state->settled = state->pending.top();
+    state->pending.pop();
+    if (state->settled.enter) {
+      state->max_concurrent = std::max(state->max_concurrent, ++state->concurrent);
+    } else {
+      --state->concurrent;
+    }
+  }
+}
+
+// Queues an endpoint and counts every one the clock has passed. Each is
+// stamped with its host's CurrentTime(), which is never before the clock,
+// so one still to come can tie with the clock but not fall behind it, and
+// none sorts ahead of an endpoint already counted. The check enforces that.
+void AddEndpoint(RunState* state, const Endpoint& p) {
+  TCPLAT_CHECK(p >= state->settled)
+      << "flow " << p.flow << " stamped a round-trip end at " << p.t
+      << " ns, before the settled frontier at " << state->settled.t << " ns";
+  state->pending.push(p);
+  Settle(state, state->hosts->sim().Now().nanos());
+}
+
 void BeginInterval(RunState* state, size_t flow, SimTime t0) {
-  state->intervals[flow].push_back({t0.nanos(), -1});
+  state->in_round_trip[flow] = true;
+  AddEndpoint(state, {t0.nanos(), true, flow});
 }
 
 void EndInterval(RunState* state, size_t flow, SimTime t1) {
-  state->intervals[flow].back().second = t1.nanos();
-}
-
-// Peak number of simultaneously open intervals. Endpoints are ordered by
-// (time, leaves-before-enters, flow) so a flow whose next round trip starts
-// at the exact instant the previous one ended never double-counts, keeping
-// the closed-loop invariant max <= population.
-size_t SweepMaxConcurrent(const RunState& state) {
-  struct Endpoint {
-    int64_t t;
-    int kind;  // 0 = leave, 1 = enter
-    size_t flow;
-  };
-  std::vector<Endpoint> points;
-  for (size_t f = 0; f < state.intervals.size(); ++f) {
-    for (const auto& [enter, leave] : state.intervals[f]) {
-      points.push_back({enter, 1, f});
-      if (leave >= 0) {
-        points.push_back({leave, 0, f});
-      }
-    }
-  }
-  std::sort(points.begin(), points.end(), [](const Endpoint& a, const Endpoint& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.flow < b.flow;
-  });
-  size_t current = 0;
-  size_t peak = 0;
-  for (const Endpoint& p : points) {
-    if (p.kind == 1) {
-      peak = std::max(peak, ++current);
-    } else {
-      --current;
-    }
-  }
-  return peak;
+  state->in_round_trip[flow] = false;
+  AddEndpoint(state, {t1.nanos(), false, flow});
 }
 
 // Creates the flow's listener, applying the per-flow congestion variant so
@@ -102,8 +113,7 @@ Socket* ConnectFlow(RunState* state, const FlowSpec* spec, uint16_t port) {
 void AbortFlow(RunState* state, size_t flow, SimTime now) {
   state->results[flow].aborted = true;
   state->client_done[flow] = true;
-  const auto& intervals = state->intervals[flow];
-  if (!intervals.empty() && intervals.back().second < 0) {
+  if (state->in_round_trip[flow]) {
     EndInterval(state, flow, now);
   }
 }
@@ -394,7 +404,7 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
   state.results.resize(specs.size());
   state.server_done.assign(specs.size(), 0);
   state.client_done.assign(specs.size(), 0);
-  state.intervals.resize(specs.size());
+  state.in_round_trip.assign(specs.size(), 0);
   for (size_t f = 0; f < specs.size(); ++f) {
     state.results[f].iterations = static_cast<uint64_t>(specs[f].iterations);
   }
@@ -432,6 +442,7 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
   }
 
   hosts.sim().RunToCompletion();
+  Settle(&state, std::numeric_limits<int64_t>::max());
 
   WorkloadResult result;
   result.flows = std::move(state.results);
@@ -453,7 +464,7 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
     result.aborted += flow.aborted ? 1 : 0;
     result.data_mismatches += flow.data_mismatches;
   }
-  result.max_concurrent = SweepMaxConcurrent(state);
+  result.max_concurrent = state.max_concurrent;
   return result;
 }
 

@@ -92,10 +92,7 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
     out.sws_holds += stats.sws_holds;
     out.delayed_acks_fired += stats.delayed_acks_fired;
     out.retransmits += stats.retransmits;
-    out.rexmt_timeouts += stats.rexmt_timeouts;
-    out.fast_retransmits += stats.fast_retransmits;
   }
-  out.sim_elapsed = testbed.EndTime() - SimTime();
   out.sim_events = testbed.EventsDispatched();
   return out;
 }

@@ -70,9 +70,6 @@ struct InteractiveOutcome {
   uint64_t sws_holds = 0;
   uint64_t delayed_acks_fired = 0;
   uint64_t retransmits = 0;
-  uint64_t rexmt_timeouts = 0;
-  uint64_t fast_retransmits = 0;
-  SimDuration sim_elapsed;
   uint64_t sim_events = 0;
 };
 

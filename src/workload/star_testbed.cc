@@ -101,12 +101,4 @@ void StarTestbed::ResetTrackers() {
   }
 }
 
-SimDuration StarTestbed::SpanTotal(SpanId id) const {
-  SimDuration total;
-  for (const auto& host : hosts_) {
-    total += host->tracker().total(id);
-  }
-  return total;
-}
-
 }  // namespace tcplat

@@ -105,9 +105,6 @@ class StarTestbed final : public WorkloadHosts {
   // Clears every host's span tracker (start of a measured region).
   void ResetTrackers() override;
 
-  // Sum of one span's accumulation across all hosts.
-  SimDuration SpanTotal(SpanId id) const;
-
  private:
   StarTestbedConfig config_;
   // Declared before every component that schedules on it, so it outlives them.

@@ -1,14 +1,20 @@
 // The workload engine's contract: a 1x1 star with one closed-loop flow IS
 // the switched two-host testbed (byte-identical RTTs); generators are pure
 // functions of their config (seeded arrivals); the closed-loop concurrency
-// invariant holds; every flow completes or aborts exactly once, impaired or
-// not; and bench/capacity's rows are byte-identical across executor widths.
+// invariant holds, and max_concurrent counts ties, shared round trips and
+// aborted flows exactly; every flow completes or aborts exactly once,
+// impaired or not; and bench/capacity's rows are byte-identical across
+// executor widths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/atm/aal34.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
 #include "src/exec/executor.h"
@@ -144,14 +150,90 @@ TEST(FlowDriver, ClosedLoopConcurrencyInvariant) {
   EXPECT_EQ(result.completed, 8u);
   EXPECT_EQ(result.aborted, 0u);
   EXPECT_EQ(result.data_mismatches, 0u);
-  EXPECT_GE(result.max_concurrent, 1u);
-  EXPECT_LE(result.max_concurrent, 8u);
+  // With no think time a flow's leave and its next enter share an instant
+  // every round trip; leaves count first there, or this would read higher.
+  EXPECT_EQ(result.max_concurrent, 8u);
   // Each flow contributes exactly its measured iterations.
   EXPECT_EQ(result.rtt.count(), 8u * 10u);
   for (const FlowResult& flow : result.flows) {
     EXPECT_TRUE(flow.completed != flow.aborted);  // exactly one outcome
     EXPECT_EQ(flow.iterations, 10u);
   }
+}
+
+// Four flows from four clients whose first 8000-byte round trips all begin
+// before any ends: the peak is the whole population.
+TEST(FlowDriver, FlowsInsideOneRoundTripTogetherAllCount) {
+  StarTestbedConfig star_cfg;
+  star_cfg.clients = 4;
+  StarTestbed star(star_cfg);
+
+  ClosedLoopConfig cfg;
+  cfg.flows = 4;
+  cfg.clients = 4;
+  cfg.size = 8000;
+  cfg.iterations = 1;
+  cfg.warmup = 0;
+  const WorkloadResult result = RunWorkload(star, BuildClosedLoop(cfg));
+
+  EXPECT_EQ(result.completed, 4u);
+  EXPECT_EQ(result.max_concurrent, 4u);
+}
+
+// Drops every cell on `vcis` that leaves the switch at or after `from`: one
+// connection cut mid-run, the rest of the fabric untouched.
+class VcCut final : public LinkImpairment {
+ public:
+  VcCut(std::vector<uint16_t> vcis, SimTime from) : vcis_(std::move(vcis)), from_(from) {}
+
+  Verdict OnTransmit(SimTime departure, const std::vector<uint8_t>& cell) override {
+    bool crc_ok = false;
+    const std::optional<AtmCell> parsed = ParseCell(cell, &crc_ok);
+    Verdict verdict;
+    verdict.drop = departure >= from_ && parsed.has_value() &&
+                   std::find(vcis_.begin(), vcis_.end(), parsed->vci) != vcis_.end();
+    return verdict;
+  }
+
+ private:
+  std::vector<uint16_t> vcis_;
+  SimTime from_;
+};
+
+// A flow whose connection dies mid-round-trip holds that round trip open
+// until it aborts, and no longer. Flow 0's VC pair is cut at 5 ms and it
+// aborts after its retransmissions run out; flow 1 starts inside that dead
+// round trip and runs past the abort; flow 2 starts after the abort. The
+// peak is two ({0, 1}, then {1, 2}); left open, flow 0 would make it three.
+TEST(FlowDriver, DeadRoundTripCountsUntilTheFlowAborts) {
+  StarTestbedConfig star_cfg;
+  star_cfg.clients = 3;
+  star_cfg.tcp.rexmt_min = SimDuration::FromMillis(20);
+  star_cfg.tcp.max_rexmt = 1;
+  StarTestbed star(star_cfg);
+  const int server = star.clients();  // global index of server 0
+  VcCut cut({star.PairVci(0, server), star.PairVci(server, 0)}, SimTime::FromMillis(5));
+  star.atm_switch()->set_output_impairment(&cut);
+
+  ClosedLoopConfig cfg;
+  cfg.flows = 3;
+  cfg.clients = 3;
+  cfg.size = 200;
+  cfg.iterations = 200;
+  cfg.warmup = 0;
+  std::vector<FlowSpec> specs = BuildClosedLoop(cfg);
+  specs[0].iterations = 100000;
+  specs[0].tolerate_errors = true;
+  specs[1].start_delay = SimDuration::FromMillis(10);
+  specs[2].start_delay = SimDuration::FromMillis(150);
+  specs[2].iterations = 20;
+  const WorkloadResult result = RunWorkload(star, specs);
+  star.atm_switch()->set_output_impairment(nullptr);
+
+  EXPECT_TRUE(result.flows[0].aborted);
+  EXPECT_TRUE(result.flows[1].completed);
+  EXPECT_TRUE(result.flows[2].completed);
+  EXPECT_EQ(result.max_concurrent, 2u);
 }
 
 // Exactly-once completion under link impairment: with tolerate_errors set,
