@@ -72,11 +72,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->quick = true;
       continue;
     }
-    if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-flows")) {
-      if (!ParseWhole(v, 1, INT_MAX, &n)) return usage(name, "needs a count >= 1");
-      flags->trace_sample_flows = static_cast<uint32_t>(n);
-      continue;
-    }
     if (const char* v = FlagValue(argc, argv, &i, "--timeline-csv")) {
       flags->timeline_csv_path = v;
       continue;
@@ -89,14 +84,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
     }
     if (std::strcmp(argv[i], "--timeline") == 0) {
       flags->timeline = true;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--bin-out")) {
-      flags->bin_out_path = v;
-      continue;
-    }
-    if (const char* v = FlagValue(argc, argv, &i, "--from-binary")) {
-      flags->from_binary_path = v;
       continue;
     }
     if (std::strncmp(argv[i], "--trace", 7) == 0 &&

@@ -22,10 +22,6 @@ struct BenchFlags {
   size_t size = 0;         // --size; pre-set the default before parsing
   int flows = 0;           // --flows (>= 1); pre-set the default before parsing
   std::string csv_path;    // --csv; empty = no CSV export
-  // Flow sampling and binary captures (src/trace/binary_trace.h).
-  uint32_t trace_sample_flows = 0;      // --trace-sample-flows N (>= 1): keep 1-in-N flows
-  std::string bin_out_path;             // --bin-out PATH: write a TLBT capture
-  std::string from_binary_path;         // --from-binary PATH: read a TLBT capture
   // Timeseries telemetry plane (src/trace/timeseries.h).
   bool timeline = false;                // --timeline: enable / select timeline mode
   std::string timeline_csv_path;        // --timeline-csv PATH: long-format CSV out
@@ -37,10 +33,10 @@ struct BenchFlags {
 // whole token (`--timeline` does not name `--timeline-csv`), an unknown
 // flag, or a number that is not a whole decimal in its flag's range prints
 // the reason and the usage line and returns false. The ranges: --seed any
-// 64-bit value; --jobs 1 to 1024; --size 1 to 1 MiB; --flows,
-// --trace-sample-flows and --timeline-period-us at least 1. `--jobs N`
-// exports TCPLAT_JOBS=N so the global executor pool — which is sized on
-// first use — picks it up; pass it before any parallel work.
+// 64-bit value; --jobs 1 to 1024; --size 1 to 1 MiB; --flows and
+// --timeline-period-us at least 1. `--jobs N` exports TCPLAT_JOBS=N so the
+// global executor pool — which is sized on first use — picks it up; pass
+// it before any parallel work.
 bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accepted);
 
 }  // namespace tcplat

@@ -13,16 +13,13 @@
 // PCB cache wins *because* one connection dominates, and the ~1.3 us/entry
 // linear-lookup cost resurfaces as the flow count grows.
 
-#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/bench_flags.h"
 #include "src/core/table.h"
 #include "src/exec/executor.h"
-#include "src/trace/binary_trace.h"
-#include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
 
 namespace tcplat {
@@ -126,35 +123,6 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
   PrintGrid("Open-loop Poisson arrivals (rate rises top to bottom)", cells);
 }
 
-// --bin-out: runs one 64-flow cell (--flows overrides the count) with a
-// tracer attached, optionally flow-sampled via --trace-sample-flows, and
-// writes the recorded events as a TLBT stream. The blob is a pure function
-// of the seed, so the golden manifest (tests/golden/) hashes it at
-// TCPLAT_JOBS=1 and 4.
-int CaptureBinaryTrace(const BenchFlags& flags) {
-  CapacityCell cell = BaseCell(flags.seed, flags.quick);
-  cell.flows = flags.flows > 0 ? flags.flows : 64;
-  Tracer tracer;
-  if (flags.trace_sample_flows > 1) {
-    FlowSampleConfig sample;
-    sample.one_in = flags.trace_sample_flows;
-    sample.seed = flags.seed;
-    tracer.EnableFlowSampling(sample);
-  }
-  const CapacityOutcome outcome = RunCapacityCell(cell, &tracer);
-  const std::string blob = EncodeBinaryTrace(tracer);
-  if (!WriteTextFile(flags.bin_out_path, blob)) {
-    return 1;
-  }
-  std::printf("binary trace: %d flows, %" PRIu64 " round trips, %zu bytes -> %s\n",
-              cell.flows, outcome.samples, blob.size(), flags.bin_out_path.c_str());
-  if (tracer.flow_sampling()) {
-    std::printf("flow sampling: 1-in-%u kept %zu of %zu flows\n", tracer.sample_one_in(),
-                tracer.flows_kept().size(), tracer.flows_seen().size());
-  }
-  return 0;
-}
-
 void Run(uint64_t seed, bool quick) {
   std::printf("Multi-flow capacity grids (seed %llu, %s mode)\n"
               "All quantities are simulated; output is byte-identical across\n"
@@ -180,18 +148,8 @@ void Run(uint64_t seed, bool quick) {
 
 int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
-  if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--seed N] [--jobs N] [--quick] "
-                               "[--bin-out PATH [--flows N] [--trace-sample-flows N]]")) {
+  if (!tcplat::ParseBenchFlags(argc, argv, &flags, "[--seed N] [--jobs N] [--quick]")) {
     return 2;
-  }
-  if (flags.bin_out_path.empty() && (flags.flows > 0 || flags.trace_sample_flows > 0)) {
-    std::fprintf(stderr, "%s: --flows and --trace-sample-flows apply only with --bin-out\n",
-                 argv[0]);
-    return 2;
-  }
-  if (!flags.bin_out_path.empty()) {
-    return tcplat::CaptureBinaryTrace(flags);
   }
   tcplat::Run(flags.seed, flags.quick);
   return 0;

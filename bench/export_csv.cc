@@ -10,13 +10,6 @@
 //
 //   $ ./export_csv --trace --size 1400 > trace.csv
 //
-// With --trace --from-binary PATH it converts a sealed TLBT binary trace
-// (bench/capacity --bin-out, src/trace/binary_trace.h) to the same CSV,
-// decoding record by record — no intermediate JSON or in-memory event
-// vector, so arbitrarily large captures convert in constant memory.
-//
-//   $ ./export_csv --trace --from-binary capture.tlbt > trace.csv
-//
 // With --timeline it runs one congested-bottleneck cell with the timeseries
 // telemetry plane attached (src/trace/timeseries.h) and emits the long-
 // format timeline CSV (ts_ns,host,metric,key,value,edge) — cwnd sawteeth,
@@ -24,12 +17,15 @@
 // TCPLAT_JOBS at a fixed seed.
 //
 //   $ ./export_csv --timeline --seed 1 > timeline.csv
+//
+// A flag outside its mode is rejected, not ignored: --size needs --trace;
+// --quick, --seed, --flows and --timeline-period-us need --timeline; and
+// --trace and --timeline cannot be combined.
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_flags.h"
 
@@ -37,7 +33,6 @@
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
-#include "src/trace/binary_trace.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/congestion.h"
@@ -107,43 +102,6 @@ void Run() {
   std::fputs(csv.ToCsv().c_str(), stdout);
 }
 
-int RunTraceFromBinary(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::perror(path.c_str());
-    return 1;
-  }
-  std::string blob;
-  char in[4096];
-  size_t n;
-  while ((n = std::fread(in, 1, sizeof(in), f)) > 0) {
-    blob.append(in, n);
-  }
-  std::fclose(f);
-
-  BinaryTraceReader reader(blob);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), reader.error_message());
-    return 1;
-  }
-  std::fputs(std::string(TraceCsvHeader()).c_str(), stdout);
-  std::string row;
-  TraceEvent ev;
-  uint64_t decoded = 0;
-  while (reader.Next(&ev)) {
-    row.clear();
-    AppendTraceCsvRow(ev, reader.host_names(), &row);
-    std::fputs(row.c_str(), stdout);
-    ++decoded;
-  }
-  if (reader.error()) {
-    std::fprintf(stderr, "%s: %s (after %" PRIu64 " of %" PRIu64 " records)\n", path.c_str(),
-                 reader.error_message(), decoded, reader.record_count());
-    return 1;
-  }
-  return 0;
-}
-
 void RunTimeline(const BenchFlags& flags) {
   CongestionCell cell;
   cell.variant = CongestionVariant::kReno;
@@ -174,6 +132,27 @@ void RunTrace(size_t size) {
   std::fputs(tracer.ToCsv().c_str(), stdout);
 }
 
+// False, after naming the flag, when one of `names` is on the command line
+// but `mode`, the flag that selects the mode they belong to, is not. Call
+// it after ParseBenchFlags accepted argv: no value this binary takes starts
+// with "--", so every such argument is a flag.
+bool OnlyWith(int argc, char** argv, bool mode_given, const char* mode,
+              std::initializer_list<const char*> names) {
+  if (mode_given) {
+    return true;
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    for (const char* name : names) {
+      if (arg.substr(0, arg.find('=')) == name) {
+        std::fprintf(stderr, "%s: %s applies only with %s\n", argv[0], name, mode);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace tcplat
 
@@ -181,13 +160,19 @@ int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   flags.size = 1400;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--trace [--size N] [--from-binary PATH]] "
+                               "[--trace [--size N]] "
                                "[--timeline [--quick] [--seed N] [--flows N] "
                                "[--timeline-period-us N]]")) {
     return 2;
   }
-  if (flags.trace && !flags.from_binary_path.empty()) {
-    return tcplat::RunTraceFromBinary(flags.from_binary_path);
+  if (flags.trace && flags.timeline) {
+    std::fprintf(stderr, "%s: --trace and --timeline cannot be combined\n", argv[0]);
+    return 2;
+  }
+  if (!tcplat::OnlyWith(argc, argv, flags.trace, "--trace", {"--size"}) ||
+      !tcplat::OnlyWith(argc, argv, flags.timeline, "--timeline",
+                        {"--quick", "--seed", "--flows", "--timeline-period-us"})) {
+    return 2;
   }
   if (flags.timeline) {
     tcplat::RunTimeline(flags);

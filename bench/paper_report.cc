@@ -41,7 +41,6 @@
 #include "src/net/checksum.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/pcb.h"
-#include "src/trace/binary_trace.h"
 #include "src/trace/metrics.h"
 #include "src/trace/tracer.h"
 #include "src/workload/flow_driver.h"
@@ -429,11 +428,10 @@ void HostCounters() {
   Check(views_alias, "registry views alias the live TcpStats counters");
 }
 
-// The Tables-2/3 run again, instrumented. Encodes the recorded events as a
-// compact TLBT stream (the capture file format), decodes it back, and
-// proves the pipeline is lossless: summing self/interval times per span out
-// of the decoded trace reproduces the aggregate SpanTracker totals.
-// Produces the same Perfetto-loadable JSON file as the recorded events.
+// The Tables-2/3 run again, instrumented. Proves the trace is lossless:
+// summing self/interval times per span out of the recorded events
+// reproduces the aggregate SpanTracker totals. Writes the events as
+// Perfetto-loadable JSON.
 void TracedRun(const std::string& path) {
   std::printf("\n## Traced run — 1400-byte ATM echo\n\n");
   TestbedConfig cfg;
@@ -446,29 +444,20 @@ void TracedRun(const std::string& path) {
   opt.warmup = 16;
   RunRpcBenchmark(tb, opt);
 
-  const std::string blob = EncodeBinaryTrace(tracer);
-  Tracer decoded;
-  const bool decode_ok = DecodeBinaryTrace(blob, &decoded);
-  Check(decode_ok, "binary trace stream decodes back losslessly");
-  if (!decode_ok) {
-    return;
-  }
-
   int64_t max_delta = 0;
   for (Host* host : {&tb.client_host(), &tb.server_host()}) {
-    const auto from_trace = decoded.SpanSelfTotalsNanos(host->trace_id());
+    const auto from_trace = tracer.SpanSelfTotalsNanos(host->trace_id());
     for (size_t i = 0; i < from_trace.size(); ++i) {
       const int64_t tracker_ns = host->tracker().total(static_cast<SpanId>(i)).nanos();
       max_delta = std::max(max_delta, std::abs(from_trace[i] - tracker_ns));
     }
   }
-  std::printf("%zu events across %zu hosts (%zu-byte binary stream); "
-              "trace-vs-tracker span delta %lld ns\n\n",
-              decoded.events().size(), decoded.host_names().size(), blob.size(),
+  std::printf("%zu events across %zu hosts; trace-vs-tracker span delta %lld ns\n\n",
+              tracer.events().size(), tracer.host_names().size(),
               static_cast<long long>(max_delta));
-  Check(!decoded.events().empty(), "traced run recorded events");
+  Check(!tracer.events().empty(), "traced run recorded events");
   Check(max_delta <= 1, "per-layer span sums from the trace match tracker totals within 1 ns");
-  Check(WriteTextFile(path, decoded.ToPerfettoJson()), "trace written to " + path);
+  Check(WriteTextFile(path, tracer.ToPerfettoJson()), "trace written to " + path);
 }
 
 }  // namespace

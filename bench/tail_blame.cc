@@ -12,11 +12,6 @@
 // tests pin this). The binary fails (exit 1) if any window's stages do not
 // telescope exactly to its RTT or if less than 95% of the p99-p50 gap is
 // attributed — so running it under ctest doubles as an acceptance check.
-//
-// --trace-sample-flows N records only a deterministic 1-in-N flow sample
-// (src/trace/tracer.h FlowSampleConfig); the report then covers the kept
-// flows' round trips, each standing for N real flows, and the
-// full-attribution check tightens to "every kept flow fully attributed".
 
 #include <array>
 #include <cinttypes>
@@ -52,28 +47,14 @@ struct CellBlame {
   size_t linked_journeys = 0;
   bool stages_telescope = true;  // every window: sum(stages) == rtt
   BlameReport blame;
-  // Flow sampling (--trace-sample-flows): one kept flow stands for
-  // sample_one_in real flows when histograms are scaled up.
-  uint32_t sample_one_in = 1;
-  size_t flows_seen = 0;
-  size_t flows_kept = 0;
 };
 
-CellBlame RunCell(const CapacityCell& cell, uint32_t sample_one_in) {
+CellBlame RunCell(const CapacityCell& cell) {
   CellBlame result;
   result.cell = cell;
 
   Tracer tracer;
-  if (sample_one_in > 1) {
-    FlowSampleConfig sample;
-    sample.one_in = sample_one_in;
-    sample.seed = cell.seed;
-    tracer.EnableFlowSampling(sample);
-  }
   result.outcome = RunCapacityCell(cell, &tracer);
-  result.sample_one_in = tracer.sample_one_in();
-  result.flows_seen = tracer.flows_seen().size();
-  result.flows_kept = tracer.flows_kept().size();
 
   const CausalGraph graph = CausalGraph::Build(tracer);
   result.linked_journeys = graph.linked_count();
@@ -125,11 +106,6 @@ void PrintCell(const CellBlame& r) {
               r.cell.header_prediction ? "on" : "off");
   std::printf("round trips attributed : %zu (of %" PRIu64 " measured)\n", r.windows,
               r.outcome.samples);
-  if (r.sample_one_in > 1) {
-    std::printf("flow sampling          : 1-in-%u kept %zu of %zu flows "
-                "(each kept window stands for %u)\n",
-                r.sample_one_in, r.flows_kept, r.flows_seen, r.sample_one_in);
-  }
   std::printf("linked packet journeys : %zu\n", r.linked_journeys);
   std::printf("p50 RTT %s  p99 RTT %s  gap %s\n\n",
               TextTable::Us(static_cast<double>(r.blame.lo_rtt_ns) / 1e3, 1).c_str(),
@@ -325,7 +301,7 @@ int Run(const BenchFlags& flags) {
   }
 
   const std::vector<CellBlame> results = ParallelMap<CellBlame>(
-      cells.size(), [&](size_t i) { return RunCell(cells[i], flags.trace_sample_flows); });
+      cells.size(), [&](size_t i) { return RunCell(cells[i]); });
 
   for (const CellBlame& r : results) {
     PrintCell(r);
@@ -352,22 +328,9 @@ int Run(const BenchFlags& flags) {
   std::printf("checks:\n");
   for (const CellBlame& r : results) {
     char what[160];
-    if (r.sample_one_in > 1) {
-      // Under sampling, only the kept flows' round trips can be attributed;
-      // each kept flow must still contribute every one of its windows.
-      const size_t expected =
-          r.flows_kept * static_cast<size_t>(r.cell.iterations);
-      std::snprintf(what, sizeof(what),
-                    "hp=%s: every kept flow fully attributed (%zu of %zu, %zu/%zu flows)",
-                    r.cell.header_prediction ? "on" : "off", r.windows, expected, r.flows_kept,
-                    r.flows_seen);
-      Check(r.windows == expected && r.flows_kept > 0, what);
-    } else {
-      std::snprintf(what, sizeof(what),
-                    "hp=%s: every round trip attributed (%zu of %" PRIu64 ")",
-                    r.cell.header_prediction ? "on" : "off", r.windows, r.outcome.samples);
-      Check(r.windows == r.outcome.samples, what);
-    }
+    std::snprintf(what, sizeof(what), "hp=%s: every round trip attributed (%zu of %" PRIu64 ")",
+                  r.cell.header_prediction ? "on" : "off", r.windows, r.outcome.samples);
+    Check(r.windows == r.outcome.samples, what);
     std::snprintf(what, sizeof(what), "hp=%s: stages telescope exactly to each RTT",
                   r.cell.header_prediction ? "on" : "off");
     Check(r.stages_telescope, what);
@@ -434,7 +397,7 @@ int main(int argc, char** argv) {
   flags.flows = 8;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
                                "[--seed N] [--jobs N] [--quick] [--flows N] [--size N] "
-                               "[--trace-sample-flows N] [--csv PATH] [--out PATH]")) {
+                               "[--csv PATH] [--out PATH]")) {
     return 2;
   }
   return tcplat::Run(flags);

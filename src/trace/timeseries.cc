@@ -72,17 +72,6 @@ void TimeseriesSampler::PushEdge(uint8_t host, TsMetric metric, uint64_t key, Si
                      /*edge=*/true});
 }
 
-void TimeseriesSampler::Clear() {
-  tracks_.clear();
-  points_.clear();
-  points_.shrink_to_fit();
-}
-
-size_t TimeseriesSampler::ApproxMemoryBytes() const {
-  return points_.capacity() * sizeof(TimeseriesPoint) +
-         tracks_.size() * (sizeof(uint64_t) + sizeof(TrackState) + 2 * sizeof(void*));
-}
-
 void SortTimeseriesPoints(std::vector<TimeseriesPoint>* points) {
   std::stable_sort(points->begin(), points->end(),
                    [](const TimeseriesPoint& a, const TimeseriesPoint& b) {

@@ -85,8 +85,6 @@ class TimeseriesSampler {
   void PushEdge(uint8_t host, TsMetric metric, uint64_t key, SimTime ts, int64_t value);
 
   const std::vector<TimeseriesPoint>& points() const { return points_; }
-  void Clear();
-  size_t ApproxMemoryBytes() const;
 
  private:
   struct TrackState {

@@ -1,6 +1,5 @@
 #include "src/trace/tracer.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstddef>
 #include <cstdio>
@@ -8,23 +7,9 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/trace/causal_graph.h"
 
 namespace tcplat {
 namespace {
-
-// Chains buffered past this while awaiting a flow verdict spill their oldest
-// events; ordinary syscall/softint chains decide within a few dozen events.
-constexpr size_t kMaxDeferredPerHost = 512;
-
-// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation, so flow ids
-// that differ in one bit land in independent sample buckets.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Perfetto timestamps are microseconds; emit them as exact fixed-point
 // strings (ns resolution) so traces are byte-stable across platforms.
@@ -169,6 +154,27 @@ void AppendProcessMetadata(std::string* out, const std::vector<std::string>& hos
   }
 }
 
+// The flat-CSV schema: one header line, one row per event.
+constexpr std::string_view kTraceCsvHeader =
+    "ts_ns,host,layer,kind,span,dur_ns,self_ns,flow,packet,bytes\n";
+
+void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
+                       std::string* out) {
+  char buf[256];
+  const bool is_span = ev.kind == TraceEventKind::kSpanBegin ||
+                       ev.kind == TraceEventKind::kSpanEnd ||
+                       ev.kind == TraceEventKind::kSpanInterval;
+  std::snprintf(buf, sizeof(buf),
+                "%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRIu64 ",%" PRIu64
+                ",%" PRIu64 "\n",
+                ev.ts_ns, ev.host < host_names.size() ? host_names[ev.host].c_str() : "?",
+                std::string(TraceLayerName(ev.layer)).c_str(),
+                std::string(TraceEventKindName(ev.kind)).c_str(),
+                is_span ? std::string(SpanName(ev.span)).c_str() : "",
+                ev.dur_ns, ev.self_ns, ev.flow, ev.packet, ev.bytes);
+  *out += buf;
+}
+
 }  // namespace
 
 std::string_view TraceLayerName(TraceLayer layer) {
@@ -190,13 +196,6 @@ uint8_t Tracer::RegisterHost(std::string name) {
   return static_cast<uint8_t>(host_names_.size() - 1);
 }
 
-void Tracer::EnableFlowSampling(const FlowSampleConfig& config) {
-  TCPLAT_CHECK(events_.empty()) << "flow sampling must be enabled before recording starts";
-  TCPLAT_CHECK_GE(config.one_in, 1u);
-  sampling_ = true;
-  sample_ = config;
-}
-
 void Tracer::EnableTimeseries(const TimeseriesConfig& config) {
   timeseries_ = std::make_unique<TimeseriesSampler>(config);
 }
@@ -212,163 +211,6 @@ std::vector<TimeseriesPoint> Tracer::SortedTimeseriesPoints() const {
 
 std::string Tracer::TimelineCsv() const {
   return TimeseriesToCsv(SortedTimeseriesPoints(), host_names_);
-}
-
-size_t Tracer::ApproxMemoryBytes() const {
-  size_t bytes = (events_.size() + deferred_events_) * sizeof(TraceEvent);
-  if (timeseries_ != nullptr) {
-    bytes += timeseries_->ApproxMemoryBytes();
-  }
-  return bytes;
-}
-
-size_t Tracer::peak_memory_bytes() const {
-  return std::max(peak_bytes_, ApproxMemoryBytes());
-}
-
-void Tracer::NotePeak() { peak_bytes_ = std::max(peak_bytes_, ApproxMemoryBytes()); }
-
-void Tracer::Clear() {
-  events_.clear();
-  sample_hosts_.clear();
-  deferred_events_ = 0;
-  flows_seen_.clear();
-  flows_kept_.clear();
-  if (timeseries_ != nullptr) {
-    timeseries_->Clear();
-  }
-  peak_bytes_ = 0;
-}
-
-bool Tracer::KeepFlow(uint64_t raw_flow) {
-  const uint64_t canonical = CanonicalFlow(raw_flow);
-  flows_seen_.insert(canonical);
-  const bool keep =
-      sample_.one_in <= 1 || Mix64(canonical ^ Mix64(sample_.seed)) % sample_.one_in == 0;
-  if (keep) {
-    flows_kept_.insert(canonical);
-  }
-  return keep;
-}
-
-void Tracer::ResolveDeferred(size_t host, bool keep) {
-  SampleHostState& st = sample_hosts_[host];
-  if (st.deferred.empty()) {
-    return;
-  }
-  NotePeak();  // the buffered events are about to drain; record them first
-  if (keep) {
-    events_.insert(events_.end(), st.deferred.begin(), st.deferred.end());
-  }
-  deferred_events_ -= st.deferred.size();
-  st.deferred.clear();
-}
-
-void Tracer::CommitSampled(const TraceEvent& ev) {
-  // Per-host chain machine: a chain start resets the verdict to undecided
-  // and buffering begins; the chain's first flow-identifying event settles
-  // keep/drop for the buffered prefix and the rest of the chain. Sound for
-  // the same reason the causal graph is: a host's CPU runs each activation
-  // chain to completion, so buffered events can only belong to the chain
-  // being decided.
-  if (ev.host >= sample_hosts_.size()) {
-    sample_hosts_.resize(static_cast<size_t>(ev.host) + 1);
-  }
-  SampleHostState& st = sample_hosts_[ev.host];
-
-  switch (ev.kind) {
-    // Flow-agnostic chain anchors and anomalies, kept for every packet so
-    // the causal linker's FIFO pairing (reassembly -> ipintrq -> dequeue)
-    // stays exact and drop diagnostics stay complete. kDequeue/kPduRx/
-    // kFrameRx also start a receive chain: the verdict resets to undecided.
-    case TraceEventKind::kDequeue:
-      events_.push_back(ev);
-      if (ev.layer == TraceLayer::kIp) {
-        ResolveDeferred(ev.host, false);
-        st.keep = -1;
-      }
-      return;
-    case TraceEventKind::kPduRx:
-    case TraceEventKind::kFrameRx:
-      events_.push_back(ev);
-      ResolveDeferred(ev.host, false);
-      st.keep = -1;
-      return;
-    case TraceEventKind::kSpanReset:
-    case TraceEventKind::kEnqueue:
-    case TraceEventKind::kCellDrop:
-    case TraceEventKind::kListenOverflow:
-    case TraceEventKind::kChecksumError:
-    case TraceEventKind::kDrop:
-    case TraceEventKind::kImpairDrop:
-    case TraceEventKind::kImpairDup:
-    case TraceEventKind::kImpairDelay:
-      events_.push_back(ev);
-      return;
-
-    // Per-cell switch hops identify host pairs (VCI), not flows, and no
-    // consumer reads them; they are the bulk of a trace, so sampled runs
-    // shed them entirely.
-    case TraceEventKind::kCellSwitch:
-      return;
-
-    // Flow-identifying events: settle the chain verdict.
-    case TraceEventKind::kUserWrite:
-    case TraceEventKind::kUserRead:
-    case TraceEventKind::kSegTx:
-    case TraceEventKind::kSegRx:
-    case TraceEventKind::kRetransmit:
-    case TraceEventKind::kAck:
-    case TraceEventKind::kDelayedAck:
-    case TraceEventKind::kNagleHold:
-    case TraceEventKind::kCwndChange:
-    case TraceEventKind::kFastRetransmit:
-    case TraceEventKind::kSackBlock:
-      if (ev.flow != 0) {
-        const bool keep = KeepFlow(ev.flow);
-        st.keep = keep ? 1 : 0;
-        ResolveDeferred(ev.host, keep);
-        if (keep) {
-          events_.push_back(ev);
-        }
-        return;
-      }
-      break;
-    case TraceEventKind::kWakeup:
-      if (ev.layer == TraceLayer::kSock && ev.flow != 0) {
-        const bool keep = KeepFlow(ev.flow);
-        st.keep = keep ? 1 : 0;
-        ResolveDeferred(ev.host, keep);
-        if (keep) {
-          events_.push_back(ev);
-        }
-        return;
-      }
-      break;
-
-    // Top-level syscall entries start a transmit/receive chain.
-    case TraceEventKind::kSpanBegin:
-      if (ev.span == SpanId::kTxUser || ev.span == SpanId::kRxUser) {
-        ResolveDeferred(ev.host, false);  // prior chain ended undecided
-        st.keep = -1;
-      }
-      break;
-
-    default:
-      break;
-  }
-
-  // Chain-follow events ride the current verdict; undecided chains buffer.
-  if (st.keep == 1) {
-    events_.push_back(ev);
-  } else if (st.keep == -1) {
-    if (st.deferred.size() >= kMaxDeferredPerHost) {
-      st.deferred.pop_front();
-      --deferred_events_;
-    }
-    st.deferred.push_back(ev);
-    ++deferred_events_;
-  }
 }
 
 std::array<int64_t, static_cast<size_t>(SpanId::kCount)> Tracer::SpanSelfTotalsNanos(
@@ -486,29 +328,8 @@ std::string Tracer::ToPerfettoJson() const {
   return out;
 }
 
-std::string_view TraceCsvHeader() {
-  return "ts_ns,host,layer,kind,span,dur_ns,self_ns,flow,packet,bytes\n";
-}
-
-void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
-                       std::string* out) {
-  char buf[256];
-  const bool is_span = ev.kind == TraceEventKind::kSpanBegin ||
-                       ev.kind == TraceEventKind::kSpanEnd ||
-                       ev.kind == TraceEventKind::kSpanInterval;
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRIu64 ",%" PRIu64
-                ",%" PRIu64 "\n",
-                ev.ts_ns, ev.host < host_names.size() ? host_names[ev.host].c_str() : "?",
-                std::string(TraceLayerName(ev.layer)).c_str(),
-                std::string(TraceEventKindName(ev.kind)).c_str(),
-                is_span ? std::string(SpanName(ev.span)).c_str() : "",
-                ev.dur_ns, ev.self_ns, ev.flow, ev.packet, ev.bytes);
-  *out += buf;
-}
-
 std::string Tracer::ToCsv() const {
-  std::string out(TraceCsvHeader());
+  std::string out(kTraceCsvHeader);
   out.reserve(out.size() + events_.size() * 64);
   for (const TraceEvent& ev : events_) {
     AppendTraceCsvRow(ev, host_names_, &out);

@@ -20,20 +20,17 @@
 //    accumulated by SpanTracker for that instance, so per-layer sums over a
 //    trace reproduce the tracker's totals to the nanosecond.
 //
-// The in-memory event log (events()) is the only recorded form; flow
-// sampling is the one filter in front of it. Everything else is a file
-// format written from the log: Chrome/Perfetto trace_event JSON (load at
-// ui.perfetto.dev or chrome://tracing), a flat CSV with one row per event,
-// and the compact TLBT binary stream (src/trace/binary_trace.h).
+// The in-memory event log (events()) is the only recorded form, and every
+// event reaches it. Everything else is a file format written from the log:
+// Chrome/Perfetto trace_event JSON (load at ui.perfetto.dev or
+// chrome://tracing) and a flat CSV with one row per event.
 
 #ifndef SRC_TRACE_TRACER_H_
 #define SRC_TRACE_TRACER_H_
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -95,12 +92,10 @@ enum class TraceEventKind : uint8_t {
   kImpairDrop,   // unit discarded in flight
   kImpairDup,    // a second copy will be delivered; dur_ns = duplicate lag
   kImpairDelay,  // arrival delayed (reorder hold or jitter); dur_ns = delay
-  // TCP, appended after the impairment block so existing binary kind tags
-  // keep their values.
+  // TCP.
   kNagleHold,  // tcp_output left data unsent (Nagle / silly-window
                // avoidance); packet = relative seq, bytes = held length
-  // Congestion-control era (appended so existing binary kind tags keep
-  // their values).
+  // Congestion-control era.
   kCwndChange,      // loss event / recovery transition; packet = new cwnd,
                     // bytes = ssthresh
   kFastRetransmit,  // Reno/NewReno/SACK fast retransmit decision;
@@ -112,15 +107,6 @@ enum class TraceEventKind : uint8_t {
 
 std::string_view TraceLayerName(TraceLayer layer);
 std::string_view TraceEventKindName(TraceEventKind kind);
-
-struct TraceEvent;
-
-// The flat-CSV export schema, shared by Tracer::ToCsv and the streaming
-// binary-trace exporter (bench/export_csv --from-binary) so both emit
-// byte-identical rows. Header includes the trailing newline.
-std::string_view TraceCsvHeader();
-void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
-                       std::string* out);
 
 struct TraceEvent {
   int64_t ts_ns = 0;    // simulated timestamp
@@ -135,14 +121,6 @@ struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kSpanBegin;
   TraceLayer layer = TraceLayer::kSched;
   uint8_t host = 0;
-};
-
-// Deterministic per-flow sampling: a flow is kept iff a seeded hash of its
-// canonical (port-order-independent) id lands in the 1-in-`one_in` bucket.
-// Both connection endpoints reach the same verdict with no coordination.
-struct FlowSampleConfig {
-  uint32_t one_in = 8;  // expected fraction of flows kept = 1/one_in
-  uint64_t seed = 0;    // varies which flows land in the kept bucket
 };
 
 class Tracer {
@@ -212,13 +190,6 @@ class Tracer {
     Commit(ev);
   }
 
-  // Commits an already-built event, bypassing the flow sampler. Used by the
-  // binary decoder to rebuild a stream that was sampled when recorded.
-  void Append(const TraceEvent& ev) {
-    if (!enabled_) return;
-    events_.push_back(ev);
-  }
-
   // ---- Time-series telemetry plane (src/trace/timeseries.h) -------------
   //
   // Orthogonal to event recording: producers push counter samples through
@@ -251,42 +222,6 @@ class Tracer {
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<std::string>& host_names() const { return host_names_; }
 
-  // ---- Flow sampling -----------------------------------------------------
-  //
-  // Keeps full lifecycle detail for the 1-in-N sampled flows and drops
-  // per-flow events of the rest, while retaining the flow-agnostic events
-  // the causal linker needs for exact anchor pairing (ipintrq enqueue/
-  // dequeue, reassembly completions, drops/anomalies). Because a host's CPU
-  // runs each activation chain to completion, events between a chain start
-  // and the first flow-identifying event are buffered and then kept or
-  // discarded wholesale with the chain's verdict. Span self-time totals are
-  // NOT preserved for unsampled flows; sampled traces feed attribution, not
-  // the exact span accounting. Must be selected before anything is
-  // recorded (checked).
-
-  void EnableFlowSampling(const FlowSampleConfig& config);
-  bool flow_sampling() const { return sampling_; }
-  uint32_t sample_one_in() const { return sampling_ ? sample_.one_in : 1; }
-
-  // Canonical flow ids observed on flow-identifying events / kept by the
-  // sampler. seen/kept sizes give the blame scale factor.
-  const std::set<uint64_t>& flows_seen() const { return flows_seen_; }
-  const std::set<uint64_t>& flows_kept() const { return flows_kept_; }
-
-  // ---- Memory accounting -------------------------------------------------
-  //
-  // Recording-buffer footprint by content (event payload bytes held right
-  // now), deliberately excluding allocator capacity so the number is
-  // identical across platforms and can be gated. peak additionally covers
-  // transient sampler buffering.
-
-  size_t ApproxMemoryBytes() const;
-  size_t peak_memory_bytes() const;
-
-  // Drops recorded events and sampler state; registered hosts and the
-  // sampler configuration are kept.
-  void Clear();
-
   // Per-span self-time sums for `host`, in nanoseconds, counting only events
   // after that host's last kSpanReset marker: kSpanEnd contributes self_ns,
   // kSpanInterval contributes dur_ns. By construction these equal the
@@ -302,41 +237,14 @@ class Tracer {
   std::string ToCsv() const;
 
  private:
-  // Every Record* method funnels here so the flow sampler can filter the
-  // stream without touching the hook sites.
-  void Commit(const TraceEvent& ev) {
-    if (!sampling_) {
-      events_.push_back(ev);
-      return;
-    }
-    CommitSampled(ev);
-  }
-  void CommitSampled(const TraceEvent& ev);
-
-  bool KeepFlow(uint64_t raw_flow);
-  void ResolveDeferred(size_t host, bool keep);
-  void NotePeak();
+  // Every Record* method funnels here.
+  void Commit(const TraceEvent& ev) { events_.push_back(ev); }
 
   bool enabled_ = true;
   std::vector<TraceEvent> events_;
   std::vector<std::string> host_names_;
 
-  // Flow-sampler state: per-host chain verdict plus the events buffered
-  // between a chain start and the chain's first flow-identifying event.
-  struct SampleHostState {
-    int8_t keep = -1;  // -1 undecided, 0 drop, 1 keep
-    std::deque<TraceEvent> deferred;
-  };
-  bool sampling_ = false;
-  FlowSampleConfig sample_;
-  std::vector<SampleHostState> sample_hosts_;
-  size_t deferred_events_ = 0;  // total queued across sample_hosts_
-  std::set<uint64_t> flows_seen_;
-  std::set<uint64_t> flows_kept_;
-
   std::unique_ptr<TimeseriesSampler> timeseries_;
-
-  size_t peak_bytes_ = 0;
 };
 
 // Writes `contents` to `path`; returns false (after perror) on failure.

@@ -92,15 +92,6 @@ CapacityOutcome RunCapacityCell(const CapacityCell& cell, Tracer* tracer) {
   const std::vector<FlowSpec> specs = BuildSpecs(cell, config.clients, config.servers);
   const WorkloadResult result = RunWorkload(testbed, specs);
 
-  if (tracer != nullptr && tracer->flow_sampling()) {
-    // Surface the sampler's scale metadata where blame consumers can weight
-    // histograms: one kept flow stands for `one_in` real flows.
-    MetricsRegistry& metrics = testbed.host(0).metrics();
-    metrics.gauge("trace.sample_one_in").Set(static_cast<int64_t>(tracer->sample_one_in()));
-    metrics.gauge("trace.flows_seen").Set(static_cast<int64_t>(tracer->flows_seen().size()));
-    metrics.gauge("trace.flows_sampled").Set(static_cast<int64_t>(tracer->flows_kept().size()));
-  }
-
   CapacityOutcome out;
   out.samples = result.rtt.count();
   out.mean = result.rtt.Mean();

@@ -6,8 +6,6 @@
 //  * An impaired run's trace holds exactly one impair.drop event per
 //    injected drop, and its CSV and blame reports are byte-identical serial
 //    vs 4 workers.
-//  * 1-in-8 flow sampling on a 256-flow cell cuts peak tracer memory 8.49x
-//    and keeps the p99 stage blame within 10% of the full trace's.
 //  * LatencyStats::Percentiles()/PercentileGap() match a hand-computed
 //    distribution.
 
@@ -24,7 +22,6 @@
 #include "src/exec/executor.h"
 #include "src/fault/impairment.h"
 #include "src/trace/attribution.h"
-#include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
 #include "src/trace/latency_stats.h"
 #include "src/trace/tracer.h"
@@ -203,12 +200,12 @@ std::string BlameFingerprint(const CapacityCell& cell) {
                   w.end_ns);
     out += buf;
   }
-  return out + EncodeBinaryTrace(tracer);
+  return out + tracer.ToCsv();
 }
 
 // The full blame report for the 8-flow cell — window boundaries and the
-// TLBT capture included — must be byte-identical between serial and
-// 4-worker execution.
+// trace CSV, every field of every event, included — must be byte-identical
+// between serial and 4-worker execution.
 TEST(BlameDeterminism, ReportsByteIdenticalSerialVsParallel) {
   std::vector<CapacityCell> cells;
   for (bool hp : {true, false}) {
@@ -273,132 +270,6 @@ TEST(Attribution, EightFlowWindowsAllTelescope) {
   }
   const BlameReport blame = BuildBlame(result.windows, 50.0, 99.0);
   EXPECT_GE(blame.explained_pct, 95.0);
-}
-
-// --- The binary capture format ------------------------------------------
-
-CapacityCell EightFlowCell() {
-  CapacityCell cell;
-  cell.clients = 4;
-  cell.servers = 2;
-  cell.flows = 8;
-  cell.size = 200;
-  cell.iterations = 12;
-  cell.warmup = 4;
-  cell.seed = 1;
-  return cell;
-}
-
-bool SameWindow(const RttWindow& a, const RttWindow& b) {
-  if (a.flow != b.flow || a.client_host != b.client_host || a.server_host != b.server_host ||
-      a.start_ns != b.start_ns || a.end_ns != b.end_ns || a.retransmits != b.retransmits ||
-      a.delayed_acks != b.delayed_acks || a.tx_stall_ns != b.tx_stall_ns) {
-    return false;
-  }
-  for (size_t s = 0; s < kBlameStageCount; ++s) {
-    if (a.stage_ns[s] != b.stage_ns[s]) return false;
-  }
-  return true;
-}
-
-// Routing the same run through a TLBT capture (encode after the run,
-// decode post hoc) must leave the attribution result untouched.
-TEST(Attribution, BinaryRoundTripPreservesWindows) {
-  const CapacityCell cell = EightFlowCell();
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-
-  Tracer recorded;
-  RunCapacityCell(cell, &recorded);
-  const CausalGraph recorded_graph = CausalGraph::Build(recorded);
-  const AttributionResult from_vector = AttributeRtts(recorded, recorded_graph, options);
-
-  Tracer decoded;
-  ASSERT_TRUE(DecodeBinaryTrace(EncodeBinaryTrace(recorded), &decoded));
-  ASSERT_EQ(decoded.events().size(), recorded.events().size());
-  const CausalGraph decoded_graph = CausalGraph::Build(decoded);
-  const AttributionResult from_binary = AttributeRtts(decoded, decoded_graph, options);
-
-  ASSERT_EQ(from_binary.windows.size(), from_vector.windows.size());
-  for (size_t i = 0; i < from_vector.windows.size(); ++i) {
-    EXPECT_TRUE(SameWindow(from_vector.windows[i], from_binary.windows[i])) << "window " << i;
-  }
-}
-
-// --- Flow sampling at scale ----------------------------------------------
-
-struct SampledRun {
-  size_t flows_seen = 0;
-  size_t flows_kept = 0;
-  size_t peak_bytes = 0;
-  BlameReport blame;
-  std::vector<RttWindow> windows;
-};
-
-// Runs `cell` traced, keeping 1-in-`one_in` flows (1 = every flow), and
-// attributes what the tracer kept.
-SampledRun RunSampled(const CapacityCell& cell, uint32_t one_in) {
-  Tracer tracer;
-  if (one_in > 1) {
-    FlowSampleConfig sample;
-    sample.one_in = one_in;
-    sample.seed = cell.seed;
-    tracer.EnableFlowSampling(sample);
-  }
-  RunCapacityCell(cell, &tracer);
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  SampledRun out;
-  out.flows_seen = tracer.flows_seen().size();
-  out.flows_kept = tracer.flows_kept().size();
-  out.peak_bytes = tracer.peak_memory_bytes();
-  out.windows = AttributeRtts(tracer, graph, options).windows;
-  out.blame = BuildBlame(out.windows, 50.0, 99.0);
-  return out;
-}
-
-// 1-in-8 flow sampling on a 256-flow cell keeps 20 flows and cuts peak
-// tracer memory 8.49x, yet every kept flow's round trips are attributed
-// and telescope, and the sampled p99 blame tracks the full trace's per
-// stage. The tolerance is 10% of the full p99 RTT, not of each stage: the
-// sampled percentile is taken over an eighth of the windows, so a
-// stage-relative bound would mean nothing for near-zero stages.
-TEST(Attribution, OneInEightSamplingKeepsTheBlameAtAnEighthOfTheMemory) {
-  CapacityCell cell = EightFlowCell();
-  cell.flows = 256;
-  cell.iterations = 32;
-  const SampledRun full = RunSampled(cell, 1);
-  const SampledRun sampled = RunSampled(cell, 8);
-
-  EXPECT_EQ(sampled.flows_seen, 256u);
-  EXPECT_EQ(sampled.flows_kept, 20u);
-  ASSERT_GT(sampled.peak_bytes, 0u);
-  const double memory_ratio =
-      static_cast<double>(full.peak_bytes) / static_cast<double>(sampled.peak_bytes);
-  char ratio[32];
-  std::snprintf(ratio, sizeof(ratio), "%.2f", memory_ratio);
-  EXPECT_GE(memory_ratio, 4.0);
-  EXPECT_STREQ(ratio, "8.49") << full.peak_bytes << " -> " << sampled.peak_bytes << " bytes";
-
-  // The flow driver measures the last `iterations` round trips of each
-  // flow; attribution drops the same warm-up.
-  EXPECT_EQ(sampled.windows.size(), 640u);
-  for (const RttWindow& w : sampled.windows) {
-    int64_t sum = 0;
-    for (int64_t stage : w.stage_ns) {
-      sum += stage;
-    }
-    EXPECT_EQ(sum, w.rtt_ns());
-  }
-  const int64_t tolerance_ns = full.blame.hi_rtt_ns / 10;
-  ASSERT_GT(tolerance_ns, 0);
-  for (size_t s = 0; s < kBlameStageCount; ++s) {
-    EXPECT_LE(std::abs(full.blame.hi_stage_ns[s] - sampled.blame.hi_stage_ns[s]), tolerance_ns)
-        << "stage " << BlameStageName(static_cast<BlameStage>(s));
-  }
 }
 
 // --- interactive Nagle × delayed-ACK blame --------------------------------

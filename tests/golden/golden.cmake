@@ -10,9 +10,8 @@ cmake_policy(VERSION 3.20)
 
 # Parses the manifest at `path` into GOLDEN_HEADER (its leading comment
 # block), GOLDEN_NAMES and, per name, GOLDEN_<name>_LABELS (comma-separated),
-# GOLDEN_<name>_COMMAND, GOLDEN_<name>_OUTPUTS (a list of "<output> <hash>")
-# and, for a command that reads ../<entry>/<file>, GOLDEN_<name>_INPUT
-# (that entry), all in the caller's scope.
+# GOLDEN_<name>_COMMAND and GOLDEN_<name>_OUTPUTS (a list of
+# "<output> <hash>"), all in the caller's scope.
 function(golden_read_manifest path)
   file(STRINGS "${path}" lines)
   set(header "")
@@ -27,9 +26,6 @@ function(golden_read_manifest path)
       list(APPEND GOLDEN_NAMES "${name}")
       set(GOLDEN_${name}_LABELS "${CMAKE_MATCH_2}" PARENT_SCOPE)
       set(GOLDEN_${name}_COMMAND "${CMAKE_MATCH_3}" PARENT_SCOPE)
-      if(CMAKE_MATCH_3 MATCHES " \\.\\./([a-z0-9_]+)/")
-        set(GOLDEN_${name}_INPUT "${CMAKE_MATCH_1}" PARENT_SCOPE)
-      endif()
     elseif(line MATCHES "^  ([^ ]+ [0-9a-f]+)$" AND NOT name STREQUAL "")
       list(APPEND GOLDEN_${name}_OUTPUTS "${CMAKE_MATCH_1}")
       set(GOLDEN_${name}_OUTPUTS "${GOLDEN_${name}_OUTPUTS}" PARENT_SCOPE)
@@ -46,10 +42,9 @@ if(NOT CMAKE_SCRIPT_MODE_FILE)
 endif()
 
 # Runs entry `name` at TCPLAT_JOBS=`jobs` in BIN_DIR/golden/jobs<N>/<name>/
-# (after the entry it reads from, if any, so that input is fresh) and sets
-# `out_var` to its outputs as "<output> <hash>": the file `stdout` first,
-# then the written files by name. A non-zero exit, or a program that is
-# not built, is fatal.
+# and sets `out_var` to its outputs as "<output> <hash>": the file `stdout`
+# first, then the written files by name. A non-zero exit, or a program that
+# is not built, is fatal.
 function(golden_run name jobs out_var)
   separate_arguments(argv UNIX_COMMAND "${GOLDEN_${name}_COMMAND}")
   list(POP_FRONT argv program)
@@ -62,10 +57,6 @@ function(golden_run name jobs out_var)
   if(exe STREQUAL "")
     message(FATAL_ERROR "golden ${name}: ${program} is not built under ${BIN_DIR}")
   endif()
-  if(DEFINED GOLDEN_${name}_INPUT)
-    golden_run(${GOLDEN_${name}_INPUT} ${jobs} input)
-  endif()
-
   set(work "${BIN_DIR}/golden/jobs${jobs}/${name}")
   file(REMOVE_RECURSE "${work}")
   file(MAKE_DIRECTORY "${work}")

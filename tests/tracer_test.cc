@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/sim/time.h"
-#include "src/trace/binary_trace.h"
 #include "src/trace/tracer.h"
 
 namespace tcplat {
@@ -73,15 +72,6 @@ TEST(Tracer, SpanSelfTotalsRestartAtReset) {
   EXPECT_EQ(t.SpanSelfTotalsNanos(h)[static_cast<size_t>(SpanId::kTxUser)], 5);
 }
 
-TEST(Tracer, ClearDropsEventsKeepsHosts) {
-  Tracer t;
-  const uint8_t h = t.RegisterHost("h");
-  t.RecordPacket(h, TraceLayer::kSock, TraceEventKind::kUserWrite, At(1), 0, 0, 8);
-  t.Clear();
-  EXPECT_TRUE(t.events().empty());
-  EXPECT_EQ(t.host_names().size(), 1u);
-}
-
 TEST(Tracer, PerfettoJsonShapesEvents) {
   Tracer t;
   const uint8_t h = t.RegisterHost("client");
@@ -136,78 +126,6 @@ TEST(Tracer, EveryLayerAndKindHasAUniqueNonEmptyName) {
       EXPECT_NE(name_i, TraceLayerName(static_cast<TraceLayer>(j))) << i << " vs " << j;
     }
   }
-}
-
-// A sampler decides which events reach the log, so it must be chosen
-// before the first event is recorded; enabling one later is a programming
-// error and dies loudly.
-TEST(TracerSamplingDeathTest, SamplersAfterRecordingStartsDie) {
-  Tracer t;
-  const uint8_t h = t.RegisterHost("h");
-  t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(1), 1, 1, 100);
-  EXPECT_DEATH(t.EnableFlowSampling(FlowSampleConfig{}), "before recording starts");
-}
-
-// Encoding the recorded log as TLBT and decoding it must reproduce the
-// exporters byte for byte.
-TEST(TracerBinary, RoundTripMatchesExporters) {
-  Tracer t;
-  const uint8_t c = t.RegisterHost("client");
-  const uint8_t s = t.RegisterHost("server");
-  t.RecordSpanReset(c, At(0));
-  t.RecordSpanBegin(c, SpanId::kTxUser, At(100));
-  t.RecordPacket(c, TraceLayer::kTcp, TraceEventKind::kSegTx, At(150), 0x50001389, 1, 1400);
-  t.RecordSpanEnd(c, SpanId::kTxUser, At(200), SimDuration::FromNanos(80));
-  t.RecordPacket(s, TraceLayer::kAtm, TraceEventKind::kPduRx, At(400), 5, 30, 9180);
-  t.RecordSpanInterval(s, SpanId::kRxIpq, At(500), SimDuration::FromNanos(58));
-
-  Tracer decoded;
-  ASSERT_TRUE(DecodeBinaryTrace(EncodeBinaryTrace(t), &decoded));
-  EXPECT_EQ(decoded.events().size(), t.events().size());
-  EXPECT_EQ(decoded.ToPerfettoJson(), t.ToPerfettoJson());
-  EXPECT_EQ(decoded.ToCsv(), t.ToCsv());
-  EXPECT_EQ(decoded.SpanSelfTotalsNanos(0), t.SpanSelfTotalsNanos(0));
-}
-
-// Flow sampling is a pure function of (canonical flow id, seed): two
-// tracers with the same seed keep the same flows, and the verdict is
-// symmetric across the two directed ids of one connection.
-TEST(TracerSampling, VerdictIsDeterministicAndDirectionSymmetric) {
-  const auto record_flows = [](Tracer* t, bool reversed) {
-    const uint8_t h = t->RegisterHost("h");
-    for (uint64_t i = 1; i <= 64; ++i) {
-      const uint64_t local = 0x5000 + i, remote = 0x1389;
-      const uint64_t flow = reversed ? (remote << 16 | local) : (local << 16 | remote);
-      t->RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(int64_t(i) * 10), flow, i,
-                      100);
-    }
-  };
-  FlowSampleConfig config;
-  config.one_in = 4;
-  config.seed = 7;
-
-  Tracer a, b, rev;
-  for (Tracer* t : {&a, &b, &rev}) t->EnableFlowSampling(config);
-  record_flows(&a, false);
-  record_flows(&b, false);
-  record_flows(&rev, true);
-
-  EXPECT_EQ(a.flows_seen().size(), 64u);
-  EXPECT_FALSE(a.flows_kept().empty());
-  EXPECT_LT(a.flows_kept().size(), a.flows_seen().size());
-  EXPECT_EQ(a.flows_kept(), b.flows_kept());
-  // Canonical ids are direction-independent, so the reversed stream keeps
-  // the same connections.
-  EXPECT_EQ(rev.flows_kept(), a.flows_kept());
-  // The event log only holds kept flows' events.
-  EXPECT_EQ(a.events().size(), a.flows_kept().size());
-
-  Tracer other_seed;
-  FlowSampleConfig reseeded = config;
-  reseeded.seed = 8;
-  other_seed.EnableFlowSampling(reseeded);
-  record_flows(&other_seed, false);
-  EXPECT_NE(other_seed.flows_kept(), a.flows_kept());
 }
 
 }  // namespace
