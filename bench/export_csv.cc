@@ -20,7 +20,8 @@
 //
 // A flag outside its mode is rejected, not ignored: --size needs --trace;
 // --quick, --seed, --flows and --timeline-period-us need --timeline; and
-// --trace and --timeline cannot be combined.
+// --trace and --timeline cannot be combined. --trace writes to stdout, so
+// a path after it is rejected too.
 
 #include <cstdio>
 #include <initializer_list>
@@ -172,6 +173,11 @@ int main(int argc, char** argv) {
   if (!tcplat::OnlyWith(argc, argv, flags.trace, "--trace", {"--size"}) ||
       !tcplat::OnlyWith(argc, argv, flags.timeline, "--timeline",
                         {"--quick", "--seed", "--flows", "--timeline-period-us"})) {
+    return 2;
+  }
+  if (!flags.trace_path.empty()) {
+    std::fprintf(stderr, "%s: --trace writes to stdout and takes no path, but got %s\n", argv[0],
+                 flags.trace_path.c_str());
     return 2;
   }
   if (flags.timeline) {

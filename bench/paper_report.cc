@@ -468,6 +468,10 @@ int main(int argc, char** argv) {
   if (!tcplat::ParseBenchFlags(argc, argv, &flags, "[--trace=PATH]")) {
     return 2;
   }
+  if (flags.trace && flags.trace_path.empty()) {
+    std::fprintf(stderr, "%s: --trace needs =PATH, the file to write the trace to\n", argv[0]);
+    return 2;
+  }
   const std::string trace_path = flags.trace_path;
   std::printf("# Paper reproduction report\n");
   std::printf("\nWolman, Voelker & Thekkath, USENIX Winter 1994 — regenerated live.\n");

@@ -13,6 +13,7 @@
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
+#include "src/workload/star_testbed.h"
 
 using namespace tcplat;
 
@@ -27,18 +28,24 @@ struct Deployment {
 };
 
 double Rtt(const Deployment& d, size_t size) {
+  RpcOptions opt;
+  opt.size = size;
+  opt.iterations = 150;
+  if (d.switched) {
+    // Client and server on one cell switch: the 1 x 1 star.
+    StarTestbedConfig cfg;
+    cfg.tcp.checksum = d.checksum;
+    StarTestbed star(cfg);
+    return RunRpcBenchmark(star, opt).MeanRtt().micros();
+  }
   TestbedConfig cfg;
   cfg.network = d.network;
-  cfg.switched = d.switched && d.network == NetworkKind::kAtm;
   cfg.tcp.checksum = d.checksum;
   Testbed tb(cfg);
   if (d.dma && d.network == NetworkKind::kAtm) {
     tb.client_atm()->set_dma(true);
     tb.server_atm()->set_dma(true);
   }
-  RpcOptions opt;
-  opt.size = size;
-  opt.iterations = 150;
   return RunRpcBenchmark(tb, opt).MeanRtt().micros();
 }
 

@@ -5,17 +5,17 @@ namespace {
 constexpr Ipv4Addr kMask24 = MakeAddr(255, 255, 255, 0);
 }  // namespace
 
-RoutedTestbed::RoutedTestbed(RoutedTestbedConfig config)
-    : config_(std::move(config)), sim_(config_.seed) {
-  client_host_ = std::make_unique<Host>(&sim_, "client", config_.profile);
-  gw_host_ = std::make_unique<Host>(&sim_, "gateway", config_.profile);
-  server_host_ = std::make_unique<Host>(&sim_, "server", config_.profile);
+RoutedTestbed::RoutedTestbed(const TcpConfig& tcp) {
+  const CostProfile profile = CostProfile::Decstation5000_200();
+  client_host_ = std::make_unique<Host>(&sim_, "client", profile);
+  gw_host_ = std::make_unique<Host>(&sim_, "gateway", profile);
+  server_host_ = std::make_unique<Host>(&sim_, "server", profile);
   client_ip_ = std::make_unique<IpStack>(client_host_.get(), kRoutedClientAddr);
   gw_ip_ = std::make_unique<IpStack>(gw_host_.get(), kRoutedGatewayLeft);
   server_ip_ = std::make_unique<IpStack>(server_host_.get(), kRoutedServerAddr);
 
-  left_ = std::make_unique<EtherSegment>(&sim_, config_.propagation);
-  right_ = std::make_unique<EtherSegment>(&sim_, config_.propagation);
+  left_ = std::make_unique<EtherSegment>(&sim_, kLabPropagation);
+  right_ = std::make_unique<EtherSegment>(&sim_, kLabPropagation);
 
   const MacAddr client_mac{2, 0, 0, 0, 1, 1};
   const MacAddr gw_left_mac{2, 0, 0, 0, 1, 0xFE};
@@ -46,8 +46,14 @@ RoutedTestbed::RoutedTestbed(RoutedTestbedConfig config)
   gw_ip_->AddRoute(MakeAddr(10, 0, 2, 0), kMask24, gw_right_if_.get());
   gw_ip_->set_forwarding(true);
 
-  client_tcp_ = std::make_unique<TcpStack>(client_ip_.get(), config_.tcp);
-  server_tcp_ = std::make_unique<TcpStack>(server_ip_.get(), config_.tcp);
+  client_tcp_ = std::make_unique<TcpStack>(client_ip_.get(), tcp);
+  server_tcp_ = std::make_unique<TcpStack>(server_ip_.get(), tcp);
+}
+
+void RoutedTestbed::ResetTrackers() {
+  client_host_->tracker().Reset();
+  gw_host_->tracker().Reset();
+  server_host_->tracker().Reset();
 }
 
 }  // namespace tcplat

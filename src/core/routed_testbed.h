@@ -6,12 +6,17 @@
 // reserves checksum elimination for exactly that case; this testbed is the
 // *other* case — the one where §4.2.1's source-(3) errors (corruption
 // inside a gateway) make the TCP checksum non-negotiable.
+//
+// As a WorkloadHosts it has one client and one server, so RunWorkload and
+// RunRpcBenchmark drive it like the other testbeds; the gateway only
+// forwards.
 
 #ifndef SRC_CORE_ROUTED_TESTBED_H_
 #define SRC_CORE_ROUTED_TESTBED_H_
 
 #include <memory>
 
+#include "src/core/testbed.h"
 #include "src/ether/ether_netif.h"
 #include "src/ip/ip_stack.h"
 #include "src/os/host.h"
@@ -25,20 +30,14 @@ inline constexpr Ipv4Addr kRoutedGatewayLeft = MakeAddr(10, 0, 1, 254);
 inline constexpr Ipv4Addr kRoutedGatewayRight = MakeAddr(10, 0, 2, 254);
 inline constexpr Ipv4Addr kRoutedServerAddr = MakeAddr(10, 0, 2, 1);
 
-struct RoutedTestbedConfig {
-  TcpConfig tcp;
-  uint64_t seed = 1;
-  SimDuration propagation = SimDuration::FromNanos(300);
-  CostProfile profile = CostProfile::Decstation5000_200();
-};
-
-class RoutedTestbed {
+class RoutedTestbed final : public WorkloadHosts {
  public:
-  explicit RoutedTestbed(RoutedTestbedConfig config = {});
+  // `tcp` applies to the client's and the server's stacks.
+  explicit RoutedTestbed(const TcpConfig& tcp = {});
   RoutedTestbed(const RoutedTestbed&) = delete;
   RoutedTestbed& operator=(const RoutedTestbed&) = delete;
 
-  Simulator& sim() { return sim_; }
+  Simulator& sim() override { return sim_; }
   Host& client_host() { return *client_host_; }
   Host& gateway_host() { return *gw_host_; }
   Host& server_host() { return *server_host_; }
@@ -50,9 +49,19 @@ class RoutedTestbed {
   EtherSegment& left_segment() { return *left_; }
   EtherSegment& right_segment() { return *right_; }
 
+  // WorkloadHosts: one client, one server.
+  int clients() const override { return 1; }
+  int servers() const override { return 1; }
+  Host& client_host(int) override { return *client_host_; }
+  Host& server_host(int) override { return *server_host_; }
+  TcpStack& client_tcp(int) override { return *client_tcp_; }
+  TcpStack& server_tcp(int) override { return *server_tcp_; }
+  Ipv4Addr server_addr(int) const override { return kRoutedServerAddr; }
+  // Clears all three hosts' span trackers (start of a measured region).
+  void ResetTrackers() override;
+
  private:
-  RoutedTestbedConfig config_;
-  Simulator sim_;
+  Simulator sim_;  // first member: destroyed last, after all schedulers
   std::unique_ptr<Host> client_host_;
   std::unique_ptr<Host> gw_host_;
   std::unique_ptr<Host> server_host_;

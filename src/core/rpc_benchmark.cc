@@ -468,13 +468,13 @@ WorkloadResult RunWorkload(WorkloadHosts& hosts, const std::vector<FlowSpec>& sp
   return result;
 }
 
-RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options) {
+RpcResult RunRpcBenchmark(WorkloadHosts& hosts, const RpcOptions& options) {
   FlowSpec spec;
   spec.size = options.size;
   spec.iterations = options.iterations;
   spec.warmup = options.warmup;
   spec.tolerate_errors = options.tolerate_errors;
-  WorkloadResult run = RunWorkload(testbed, {spec});
+  WorkloadResult run = RunWorkload(hosts, {spec});
   FlowResult& flow = run.flows[0];
 
   RpcResult result;
@@ -482,11 +482,14 @@ RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options) {
   result.iterations = flow.iterations;
   result.aborted = flow.aborted;
   result.data_mismatches = flow.data_mismatches;
+  const SpanTracker& client = hosts.client_host(0).tracker();
+  const SpanTracker& server = hosts.server_host(0).tracker();
   for (size_t i = 0; i < result.spans.size(); ++i) {
-    result.spans[i] = testbed.SpanTotal(static_cast<SpanId>(i));
+    const SpanId id = static_cast<SpanId>(i);
+    result.spans[i] = client.total(id) + server.total(id);
   }
-  result.client_tcp = testbed.client_tcp().stats();
-  result.server_tcp = testbed.server_tcp().stats();
+  result.client_tcp = hosts.client_tcp(0).stats();
+  result.server_tcp = hosts.server_tcp(0).stats();
   return result;
 }
 

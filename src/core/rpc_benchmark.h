@@ -4,10 +4,11 @@
 // round trip with the mapped real-time clock.
 //
 // RunWorkload runs F such flows at once over any WorkloadHosts: the
-// two-host Testbed, or the K x M StarTestbed of src/workload/. Flows take
-// optional start offsets (open-loop arrivals), think times (closed-loop
-// load) and request/response shapes, and the driver also carries the
-// one-way bulk push. RunRpcBenchmark is its one-flow run on the Testbed.
+// two-host Testbed, the K x M StarTestbed of src/workload/, or the
+// RoutedTestbed. Flows take optional start offsets (open-loop arrivals),
+// think times (closed-loop load) and request/response shapes, and
+// RunWorkload also carries the one-way bulk push. RunRpcBenchmark is its
+// one-flow run, from client 0 to server 0.
 //
 // Every flow gets a dedicated server port (kEchoPort + flow index), so a
 // listener always knows its flow's message sizes — the protocol is
@@ -133,8 +134,8 @@ struct RpcResult {
   uint64_t iterations = 0;
   bool aborted = false;          // connection died before all iterations finished
   uint64_t data_mismatches = 0;  // end-to-end application check failures
-  // Total span time accumulated across both hosts during the measured
-  // region. Each iteration contains two transfers (request + reply), so the
+  // Total span time accumulated on the client and the server during the
+  // measured region (a forwarding gateway's spans are not counted). Each iteration contains two transfers (request + reply), so the
   // per-transfer mean of a row is spans[id] / (2 * iterations).
   std::array<SimDuration, static_cast<size_t>(SpanId::kCount)> spans{};
   TcpStats client_tcp;
@@ -149,10 +150,10 @@ struct RpcResult {
   }
 };
 
-// Runs the echo benchmark on an existing testbed: one RunWorkload flow,
-// plus the span totals and both stacks' TCP statistics. The testbed can be
-// reused for further runs.
-RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options);
+// Runs the echo benchmark on existing hosts: one RunWorkload flow from
+// client 0 to server 0, plus the span totals and both stacks' TCP
+// statistics. The hosts can be reused for further runs.
+RpcResult RunRpcBenchmark(WorkloadHosts& hosts, const RpcOptions& options);
 
 }  // namespace tcplat
 

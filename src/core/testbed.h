@@ -1,6 +1,7 @@
 // The two-workstation testbed of §1.1: a pair of DECstation 5000/200s
 // connected either by FORE TCA-100 adapters over a switchless private ATM
 // fiber, or by a private 10 Mbit/s Ethernet segment (the Table 1 baseline).
+// The switched case is the 1 x 1 StarTestbed (src/workload/star_testbed.h).
 
 #ifndef SRC_CORE_TESTBED_H_
 #define SRC_CORE_TESTBED_H_
@@ -9,7 +10,6 @@
 #include <optional>
 
 #include "src/atm/atm_netif.h"
-#include "src/atm/atm_switch.h"
 #include "src/atm/tca100.h"
 #include "src/ether/ether_netif.h"
 #include "src/ip/ip_stack.h"
@@ -23,18 +23,16 @@ namespace tcplat {
 
 enum class NetworkKind { kAtm, kEthernet };
 
+// Settings every testbed shares, which no experiment varies.
+// Propagation over a lab fiber or segment (a few tens of meters).
+inline constexpr SimDuration kLabPropagation = SimDuration::FromNanos(300);
+// "our machines are only running the standard ULTRIX daemons and our test
+// program" — inert PCBs ahead of the benchmark connection in the list.
+inline constexpr size_t kBackgroundPcbs = 13;
+
 struct TestbedConfig {
   NetworkKind network = NetworkKind::kAtm;
-  // Insert a cell switch between the hosts (the paper's testbed was
-  // switchless; this enables the §4.2.1 source-(1) experiments).
-  bool switched = false;
-  SimDuration switch_latency = SimDuration::FromMicros(10);
   TcpConfig tcp;  // applied to both stacks
-  // "our machines are only running the standard ULTRIX daemons and our test
-  // program" — inert PCBs ahead of the benchmark connection in the list.
-  size_t background_pcbs = 13;
-  uint64_t seed = 1;
-  SimDuration propagation = SimDuration::FromNanos(300);
   CostProfile profile = CostProfile::Decstation5000_200();
 };
 
@@ -44,7 +42,9 @@ inline constexpr uint16_t kEchoPort = 5001;
 
 // The hosts a workload runs on (RunWorkload, src/core/rpc_benchmark.h): K
 // client and M server hosts on one simulator. Testbed is the paper's 1 x 1
-// case; StarTestbed (src/workload/star_testbed.h) is the K x M star.
+// case; StarTestbed (src/workload/star_testbed.h) is the K x M star;
+// RoutedTestbed (src/core/routed_testbed.h) puts a gateway between one
+// client and one server.
 class WorkloadHosts {
  public:
   virtual Simulator& sim() = 0;
@@ -87,11 +87,10 @@ class Testbed final : public WorkloadHosts {
   EtherNetIf* client_ether() { return client_ether_if_.get(); }
   EtherNetIf* server_ether() { return server_ether_if_.get(); }
   DuplexLink* atm_link() { return atm_link_.get(); }
-  AtmSwitch* atm_switch() { return atm_switch_.get(); }
   EtherSegment* ether_segment() { return ether_segment_.get(); }
 
-  // Attaches `tracer` to both hosts (and the switch, when present) so
-  // packet-lifecycle and span events are recorded. Pass nullptr to detach.
+  // Attaches `tracer` to both hosts so packet-lifecycle and span events
+  // are recorded. Pass nullptr to detach.
   // The tracer is owned by the caller and must outlive the testbed's use.
   void AttachTracer(Tracer* tracer);
 
@@ -106,9 +105,6 @@ class Testbed final : public WorkloadHosts {
   // Clears both hosts' span trackers (start of a measured region).
   void ResetTrackers() override;
 
-  // Sum of one span's accumulation across both hosts.
-  SimDuration SpanTotal(SpanId id) const;
-
  private:
   TestbedConfig config_;
   Simulator sim_;  // first member: destroyed last, after all schedulers
@@ -118,7 +114,6 @@ class Testbed final : public WorkloadHosts {
   std::unique_ptr<IpStack> server_ip_;
 
   std::unique_ptr<DuplexLink> atm_link_;
-  std::unique_ptr<AtmSwitch> atm_switch_;
   std::unique_ptr<Tca100> client_adapter_;
   std::unique_ptr<Tca100> server_adapter_;
   std::unique_ptr<AtmNetIf> client_atm_if_;

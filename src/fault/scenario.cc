@@ -28,11 +28,6 @@ TestbedImpairment::TestbedImpairment(Testbed& testbed, const ImpairmentConfig& c
     testbed.atm_link()->dir(1).set_impairment(make("s2c", 2));
     link("c2s")->RegisterMetrics(testbed.client_host().metrics(), "c2s");
     link("s2c")->RegisterMetrics(testbed.server_host().metrics(), "s2c");
-    if (testbed.atm_switch() != nullptr) {
-      testbed.atm_switch()->set_output_impairment(make("fabric", 3));
-      // The switch has no host; its counters ride on the client's registry.
-      link("fabric")->RegisterMetrics(testbed.client_host().metrics(), "fabric");
-    }
   } else {
     testbed.ether_segment()->set_impairment(make("bus", 1));
     link("bus")->RegisterMetrics(testbed.client_host().metrics(), "bus");
@@ -43,9 +38,6 @@ TestbedImpairment::~TestbedImpairment() {
   if (testbed_->config().network == NetworkKind::kAtm) {
     testbed_->atm_link()->dir(0).set_impairment(nullptr);
     testbed_->atm_link()->dir(1).set_impairment(nullptr);
-    if (testbed_->atm_switch() != nullptr) {
-      testbed_->atm_switch()->set_output_impairment(nullptr);
-    }
   } else {
     testbed_->ether_segment()->set_impairment(nullptr);
   }
@@ -81,9 +73,7 @@ ImpairmentStats TestbedImpairment::TotalStats() const {
 LossScenarioResult RunLossScenario(const LossScenarioConfig& config) {
   TestbedConfig tb_cfg;
   tb_cfg.network = config.network;
-  tb_cfg.switched = config.switched;
   tb_cfg.tcp.checksum = config.checksum;
-  tb_cfg.seed = config.seed;
   Testbed tb(tb_cfg);
 
   ImpairmentConfig imp_cfg = config.impairment;
@@ -123,8 +113,6 @@ LossScenarioResult RunLossScenario(const LossScenarioConfig& config) {
     out.trace_csv = tracer.ToCsv();
     out.metrics_json = "{\"client\":" + tb.client_host().metrics().ToJson() +
                        ",\"server\":" + tb.server_host().metrics().ToJson() + "}";
-  }
-  if (config.capture_observability) {
     tb.AttachTracer(nullptr);
     impairment.AttachTracer(nullptr);
   }

@@ -22,10 +22,8 @@
 namespace tcplat {
 
 // Owns one seeded ImpairmentPolicy per link of a testbed and wires them in:
-//  * ATM point-to-point — one policy per fiber direction;
-//  * ATM switched      — one per host uplink fiber plus one for the switch
-//                        output fibers (the downlinks);
-//  * Ethernet          — one for the shared bus.
+//  * ATM      — one policy per fiber direction;
+//  * Ethernet — one for the shared bus.
 // Per-direction seeds are derived from config.seed so the directions see
 // independent schedules. Must outlive the testbed's traffic.
 class TestbedImpairment {
@@ -36,7 +34,7 @@ class TestbedImpairment {
   ~TestbedImpairment();
 
   struct Link {
-    std::string name;  // "c2s" | "s2c" | "fabric" | "bus"
+    std::string name;  // "c2s" | "s2c" | "bus"
     std::unique_ptr<ImpairmentPolicy> policy;
   };
   const std::vector<Link>& links() const { return links_; }
@@ -56,7 +54,6 @@ class TestbedImpairment {
 
 struct LossScenarioConfig {
   NetworkKind network = NetworkKind::kAtm;
-  bool switched = false;
   ImpairmentConfig impairment;  // applied per link, seeds derived per direction
   ChecksumMode checksum = ChecksumMode::kStandard;
   size_t size = 1024;  // echo payload bytes per direction per round trip

@@ -71,28 +71,6 @@ MetricsRegistry::Entry& MetricsRegistry::NewEntry(std::string_view name) {
   return it->second;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    TCPLAT_CHECK(it->second.counter != nullptr) << "metric type mismatch: " << std::string(name);
-    return *it->second.counter;
-  }
-  Entry& e = NewEntry(name);
-  e.counter = std::make_unique<Counter>();
-  return *e.counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    TCPLAT_CHECK(it->second.gauge != nullptr) << "metric type mismatch: " << std::string(name);
-    return *it->second.gauge;
-  }
-  Entry& e = NewEntry(name);
-  e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   auto it = entries_.find(name);
   if (it != entries_.end()) {
@@ -121,15 +99,9 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
   for (const auto& [name, e] : entries_) {
     Sample s;
     s.name = name;
-    if (e.counter != nullptr) {
-      s.type = "counter";
-      s.value = static_cast<int64_t>(e.counter->value());
-    } else if (e.counter_view != nullptr) {
+    if (e.counter_view != nullptr) {
       s.type = "counter";
       s.value = static_cast<int64_t>(*e.counter_view);
-    } else if (e.gauge != nullptr) {
-      s.type = "gauge";
-      s.value = e.gauge->value();
     } else if (e.gauge_view != nullptr) {
       s.type = "gauge";
       s.value = *e.gauge_view;

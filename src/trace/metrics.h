@@ -1,13 +1,13 @@
-// Named metrics: counters, gauges, and log-bucketed histograms.
+// Named metrics: counter and gauge views, and log-bucketed histograms.
 //
 // Every per-layer stats struct in the stack (TcpStats, IpStats, MbufStats,
 // ...) is a plain value type so benchmarks can snapshot and reset it by
 // assignment. A MetricsRegistry overlays a flat, enumerable namespace on
 // those live structs: each field is registered once, by name, as a *view*
-// (a pointer into the struct), and the registry can also own standalone
-// counters/gauges/histograms for quantities no struct records (queue wait
-// distributions, payload size distributions). One registry per host; export
-// is a deterministic name-sorted snapshot in JSON or CSV.
+// (a pointer into the struct), and the registry can also own histograms for
+// distributions no struct records (queue waits, payload sizes). One
+// registry per host; export is a deterministic name-sorted snapshot in JSON
+// or CSV.
 //
 // Naming convention: lowercase dotted paths, "<layer>.<metric>", e.g.
 // "tcp.segs_sent", "ip.ipq_wait_ns", "mbuf.cluster_allocs". Histogram
@@ -25,27 +25,6 @@
 #include <vector>
 
 namespace tcplat {
-
-class Counter {
- public:
-  void Increment(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void Set(int64_t v) { value_ = v; }
-  void Add(int64_t d) { value_ += d; }
-  int64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  int64_t value_ = 0;
-};
 
 // Power-of-two bucketed histogram for non-negative samples. Bucket 0 holds
 // value 0; bucket i (i >= 1) holds values in [2^(i-1), 2^i). 64 buckets
@@ -85,10 +64,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Owned metrics, created on first use. The returned reference is stable
-  // for the registry's lifetime; hot paths should cache it.
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
+  // An owned histogram, created on first use. The returned reference is
+  // stable for the registry's lifetime; hot paths should cache it.
   Histogram& histogram(std::string_view name);
 
   // Views over fields of live stats structs. The pointee must outlive the
@@ -114,8 +91,6 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
     const uint64_t* counter_view = nullptr;
     const int64_t* gauge_view = nullptr;

@@ -25,6 +25,17 @@ uint64_t TrackKey(uint8_t host, TsMetric metric, uint64_t key) {
          (static_cast<uint64_t>(metric) << 48) | (key & ((uint64_t{1} << 48) - 1));
 }
 
+// One long-format CSV row; `host_names` indexes by TimeseriesPoint::host.
+void AppendTimeseriesCsvRow(std::string* out, const TimeseriesPoint& p,
+                            const std::vector<std::string>& host_names) {
+  char buf[192];
+  const char* host = p.host < host_names.size() ? host_names[p.host].c_str() : "?";
+  std::snprintf(buf, sizeof(buf), "%" PRId64 ",%s,%s,%" PRIu64 ",%" PRId64 ",%d\n",
+                p.ts_ns, host, TsMetricName(static_cast<TsMetric>(p.metric)), p.key,
+                p.value, p.edge ? 1 : 0);
+  *out += buf;
+}
+
 }  // namespace
 
 const char* TsMetricName(TsMetric m) {
@@ -82,21 +93,9 @@ void SortTimeseriesPoints(std::vector<TimeseriesPoint>* points) {
                    });
 }
 
-const char* TimeseriesCsvHeader() { return "ts_ns,host,metric,key,value,edge\n"; }
-
-void AppendTimeseriesCsvRow(std::string* out, const TimeseriesPoint& p,
-                            const std::vector<std::string>& host_names) {
-  char buf[192];
-  const char* host = p.host < host_names.size() ? host_names[p.host].c_str() : "?";
-  std::snprintf(buf, sizeof(buf), "%" PRId64 ",%s,%s,%" PRIu64 ",%" PRId64 ",%d\n",
-                p.ts_ns, host, TsMetricName(static_cast<TsMetric>(p.metric)), p.key,
-                p.value, p.edge ? 1 : 0);
-  *out += buf;
-}
-
 std::string TimeseriesToCsv(const std::vector<TimeseriesPoint>& points,
                             const std::vector<std::string>& host_names) {
-  std::string out = TimeseriesCsvHeader();
+  std::string out = "ts_ns,host,metric,key,value,edge\n";
   for (const TimeseriesPoint& p : points) {
     AppendTimeseriesCsvRow(&out, p, host_names);
   }

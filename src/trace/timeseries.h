@@ -102,10 +102,8 @@ class TimeseriesSampler {
 // (the push order) is preserved.
 void SortTimeseriesPoints(std::vector<TimeseriesPoint>* points);
 
-// Long-format timeline CSV. `host_names` indexes by TimeseriesPoint::host.
-const char* TimeseriesCsvHeader();
-void AppendTimeseriesCsvRow(std::string* out, const TimeseriesPoint& p,
-                            const std::vector<std::string>& host_names);
+// Long-format timeline CSV (ts_ns,host,metric,key,value,edge).
+// `host_names` indexes by TimeseriesPoint::host.
 std::string TimeseriesToCsv(const std::vector<TimeseriesPoint>& points,
                             const std::vector<std::string>& host_names);
 

@@ -17,7 +17,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
     const bool is_client = idx < config_.clients;
     const std::string name = (is_client ? "client" : "server") +
                              std::to_string(is_client ? idx : idx - config_.clients);
-    hosts_.push_back(std::make_unique<Host>(&sim_, name, config_.profile));
+    hosts_.push_back(std::make_unique<Host>(&sim_, name, CostProfile::Decstation5000_200()));
     const Ipv4Addr addr =
         is_client ? StarClientAddr(idx) : StarServerAddr(idx - config_.clients);
     ips_.push_back(std::make_unique<IpStack>(hosts_.back().get(), addr));
@@ -25,7 +25,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
 
   if (config_.network == NetworkKind::kAtm) {
     atm_switch_ = std::make_unique<AtmSwitch>(&sim_, kTaxiBitsPerSecond, config_.propagation,
-                                              config_.switch_latency);
+                                              kSwitchLatency);
     if (config_.vc_buffers.buffer_cells > 0) {
       atm_switch_->ConfigureVcBuffers(config_.vc_buffers);
     }
@@ -82,7 +82,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
 
   for (int idx = 0; idx < n; ++idx) {
     tcps_.push_back(std::make_unique<TcpStack>(ips_[static_cast<size_t>(idx)].get(), config_.tcp));
-    tcps_.back()->AddBackgroundPcbs(config_.background_pcbs);
+    tcps_.back()->AddBackgroundPcbs(kBackgroundPcbs);
   }
 }
 

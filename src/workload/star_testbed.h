@@ -9,8 +9,9 @@
 // the switch; contention shows up in the switch's per-output wires, exactly
 // as in an output-buffered first-generation switch.
 //
-// With K=1, M=1 the star degenerates to the switched two-host testbed and
-// reproduces its round-trip times byte-for-byte (workload_test pins this).
+// With K=1, M=1 the star is the switched two-host testbed: the one
+// topology with a cell switch between a client and a server, used by the
+// §4.2.1 source-(1) experiments (workload_test pins its round trips).
 
 #ifndef SRC_WORKLOAD_STAR_TESTBED_H_
 #define SRC_WORKLOAD_STAR_TESTBED_H_
@@ -31,15 +32,17 @@
 
 namespace tcplat {
 
+// Fabric latency of the first-generation cell switch; no experiment
+// varies it.
+inline constexpr SimDuration kSwitchLatency = SimDuration::FromMicros(10);
+
 struct StarTestbedConfig {
   NetworkKind network = NetworkKind::kAtm;
   int clients = 1;
   int servers = 1;
-  SimDuration switch_latency = SimDuration::FromMicros(10);
   TcpConfig tcp;  // applied to every stack
-  size_t background_pcbs = 13;
   uint64_t seed = 1;
-  SimDuration propagation = SimDuration::FromNanos(300);
+  SimDuration propagation = kLabPropagation;
   // Finite per-VC output buffering at the switch (buffer_cells == 0 keeps
   // the seed's infinite buffers). Only meaningful on ATM.
   VcBufferConfig vc_buffers;
@@ -48,7 +51,6 @@ struct StarTestbedConfig {
   // switch's per-VC output buffers into the shared bottleneck the
   // congestion cells study, instead of the hosts' protocol CPU.
   double server_trunk_bps = 0;
-  CostProfile profile = CostProfile::Decstation5000_200();
 };
 
 // Client i is 10.0.1.(i+1), server j is 10.0.2.(j+1).
@@ -86,7 +88,7 @@ class StarTestbed final : public WorkloadHosts {
 
   // The ATM virtual circuit from global host `src` to global host `dst`:
   // VCI 64 + src*N + dst, one per ordered pair. The block below 64 stays
-  // clear of the two-host testbed's 42/43 and any well-known VCs.
+  // clear of the two-host testbed's VCI 42 and any well-known VCs.
   uint16_t PairVci(int src, int dst) const {
     return static_cast<uint16_t>(64 + src * host_count() + dst);
   }

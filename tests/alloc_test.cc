@@ -1,7 +1,7 @@
 // Allocation regression tests, for the per-cell, per-event hot path and for
 // the workload driver's memory. On the hot path, the paper's 8000-byte echo
 // benchmark must average at most 0.1 operator new calls per dispatched
-// event, on the two-host ATM testbed and on the switched one. A cell crosses
+// event, on the two-host ATM testbed and on the 1 x 1 star. A cell crosses
 // each fiber and the switch as a 53-byte value inside its lane event, so
 // neither hop allocates; event-queue entries, lane rings, callbacks and SAR
 // cells allocate nothing either. What remains is per packet: the PDU-sized
@@ -64,10 +64,9 @@ namespace tcplat {
 namespace {
 
 #if TCPLAT_ALLOC_TEST_ENABLED
-// Runs the 8000-byte echo on `config`'s testbed and checks the operator new
-// calls per dispatched event against the bound.
-void ExpectAtMostATenthPerEvent(const TestbedConfig& config) {
-  Testbed bed(config);
+// Runs the 8000-byte echo on `bed` and checks the operator new calls per
+// dispatched event against the bound.
+void ExpectAtMostATenthPerEvent(WorkloadHosts& bed) {
   RpcOptions options;
   options.size = 8000;
   const uint64_t events0 = bed.sim().events_dispatched();
@@ -89,7 +88,8 @@ TEST(Allocations, AtMostATenthPerDispatchedEvent) {
 #if !TCPLAT_ALLOC_TEST_ENABLED
   GTEST_SKIP() << "AddressSanitizer replaces operator new";
 #else
-  ExpectAtMostATenthPerEvent(TestbedConfig{});
+  Testbed bed(TestbedConfig{});
+  ExpectAtMostATenthPerEvent(bed);
 #endif
 }
 
@@ -99,9 +99,8 @@ TEST(Allocations, AtMostATenthPerDispatchedEventThroughTheSwitch) {
 #if !TCPLAT_ALLOC_TEST_ENABLED
   GTEST_SKIP() << "AddressSanitizer replaces operator new";
 #else
-  TestbedConfig config;
-  config.switched = true;
-  ExpectAtMostATenthPerEvent(config);
+  StarTestbed star(StarTestbedConfig{});
+  ExpectAtMostATenthPerEvent(star);
 #endif
 }
 

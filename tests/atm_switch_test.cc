@@ -1,4 +1,5 @@
-// Tests for the ATM cell switch and the switched-testbed topology.
+// Tests for the ATM cell switch and the switched two-host topology, which
+// is the 1 x 1 star.
 
 #include <gtest/gtest.h>
 
@@ -7,21 +8,20 @@
 #include "src/fault/error_experiment.h"
 #include "src/fault/injector.h"
 #include "src/trace/tracer.h"
+#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
 
 TEST(AtmSwitch, EchoWorksThroughSwitch) {
-  TestbedConfig cfg;
-  cfg.switched = true;
-  Testbed tb(cfg);
+  StarTestbed star(StarTestbedConfig{});
   RpcOptions opt;
   opt.size = 1400;
   opt.iterations = 50;
-  const RpcResult r = RunRpcBenchmark(tb, opt);
+  const RpcResult r = RunRpcBenchmark(star, opt);
   EXPECT_EQ(r.data_mismatches, 0u);
-  EXPECT_GT(tb.atm_switch()->stats().cells_switched, 0u);
-  EXPECT_EQ(tb.atm_switch()->stats().no_route, 0u);
+  EXPECT_GT(star.atm_switch()->stats().cells_switched, 0u);
+  EXPECT_EQ(star.atm_switch()->stats().no_route, 0u);
 }
 
 TEST(AtmSwitch, AddsLatencyOverSwitchlessLink) {
@@ -33,14 +33,11 @@ TEST(AtmSwitch, AddsLatencyOverSwitchlessLink) {
   Testbed direct(direct_cfg);
   const double direct_us = RunRpcBenchmark(direct, opt).MeanRtt().micros();
 
-  TestbedConfig sw_cfg;
-  sw_cfg.switched = true;
-  sw_cfg.switch_latency = SimDuration::FromMicros(10);
-  Testbed switched(sw_cfg);
+  StarTestbed switched(StarTestbedConfig{});
   const double switched_us = RunRpcBenchmark(switched, opt).MeanRtt().micros();
 
-  // Two fabric traversals per round trip, plus the extra serialization of
-  // each cell on the second fiber hop.
+  // Two 10 us fabric traversals (kSwitchLatency) per round trip, plus the
+  // extra serialization of each cell on the second fiber hop.
   EXPECT_GT(switched_us, direct_us + 2 * 10.0);
   EXPECT_LT(switched_us, direct_us + 300.0);
 }
@@ -48,21 +45,19 @@ TEST(AtmSwitch, AddsLatencyOverSwitchlessLink) {
 TEST(AtmSwitch, FabricCorruptionCaughtEndToEndByAalCrc) {
   // §4.2.1 source (1): "not a problem since AAL payload checksums are
   // end-to-end, i.e., intermediate switches do not recompute the checksum."
-  TestbedConfig cfg;
-  cfg.switched = true;
-  Testbed tb(cfg);
+  StarTestbed star(StarTestbedConfig{});
   auto rng = std::make_shared<Rng>(3);
   auto counter = std::make_shared<InjectionCounter>();
-  tb.atm_switch()->set_fabric_corrupt_hook(MakeCellBitFlipper(rng, counter, 0.003));
+  star.atm_switch()->set_fabric_corrupt_hook(MakeCellBitFlipper(rng, counter, 0.003));
 
   RpcOptions opt;
   opt.size = 1400;
   opt.iterations = 100;
-  const RpcResult r = RunRpcBenchmark(tb, opt);
+  const RpcResult r = RunRpcBenchmark(star, opt);
 
   EXPECT_GT(counter->injected, 0u);
   const uint64_t crc_catches =
-      tb.client_atm()->sar_stats().crc_errors + tb.server_atm()->sar_stats().crc_errors;
+      star.atm_netif(0)->sar_stats().crc_errors + star.atm_netif(1)->sar_stats().crc_errors;
   EXPECT_EQ(crc_catches, counter->injected) << "every fabric error is CRC-visible at the edge";
   EXPECT_EQ(r.client_tcp.checksum_errors + r.server_tcp.checksum_errors, 0u)
       << "TCP never needed to get involved";

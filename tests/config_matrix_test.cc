@@ -7,6 +7,7 @@
 
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
+#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -34,30 +35,46 @@ struct MatrixParam {
 
 class ConfigMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
-TEST_P(ConfigMatrix, EchoSurvivesEveryConfiguration) {
-  const MatrixParam& p = GetParam();
-  TestbedConfig cfg;
-  cfg.network = p.network;
-  cfg.tcp.checksum = p.checksum;
-  cfg.tcp.header_prediction = p.prediction;
-  cfg.tcp.nodelay = p.nodelay;
-  cfg.switched = p.switched;
-  Testbed tb(cfg);
-  if (p.dma && p.network == NetworkKind::kAtm) {
-    tb.client_atm()->set_dma(true);
-    tb.server_atm()->set_dma(true);
+// Runs the echo at three sizes on `hosts`, whose ATM interfaces (null on
+// Ethernet) are `client_atm` and `server_atm`.
+void ExpectEchoSurvives(const MatrixParam& p, WorkloadHosts& hosts, AtmNetIf* client_atm,
+                        AtmNetIf* server_atm) {
+  if (p.dma) {
+    client_atm->set_dma(true);
+    server_atm->set_dma(true);
   }
   for (size_t size : {size_t{4}, size_t{1400}, size_t{8000}}) {
     RpcOptions opt;
     opt.size = size;
     opt.iterations = 12;
     opt.warmup = 4;
-    const RpcResult r = RunRpcBenchmark(tb, opt);
+    const RpcResult r = RunRpcBenchmark(hosts, opt);
     EXPECT_EQ(r.data_mismatches, 0u) << p.Name() << " size " << size;
     EXPECT_EQ(r.rtt.count(), 12u) << p.Name() << " size " << size;
   }
-  EXPECT_EQ(tb.client_host().pool().stats().in_use, 0) << p.Name() << " leaked";
-  EXPECT_EQ(tb.server_host().pool().stats().in_use, 0) << p.Name() << " leaked";
+  EXPECT_EQ(hosts.client_host(0).pool().stats().in_use, 0) << p.Name() << " leaked";
+  EXPECT_EQ(hosts.server_host(0).pool().stats().in_use, 0) << p.Name() << " leaked";
+}
+
+TEST_P(ConfigMatrix, EchoSurvivesEveryConfiguration) {
+  const MatrixParam& p = GetParam();
+  TcpConfig tcp;
+  tcp.checksum = p.checksum;
+  tcp.header_prediction = p.prediction;
+  tcp.nodelay = p.nodelay;
+  if (p.switched) {
+    // The switched two-host topology is the 1 x 1 star.
+    StarTestbedConfig cfg;
+    cfg.tcp = tcp;
+    StarTestbed star(cfg);
+    ExpectEchoSurvives(p, star, star.atm_netif(0), star.atm_netif(1));
+  } else {
+    TestbedConfig cfg;
+    cfg.network = p.network;
+    cfg.tcp = tcp;
+    Testbed tb(cfg);
+    ExpectEchoSurvives(p, tb, tb.client_atm(), tb.server_atm());
+  }
 }
 
 std::vector<MatrixParam> AllConfigs() {

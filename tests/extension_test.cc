@@ -135,7 +135,6 @@ TEST(DuplicateDelivery, ReAckedWithoutCorruption) {
 
 TEST(Determinism, IdenticalConfigsProduceIdenticalRuns) {
   TestbedConfig cfg;
-  cfg.seed = 1234;
   Testbed a(cfg);
   Testbed b(cfg);
   const RpcResult ra = RunEcho(a, 1400);

@@ -17,6 +17,7 @@
 #include "src/core/testbed.h"
 #include "src/fault/impairment.h"
 #include "src/fault/scenario.h"
+#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -179,16 +180,30 @@ TEST(ImpairmentEndToEnd, AtmMixedImpairmentsDeliverExactlyOnce) {
   }
 }
 
+// The switched two-host topology is the 1 x 1 star; the policy drops cells
+// on the switch's output fibers.
 TEST(ImpairmentEndToEnd, SwitchedAtmLossDeliversExactlyOnce) {
-  LossScenarioConfig cfg;
-  cfg.network = NetworkKind::kAtm;
-  cfg.switched = true;
-  cfg.size = 4096;
-  cfg.iterations = 30;
-  cfg.warmup = 2;
-  cfg.seed = 21;
-  cfg.impairment.drop_prob = 1e-3;
-  CheckScenario(cfg, /*expect_retransmits=*/true);
+  StarTestbed star(StarTestbedConfig{});
+  ImpairmentConfig imp;
+  imp.drop_prob = 1e-3;
+  imp.seed = 21;
+  ImpairmentPolicy policy(imp);
+  star.atm_switch()->set_output_impairment(&policy);
+  RpcOptions opt;
+  opt.size = 4096;
+  opt.iterations = 30;
+  opt.warmup = 2;
+  opt.tolerate_errors = true;
+  const RpcResult r = RunRpcBenchmark(star, opt);
+  star.atm_switch()->set_output_impairment(nullptr);
+
+  EXPECT_FALSE(r.aborted);
+  EXPECT_EQ(r.data_mismatches, 0u);
+  EXPECT_EQ(r.rtt.count(), 30u);
+  CheckInvariant(policy.stats());
+  EXPECT_GT(policy.stats().offered, 0u);
+  EXPECT_GT(policy.stats().dropped, 0u);
+  EXPECT_GT(r.client_tcp.retransmits + r.server_tcp.retransmits, 0u);
 }
 
 TEST(ImpairmentEndToEnd, EthernetFrameLossDeliversExactlyOnce) {

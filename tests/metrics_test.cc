@@ -1,5 +1,5 @@
-// Tests for the named-metrics registry: counters, gauges, log-bucketed
-// histograms, views over live stats structs, and deterministic export.
+// Tests for the named-metrics registry: log-bucketed histograms, counter
+// and gauge views over live stats structs, and deterministic export.
 
 #include <gtest/gtest.h>
 
@@ -9,25 +9,6 @@
 
 namespace tcplat {
 namespace {
-
-TEST(Counter, IncrementAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.Increment();
-  c.Increment(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Gauge, SetAddReset) {
-  Gauge g;
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.value(), 7);
-  g.Reset();
-  EXPECT_EQ(g.value(), 0);
-}
 
 TEST(Histogram, BucketIndexIsLogBase2) {
   EXPECT_EQ(Histogram::BucketIndex(0), 0);
@@ -77,11 +58,14 @@ TEST(Histogram, PercentileUpperBound) {
 
 TEST(MetricsRegistry, OwnedMetricsAreStableAndFindable) {
   MetricsRegistry m;
-  Counter& c = m.counter("tcp.test_counter");
-  c.Increment(3);
-  EXPECT_EQ(m.counter("tcp.test_counter").value(), 3u);
-  m.gauge("sock.depth").Set(-2);
-  m.histogram("ip.wait_ns").Add(100);
+  Histogram& h = m.histogram("ip.wait_ns");
+  h.Add(100);
+  EXPECT_EQ(&m.histogram("ip.wait_ns"), &h);
+  EXPECT_EQ(m.histogram("ip.wait_ns").count(), 1u);
+  uint64_t sent = 3;
+  int64_t depth = -2;
+  m.AddCounterView("tcp.segs_sent", &sent);
+  m.AddGaugeView("sock.depth", &depth);
   EXPECT_EQ(m.size(), 3u);
   EXPECT_TRUE(m.contains("sock.depth"));
   EXPECT_FALSE(m.contains("sock.missing"));
@@ -116,9 +100,10 @@ TEST(MetricsRegistry, ViewsTrackTheLiveField) {
 
 TEST(MetricsRegistry, SnapshotIsNameSorted) {
   MetricsRegistry m;
-  m.counter("zeta");
-  m.counter("alpha");
-  m.counter("mid");
+  uint64_t v = 0;
+  m.AddCounterView("zeta", &v);
+  m.histogram("alpha");
+  m.AddCounterView("mid", &v);
   const auto snap = m.Snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "alpha");
@@ -128,7 +113,8 @@ TEST(MetricsRegistry, SnapshotIsNameSorted) {
 
 TEST(MetricsRegistry, ExportFormats) {
   MetricsRegistry m;
-  m.counter("a.count").Increment(2);
+  uint64_t count = 2;
+  m.AddCounterView("a.count", &count);
   m.histogram("b.wait_ns").Add(1000);
   const std::string json = m.ToJson();
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
@@ -150,7 +136,8 @@ TEST(MetricsDeathTest, DuplicateNameDies) {
 TEST(MetricsDeathTest, TypeMismatchDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   MetricsRegistry m;
-  m.counter("x");
+  uint64_t v = 0;
+  m.AddCounterView("x", &v);
   EXPECT_DEATH(m.histogram("x"), "type mismatch");
 }
 

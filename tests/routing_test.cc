@@ -12,6 +12,7 @@
 
 #include "src/base/random.h"
 #include "src/core/routed_testbed.h"
+#include "src/core/rpc_benchmark.h"
 #include "src/ether/ether_netif.h"
 #include "src/os/task.h"
 #include "src/tcp/tcp_stack.h"
@@ -21,104 +22,26 @@ namespace {
 
 constexpr Ipv4Addr kClientIp = kRoutedClientAddr;
 constexpr Ipv4Addr kServerIp = kRoutedServerAddr;
-constexpr uint16_t kPort = 5001;
 
 using RoutedNet = RoutedTestbed;
 
-struct EchoResult {
-  std::vector<uint8_t> received;
-  bool client_done = false;
-  bool server_done = false;
-  bool client_error = false;
-};
-
-SimTask EchoServer(RoutedNet* net, EchoResult* out, size_t bytes) {
-  Socket* listener = net->server_tcp().Listen(kPort);
-  Socket* s = nullptr;
-  while (s == nullptr) {
-    s = listener->Accept();
-    if (s == nullptr) {
-      co_await listener->WaitAcceptable();
-    }
-  }
-  std::vector<uint8_t> buf(8192);
-  size_t got = 0;
-  while (got < bytes) {
-    const size_t n = s->Read(buf);
-    if (n > 0) {
-      size_t sent = 0;
-      while (sent < n) {
-        const size_t w = s->Write({buf.data() + sent, n - sent});
-        sent += w;
-        if (w == 0) {
-          co_await s->WaitWritable();
-        }
-      }
-      got += n;
-    } else {
-      if (s->eof() || s->has_error()) {
-        break;
-      }
-      co_await s->WaitReadable();
-    }
-  }
-  out->server_done = got == bytes;
-}
-
-SimTask EchoClient(RoutedNet* net, EchoResult* out, std::vector<uint8_t> data) {
-  Socket* s = net->client_tcp().Connect(SockAddr{kServerIp, kPort});
-  while (!s->connected() && !s->has_error()) {
-    co_await s->WaitConnected();
-  }
-  if (s->has_error()) {
-    out->client_error = true;
-    out->client_done = true;
-    co_return;
-  }
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const size_t n = s->Write({data.data() + sent, data.size() - sent});
-    sent += n;
-    if (n == 0) {
-      co_await s->WaitWritable();
-    }
-  }
-  std::vector<uint8_t> buf(8192);
-  while (out->received.size() < data.size()) {
-    const size_t n = s->Read(buf);
-    if (n > 0) {
-      out->received.insert(out->received.end(), buf.begin(), buf.begin() + n);
-    } else {
-      if (s->eof() || s->has_error()) {
-        out->client_error = true;
-        break;
-      }
-      co_await s->WaitReadable();
-    }
-  }
-  s->Close();
-  out->client_done = true;
-}
-
-std::vector<uint8_t> Payload(size_t n, uint64_t seed = 5) {
-  Rng rng(seed);
-  std::vector<uint8_t> buf(n);
-  for (auto& b : buf) {
-    b = static_cast<uint8_t>(rng.Next());
-  }
-  return buf;
+// One measured echo of `size` bytes across the gateway through
+// RunRpcBenchmark: the client writes the request whole, then reads the
+// echo back.
+RpcResult EchoOnce(RoutedNet& net, size_t size) {
+  RpcOptions opt;
+  opt.size = size;
+  opt.iterations = 1;
+  opt.warmup = 0;
+  return RunRpcBenchmark(net, opt);
 }
 
 TEST(Routing, TcpEchoAcrossGateway) {
   RoutedNet net;
-  EchoResult result;
-  const auto data = Payload(2000);
-  net.server_host().Spawn("server", EchoServer(&net, &result, data.size()));
-  net.client_host().Spawn("client", EchoClient(&net, &result, data));
-  net.sim().RunToCompletion();
-  ASSERT_TRUE(result.client_done);
-  EXPECT_FALSE(result.client_error);
-  EXPECT_EQ(result.received, data);
+  const RpcResult r = EchoOnce(net, 2000);
+  ASSERT_EQ(r.rtt.count(), 1u);
+  EXPECT_FALSE(r.aborted);
+  EXPECT_EQ(r.data_mismatches, 0u);
   EXPECT_GT(net.gateway_ip().stats().forwarded, 4u);
   EXPECT_EQ(net.gateway_ip().stats().no_route, 0u);
 }
@@ -132,12 +55,8 @@ TEST(Routing, TtlDecrementedByGateway) {
       seen_ttl = frame[kEtherHeaderBytes + 8];
     }
   });
-  EchoResult result;
-  const auto data = Payload(100);
-  net.server_host().Spawn("server", EchoServer(&net, &result, data.size()));
-  net.client_host().Spawn("client", EchoClient(&net, &result, data));
-  net.sim().RunToCompletion();
-  EXPECT_EQ(result.received, data);
+  const RpcResult r = EchoOnce(net, 100);
+  EXPECT_EQ(r.data_mismatches, 0u);
   EXPECT_EQ(seen_ttl, 63) << "TCP sends TTL 64; one hop must cost one";
 }
 
@@ -173,38 +92,26 @@ TEST(Routing, GatewayMemoryCorruptionNeedsTheTcpChecksum) {
           ++corruptions;
         }
       });
-  EchoResult result;
-  const auto data = Payload(16000);
-  with_cksum.server_host().Spawn("server", EchoServer(&with_cksum, &result, data.size()));
-  with_cksum.client_host().Spawn("client", EchoClient(&with_cksum, &result, data));
-  with_cksum.sim().RunToCompletion();
+  const RpcResult r = EchoOnce(with_cksum, 16000);
   EXPECT_GT(corruptions, 0);
-  EXPECT_EQ(result.received, data) << "TCP checksum + retransmission must mask the gateway";
-  EXPECT_GT(with_cksum.client_tcp().stats().checksum_errors +
-                with_cksum.server_tcp().stats().checksum_errors,
-            0u);
+  EXPECT_EQ(r.data_mismatches, 0u) << "TCP checksum + retransmission must mask the gateway";
+  EXPECT_GT(r.client_tcp.checksum_errors + r.server_tcp.checksum_errors, 0u);
 
   // ...with it negotiated off, the corruption lands in the application:
   // the paper's rule is precisely that the no-checksum option is for
   // traffic that crosses no IP routers.
   TcpConfig no_cksum;
   no_cksum.checksum = ChecksumMode::kNone;
-  RoutedTestbedConfig no_cksum_cfg;
-  no_cksum_cfg.tcp = no_cksum;
-  RoutedNet without(no_cksum_cfg);
+  RoutedNet without(no_cksum);
   auto rng2 = std::make_shared<Rng>(17);
   without.gateway_ip().set_forward_corrupt_hook([rng2](std::vector<uint8_t>& pkt) {
     if (pkt.size() > 60 && rng2->NextBool(0.4)) {
       pkt[45] ^= 0x20;
     }
   });
-  EchoResult result2;
-  without.server_host().Spawn("server", EchoServer(&without, &result2, data.size()));
-  without.client_host().Spawn("client", EchoClient(&without, &result2, data));
-  without.sim().RunToCompletion();
-  ASSERT_TRUE(result2.client_done);
-  EXPECT_EQ(result2.received.size(), data.size());
-  EXPECT_NE(result2.received, data) << "without the checksum the damage goes through";
+  const RpcResult r2 = EchoOnce(without, 16000);
+  ASSERT_EQ(r2.rtt.count(), 1u);
+  EXPECT_GT(r2.data_mismatches, 0u) << "without the checksum the damage goes through";
 }
 
 TEST(Routing, GatewayDropsUnroutableDestinations) {

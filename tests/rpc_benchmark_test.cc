@@ -3,16 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/routed_testbed.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/table.h"
 #include "src/core/testbed.h"
+#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
 
-RpcResult RunBench(size_t size, int iterations = 50, uint64_t seed = 1) {
+RpcResult RunBench(size_t size, int iterations = 50) {
   TestbedConfig cfg;
-  cfg.seed = seed;
   Testbed tb(cfg);
   RpcOptions opt;
   opt.size = size;
@@ -29,8 +30,8 @@ TEST(RpcBenchmark, CollectsRequestedIterations) {
 }
 
 TEST(RpcBenchmark, DeterministicAcrossRuns) {
-  const RpcResult a = RunBench(500, 40, 9);
-  const RpcResult b = RunBench(500, 40, 9);
+  const RpcResult a = RunBench(500, 40);
+  const RpcResult b = RunBench(500, 40);
   EXPECT_EQ(a.MeanRtt().nanos(), b.MeanRtt().nanos());
   EXPECT_EQ(a.rtt.Min().nanos(), b.rtt.Min().nanos());
   for (size_t i = 0; i < a.spans.size(); ++i) {
@@ -81,6 +82,41 @@ TEST(RpcBenchmark, SpanRowsRoughlyPartitionTheRoundTrip) {
   const double rtt = r.MeanRtt().micros();
   EXPECT_GT(2 * row_sum_us, 0.80 * rtt);
   EXPECT_LT(2 * row_sum_us, 1.05 * rtt);
+}
+
+// Each span row is the client's total plus the server's, whichever
+// WorkloadHosts the echo ran on; a forwarding gateway's spans stay out.
+void ExpectSpansSumClientAndServer(WorkloadHosts& hosts, const RpcResult& r) {
+  for (size_t i = 0; i < r.spans.size(); ++i) {
+    const SpanId id = static_cast<SpanId>(i);
+    EXPECT_EQ(r.spans[i].nanos(), (hosts.client_host(0).tracker().total(id) +
+                                   hosts.server_host(0).tracker().total(id))
+                                      .nanos())
+        << "span " << i;
+  }
+}
+
+TEST(RpcBenchmark, SpansSumClientAndServerOnEveryTestbed) {
+  RpcOptions opt;
+  opt.size = 500;
+  opt.iterations = 20;
+  opt.warmup = 4;
+
+  StarTestbed star(StarTestbedConfig{});
+  const RpcResult on_star = RunRpcBenchmark(star, opt);
+  EXPECT_GT(on_star.spans[static_cast<size_t>(SpanId::kTxTcpChecksum)].nanos(), 0);
+  ExpectSpansSumClientAndServer(star, on_star);
+
+  RoutedTestbed routed;
+  const RpcResult via_gateway = RunRpcBenchmark(routed, opt);
+  EXPECT_GT(via_gateway.spans[static_cast<size_t>(SpanId::kTxTcpChecksum)].nanos(), 0);
+  ExpectSpansSumClientAndServer(routed, via_gateway);
+  // The gateway accumulates spans of its own, which the rows leave out.
+  SimDuration gateway_total;
+  for (size_t i = 0; i < via_gateway.spans.size(); ++i) {
+    gateway_total += routed.gateway_host().tracker().total(static_cast<SpanId>(i));
+  }
+  EXPECT_GT(gateway_total.nanos(), 0);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

@@ -438,15 +438,13 @@ TEST_F(TcpTest, ConnectOverDeadLinkFailsAfterRetries) {
 }
 
 TEST_F(TcpTest, BackgroundPcbsMakeLookupRealistic) {
-  TestbedConfig cfg;
-  cfg.background_pcbs = 20;
-  Testbed tb(cfg);
-  EXPECT_EQ(tb.client_tcp().pcbs().size(), 20u);
+  Testbed tb(TestbedConfig{});
+  EXPECT_EQ(tb.client_tcp().pcbs().size(), 13u);  // kBackgroundPcbs ULTRIX daemons
   tb.client_tcp().Listen(9999);
-  EXPECT_EQ(tb.client_tcp().pcbs().size(), 21u);  // new PCBs go to the head
+  EXPECT_EQ(tb.client_tcp().pcbs().size(), 14u);  // new PCBs go to the head
   RunEcho(tb, 100);
   // Closed benchmark connections were removed again.
-  EXPECT_EQ(tb.server_tcp().pcbs().size(), 21u);  // 20 daemons + the listener
+  EXPECT_EQ(tb.server_tcp().pcbs().size(), 14u);  // 13 daemons + the listener
 }
 
 TEST_F(TcpTest, StateNamesAreHuman) {

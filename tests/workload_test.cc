@@ -1,5 +1,5 @@
 // The workload engine's contract: a 1x1 star with one closed-loop flow IS
-// the switched two-host testbed (byte-identical RTTs); generators are pure
+// the switched two-host testbed (pinned RTTs); generators are pure
 // functions of their config (seeded arrivals); the closed-loop concurrency
 // invariant holds, and max_concurrent counts ties, shared round trips and
 // aborted flows exactly; every flow completes or aborts exactly once,
@@ -27,36 +27,32 @@
 namespace tcplat {
 namespace {
 
-// K=1, M=1, one closed-loop flow: the star must reproduce the switched
-// two-host testbed's round trips byte-for-byte. Any drift here means the
-// star's wiring (fiber parameters, spawn order, VC setup) perturbed event
-// ordering relative to the reference path.
+// K=1, M=1, one closed-loop flow: the star is the switched two-host
+// testbed, and must reproduce the round trips that testbed measured when it
+// was still built on its own (120 measured and 32 warm-up round trips). Any
+// drift here means the star's wiring (fiber parameters, spawn order, VC
+// setup) perturbed event ordering.
 TEST(StarTestbed, OneFlowReproducesSwitchedTestbedByteForByte) {
-  for (size_t size : {size_t{4}, size_t{1400}}) {
-    TestbedConfig ref_cfg;
-    ref_cfg.switched = true;
-    Testbed ref(ref_cfg);
-    RpcOptions opt;
-    opt.size = size;
-    opt.iterations = 120;
-    opt.warmup = 32;
-    const RpcResult expected = RunRpcBenchmark(ref, opt);
-
+  struct Pinned {
+    size_t size;
+    int64_t sum_ns;
+    int64_t p99_ns;
+  };
+  for (const Pinned& pinned : {Pinned{4, 134'615'160, 1'121'400},
+                               Pinned{1400, 352'251'280, 2'932'560}}) {
     StarTestbedConfig star_cfg;  // defaults: 1 client, 1 server, ATM
     StarTestbed star(star_cfg);
     FlowSpec spec;
-    spec.size = size;
+    spec.size = pinned.size;
     spec.iterations = 120;
     spec.warmup = 32;
     const WorkloadResult got = RunWorkload(star, {spec});
 
     ASSERT_EQ(got.flows.size(), 1u);
     EXPECT_TRUE(got.flows[0].completed);
-    EXPECT_EQ(got.rtt.count(), expected.rtt.count()) << "size " << size;
-    EXPECT_EQ(got.rtt.sum().nanos(), expected.rtt.sum().nanos()) << "size " << size;
-    EXPECT_EQ(got.rtt.Mean().nanos(), expected.MeanRtt().nanos()) << "size " << size;
-    EXPECT_EQ(got.rtt.Percentile(99).nanos(), expected.rtt.Percentile(99).nanos())
-        << "size " << size;
+    EXPECT_EQ(got.rtt.count(), 120u) << "size " << pinned.size;
+    EXPECT_EQ(got.rtt.sum().nanos(), pinned.sum_ns) << "size " << pinned.size;
+    EXPECT_EQ(got.rtt.Percentile(99).nanos(), pinned.p99_ns) << "size " << pinned.size;
   }
 }
 
